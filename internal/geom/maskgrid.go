@@ -7,17 +7,14 @@ package geom
 // state surviving in counterfactual world w, so the per-world cell count —
 // and with it the paper's |T|, |T^{/i}| — falls out of one grid.
 //
-// A mask is `words` consecutive uint64s (bit w lives in word w/64). The
-// common words==1 case keeps the single-value MarkBits/BitsAt fast path;
-// wider grids use MarkWords/WordsAt with caller-provided slices so the hot
-// loop stays allocation-free.
+// A mask is `words` consecutive uint64s (bit w lives in word w/64), passed
+// as caller-owned slices so the hot loop stays allocation-free.
 //
 // Cell addressing is identical to OccupancyGrid (exact packed cell indices,
 // open addressing, generation-stamped O(1) Reset), so a MaskGrid restricted
 // to one bit marks exactly the cells an OccupancyGrid would.
 //
-// The zero value is not usable; construct with NewMaskGrid or
-// NewMaskGridWords.
+// The zero value is not usable; construct with NewMaskGrid.
 type MaskGrid struct {
 	cellSize float64
 	words    int
@@ -28,15 +25,10 @@ type MaskGrid struct {
 	count    int
 }
 
-// NewMaskGrid creates a single-word (≤64 worlds) masked grid with the given
-// cell edge length in metres. cellSize must be positive.
-func NewMaskGrid(cellSize float64) *MaskGrid {
-	return NewMaskGridWords(cellSize, 1)
-}
-
-// NewMaskGridWords creates a masked grid whose cells carry words×64-bit
-// masks. cellSize must be positive; words must be at least 1.
-func NewMaskGridWords(cellSize float64, words int) *MaskGrid {
+// NewMaskGrid creates a masked grid with the given cell edge length in
+// metres whose cells carry words×64-bit masks. cellSize must be positive;
+// words must be at least 1.
+func NewMaskGrid(cellSize float64, words int) *MaskGrid {
 	if cellSize <= 0 {
 		cellSize = 1
 	}
@@ -52,85 +44,40 @@ func (g *MaskGrid) CellSize() float64 { return g.cellSize }
 // Words returns the number of 64-bit words in each cell's mask.
 func (g *MaskGrid) Words() int { return g.words }
 
-// MarkBits ORs bits into the mask of the cell containing p and returns the
-// bits that were not yet set there — the worlds for which this cell is
-// newly occupied. Callers tally per-world cell counts from the return
-// value, so a cell is counted exactly once per world. Only valid on
-// single-word grids (Words() == 1); wider grids use MarkWords.
-func (g *MaskGrid) MarkBits(p Vec2, mask uint64) uint64 {
+// Mark ORs mask (len Words()) into the mask of the cell containing p and
+// writes the bits that were not yet set there into newBits (len Words()),
+// word-aligned with mask: the worlds for which this cell is newly occupied.
+// Callers tally per-world cell counts from newBits, so a cell is counted
+// exactly once per world.
+func (g *MaskGrid) Mark(p Vec2, mask, newBits []uint64) {
 	if 2*(g.count+1) > len(g.cells) {
 		g.grow()
 	}
 	k := g.key(p)
 	slot := uint64(len(g.cells) - 1)
-	for i := hashCell(k) & slot; ; i = (i + 1) & slot {
-		if g.gen[i] != g.cur {
-			g.cells[i] = k
-			g.masks[i] = mask
-			g.gen[i] = g.cur
-			g.count++
-			return mask
+	i := hashCell(k) & slot
+	for g.gen[i] == g.cur && g.cells[i] != k {
+		i = (i + 1) & slot
+	}
+	fresh := g.gen[i] != g.cur
+	if fresh {
+		g.cells[i], g.gen[i] = k, g.cur
+		g.count++
+	}
+	cell := g.masks[int(i)*g.words : int(i)*g.words+g.words]
+	for w, m := range mask {
+		var old uint64
+		if !fresh {
+			old = cell[w]
 		}
-		if g.cells[i] == k {
-			newBits := mask &^ g.masks[i]
-			g.masks[i] |= mask
-			return newBits
-		}
+		newBits[w] = m &^ old
+		cell[w] = old | m
 	}
 }
 
-// MarkWords is MarkBits for multi-word masks: it ORs mask (len Words())
-// into the cell containing p and writes the bits that were not yet set
-// there into newBits (len Words()), word-aligned with mask. Both slices are
-// caller-owned so the hot loop allocates nothing.
-func (g *MaskGrid) MarkWords(p Vec2, mask, newBits []uint64) {
-	if 2*(g.count+1) > len(g.cells) {
-		g.grow()
-	}
-	k := g.key(p)
-	slot := uint64(len(g.cells) - 1)
-	for i := hashCell(k) & slot; ; i = (i + 1) & slot {
-		if g.gen[i] != g.cur {
-			g.cells[i] = k
-			copy(g.masks[int(i)*g.words:int(i)*g.words+g.words], mask)
-			g.gen[i] = g.cur
-			g.count++
-			copy(newBits, mask)
-			return
-		}
-		if g.cells[i] == k {
-			base := int(i) * g.words
-			for w := range mask {
-				newBits[w] = mask[w] &^ g.masks[base+w]
-				g.masks[base+w] |= mask[w]
-			}
-			return
-		}
-	}
-}
-
-// BitsAt returns the accumulated mask of the cell containing p (zero if the
-// cell was never marked). Only valid on single-word grids; wider grids use
-// WordsAt.
-func (g *MaskGrid) BitsAt(p Vec2) uint64 {
-	if len(g.cells) == 0 {
-		return 0
-	}
-	k := g.key(p)
-	slot := uint64(len(g.cells) - 1)
-	for i := hashCell(k) & slot; ; i = (i + 1) & slot {
-		if g.gen[i] != g.cur {
-			return 0
-		}
-		if g.cells[i] == k {
-			return g.masks[i]
-		}
-	}
-}
-
-// WordsAt copies the accumulated mask of the cell containing p into dst
+// At copies the accumulated mask of the cell containing p into dst
 // (len Words()), zero-filled if the cell was never marked.
-func (g *MaskGrid) WordsAt(p Vec2, dst []uint64) {
+func (g *MaskGrid) At(p Vec2, dst []uint64) {
 	clear(dst)
 	if len(g.cells) == 0 {
 		return

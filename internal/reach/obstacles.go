@@ -101,50 +101,33 @@ func (o *Obstacles) CollideRecording(marks []bool) CollisionFunc {
 	}
 }
 
-// maskHits scans the actors whose slice-s footprint collides with b and
-// strikes each blocker's victims from the possible-world mask: a hit by
-// actor i removes every world actor i is present in, leaving at most world
-// /i (bit 1+i). The scan stops once no world survives — by then every
-// world has either pruned the footprint or never examined it. Single-word
-// (≤63 actors) variant; maskHitsSeg is the segmented analogue.
-func (o *Obstacles) maskHits(b *geom.PreparedBox, slice int, possible uint64) uint64 {
-	if slice > o.numSlices {
-		slice = o.numSlices
-	}
-	for i := range o.boxes {
-		if b.Intersects(&o.boxes[i][slice]) {
-			possible &= uint64(1) << uint(1+i)
-			if possible == 0 {
-				return 0
-			}
-		}
-	}
-	return possible
-}
-
-// strikeOnly applies a blocker's world strike to a segmented mask: keep
-// only world bit `bit` (if it was still possible), zero everything else.
-// This is the word-indexed spelling of the single-word
-// `possible &= 1 << bit`; it reports whether any world survives.
+// strikeOnly applies a blocker's world strike to a possible-world mask:
+// keep only world bit `bit` (if it was still possible), zero everything
+// else — a hit by actor i removes every world actor i is present in,
+// leaving at most world /i (bit 1+i). It reports whether any world
+// survives.
 func strikeOnly(possible []uint64, bit int) bool {
-	w, off := bit>>6, uint(bit&63)
-	keep := possible[w] & (uint64(1) << off)
+	keep := possible[bit>>6] & (uint64(1) << uint(bit&63))
 	clear(possible)
-	possible[w] = keep
+	possible[bit>>6] = keep
 	return keep != 0
 }
 
-// maskHitsSeg is maskHits over a segmented possible-world mask, mutated in
-// place. It reports whether any world survives the scan.
-func (o *Obstacles) maskHitsSeg(b *geom.PreparedBox, slice int, possible []uint64) bool {
-	if slice > o.numSlices {
-		slice = o.numSlices
-	}
+// hasBit reports whether world bit `bit` is set in mask.
+func hasBit(mask []uint64, bit int) bool {
+	return mask[bit>>6]&(uint64(1)<<uint(bit&63)) != 0
+}
+
+// maskHits scans the actors whose slice-s footprint collides with b and
+// strikes each blocker's victims from the possible-world mask, mutated in
+// place. The scan stops once no world survives — by then every world has
+// either pruned the footprint or never examined it. It reports whether any
+// world survives.
+func (o *Obstacles) maskHits(b *geom.PreparedBox, slice int, possible []uint64) bool {
+	slice = min(slice, o.numSlices)
 	for i := range o.boxes {
-		if b.Intersects(&o.boxes[i][slice]) {
-			if !strikeOnly(possible, 1+i) {
-				return false
-			}
+		if b.Intersects(&o.boxes[i][slice]) && !strikeOnly(possible, 1+i) {
+			return false
 		}
 	}
 	return true
@@ -154,18 +137,11 @@ func (o *Obstacles) maskHitsSeg(b *geom.PreparedBox, slice int, possible []uint6
 // s+1 could intersect an ego footprint inside the window [min, max], judged
 // by AABB overlap. The shared expansion derives the window from the
 // frontier's swept envelope each slice, so the per-candidate collision scan
-// (maskHitsActive) only visits actors near the tube instead of all of them.
+// (firstHit) only visits actors near the tube instead of all of them.
 // The filter is conservative: a rejected actor's AABB is disjoint from every
 // footprint the slice can produce, so it cannot change any verdict.
 func (o *Obstacles) activeInto(act []int32, min, max geom.Vec2, slice int) []int32 {
-	s0 := slice
-	if s0 > o.numSlices {
-		s0 = o.numSlices
-	}
-	s1 := slice + 1
-	if s1 > o.numSlices {
-		s1 = o.numSlices
-	}
+	s0, s1 := o.slicePair(slice)
 	for i := range o.boxes {
 		a := &o.boxes[i][s0]
 		if a.Min.X <= max.X && min.X <= a.Max.X && a.Min.Y <= max.Y && min.Y <= a.Max.Y {
@@ -180,71 +156,32 @@ func (o *Obstacles) activeInto(act []int32, min, max geom.Vec2, slice int) []int
 	return act
 }
 
-// maskHitsPath is the per-footprint collision scan of the shared
-// expansion's path sweep: one pass over the broad-phase survivors in act,
-// testing each actor's slice-s and slice-(s+1) footprints (the same pair
-// pathOK tests) with an inlined AABB rejection before the SAT call. Whether
-// an actor hits at s, at s+1, or both, the world-mask effect is the same
-// single intersection (&= its own world bit), so folding the two scans into
-// one preserves every per-world verdict. Single-word variant;
-// maskHitsPathSeg is the segmented analogue.
-func (o *Obstacles) maskHitsPath(b *geom.PreparedBox, slice int, possible uint64, act []int32) uint64 {
-	s0 := slice
-	if s0 > o.numSlices {
-		s0 = o.numSlices
-	}
-	s1 := slice + 1
-	if s1 > o.numSlices {
-		s1 = o.numSlices
-	}
-	for _, i := range act {
-		bs := o.boxes[i]
-		a := &bs[s0]
-		hit := b.Min.X <= a.Max.X && a.Min.X <= b.Max.X &&
-			b.Min.Y <= a.Max.Y && a.Min.Y <= b.Max.Y && b.Intersects(a)
-		if !hit {
-			a = &bs[s1]
-			hit = b.Min.X <= a.Max.X && a.Min.X <= b.Max.X &&
-				b.Min.Y <= a.Max.Y && a.Min.Y <= b.Max.Y && b.Intersects(a)
-		}
-		if hit {
-			possible &= uint64(1) << uint(1+i)
-			if possible == 0 {
-				return 0
-			}
-		}
-	}
-	return possible
+// slicePair returns the two obstacle slices a path sweep from entry slice
+// `slice` tests — the slice's bounding indices, clamped to the horizon.
+func (o *Obstacles) slicePair(slice int) (s0, s1 int) {
+	return min(slice, o.numSlices), min(slice+1, o.numSlices)
 }
 
-// maskHitsPathSeg is maskHitsPath over a segmented possible-world mask,
-// mutated in place. It reports whether any world survives the sweep.
-func (o *Obstacles) maskHitsPathSeg(b *geom.PreparedBox, slice int, possible []uint64, act []int32) bool {
-	s0 := slice
-	if s0 > o.numSlices {
-		s0 = o.numSlices
-	}
-	s1 := slice + 1
-	if s1 > o.numSlices {
-		s1 = o.numSlices
-	}
-	for _, i := range act {
+// firstHit returns the position in act of the first actor whose slice-s0
+// or slice-s1 footprint intersects b (the pair pathOK tests), or -1. Each
+// test runs an inlined AABB rejection before the SAT call. Whether an actor
+// hits at s0, at s1 or both, the world-mask effect is the same single
+// strike, so one verdict per actor suffices.
+func (o *Obstacles) firstHit(b *geom.PreparedBox, s0, s1 int, act []int32) int {
+	for p, i := range act {
 		bs := o.boxes[i]
 		a := &bs[s0]
-		hit := b.Min.X <= a.Max.X && a.Min.X <= b.Max.X &&
-			b.Min.Y <= a.Max.Y && a.Min.Y <= b.Max.Y && b.Intersects(a)
-		if !hit {
-			a = &bs[s1]
-			hit = b.Min.X <= a.Max.X && a.Min.X <= b.Max.X &&
-				b.Min.Y <= a.Max.Y && a.Min.Y <= b.Max.Y && b.Intersects(a)
+		if b.Min.X <= a.Max.X && a.Min.X <= b.Max.X &&
+			b.Min.Y <= a.Max.Y && a.Min.Y <= b.Max.Y && b.Intersects(a) {
+			return p
 		}
-		if hit {
-			if !strikeOnly(possible, 1+int(i)) {
-				return false
-			}
+		a = &bs[s1]
+		if b.Min.X <= a.Max.X && a.Min.X <= b.Max.X &&
+			b.Min.Y <= a.Max.Y && a.Min.Y <= b.Max.Y && b.Intersects(a) {
+			return p
 		}
 	}
-	return true
+	return -1
 }
 
 // BoxAt returns actor i's footprint at slice s (clamped to the horizon).

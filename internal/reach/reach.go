@@ -292,27 +292,20 @@ type Scratch struct {
 	visited  *keySet
 	grid     *geom.OccupancyGrid
 
-	// Shared-expansion working memory (ComputeCounterfactuals); allocated
-	// lazily on first shared use so legacy-only scratches stay slim.
-	mfrontier []maskedState
-	mnext     []maskedState
-	claimed   *maskedKeySet
-	mgrid     *geom.MaskGrid
-	wvol      []int   // per-world marked-cell counts
-	wslice    []int   // per-world accepted states in the current slice
-	mactive   []int32 // actors surviving the per-slice broad phase
-
-	// Segmented-mask working memory (64+-actor scenes): struct-of-arrays
-	// frontier (states plus a flat stride-words mask arena) and the
-	// per-slice word buffers of computeSegmented.
-	sfstates []vehicle.State
-	sfmasks  []uint64
-	snstates []vehicle.State
-	snmasks  []uint64
-	sclaimed *segKeySet
-	scap     []uint64 // per-slice MaxStates cap mask
-	sposs    []uint64 // per-candidate possible-world mask
-	snew     []uint64 // MarkWords newly-set-bits buffer
+	// Shared-expansion working memory (ComputeCounterfactuals), allocated
+	// lazily on first shared use so legacy-only scratches stay slim. The
+	// shared frontier keeps its states in frontier/next and their world
+	// masks in the flat stride-words arenas fmasks/nmasks.
+	fmasks  []uint64
+	nmasks  []uint64
+	claimed *maskedKeySet
+	mgrid   *geom.MaskGrid
+	wvol    []int    // per-world marked-cell counts
+	wslice  []int    // per-world accepted states in the current slice
+	mactive []int32  // actors surviving the per-slice broad phase
+	poss    []uint64 // per-candidate possible-world mask
+	capMask []uint64 // per-slice MaxStates cap mask
+	newBits []uint64 // MaskGrid.Mark newly-set-bits buffer
 }
 
 // NewScratch returns an empty scratch ready for ComputeScratch.
@@ -338,26 +331,19 @@ func (s *Scratch) reset(cellSize float64) {
 	}
 }
 
-// resetShared readies the shared-expansion working memory for a
-// ComputeCounterfactuals call with numWorlds counterfactual worlds packed
-// into `words` 64-bit mask words (1 selects the single-word fast path).
+// resetShared readies the shared-expansion working memory for a masked
+// expansion with numWorlds counterfactual worlds packed into `words` 64-bit
+// mask words.
 func (s *Scratch) resetShared(cellSize float64, numWorlds, words int) {
-	if words == 1 {
-		if s.claimed == nil {
-			s.claimed = newMaskedKeySet()
-		}
-		s.claimed.reset()
-	} else {
-		if s.sclaimed == nil {
-			s.sclaimed = newSegKeySet(words)
-		}
-		s.sclaimed.reset(words)
-		s.scap = sizeU64(s.scap, words)
-		s.sposs = sizeU64(s.sposs, words)
-		s.snew = sizeU64(s.snew, words)
+	if s.claimed == nil {
+		s.claimed = newMaskedKeySet(words)
 	}
+	s.claimed.reset(words)
+	s.poss = sizeU64(s.poss, words)
+	s.capMask = sizeU64(s.capMask, words)
+	s.newBits = sizeU64(s.newBits, words)
 	if s.mgrid == nil || s.mgrid.CellSize() != cellSize || s.mgrid.Words() != words {
-		s.mgrid = geom.NewMaskGridWords(cellSize, words)
+		s.mgrid = geom.NewMaskGrid(cellSize, words)
 	} else {
 		s.mgrid.Reset()
 	}
@@ -511,7 +497,7 @@ type pathState struct {
 // ~half a vehicle length, capped at SubSteps — so slow states stay cheap
 // and fast states cannot tunnel between the footprint checks pathOK later
 // runs over the recorded states.
-func (c Config) integrate(s vehicle.State, sinH, cosH float64, u vehicle.Control, tanSteer float64, path []pathState) (vehicle.State, int) {
+func (c *Config) integrate(s vehicle.State, sinH, cosH float64, u vehicle.Control, tanSteer float64, path []pathState) (vehicle.State, int) {
 	sub := int(math.Ceil(s.Speed * c.SliceDt / (c.Params.Length / 2)))
 	if sub < 1 {
 		sub = 1

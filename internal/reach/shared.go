@@ -33,155 +33,20 @@ type SharedTubes struct {
 	// actor in the scene gets a world bit.
 	Represented int
 	// MaskWords is the number of 64-bit words in each state's world mask:
-	// ceil((1+NumActors)/64). 1 selects the single-word fast path.
+	// ceil((1+NumActors)/64).
 	MaskWords int
 	// States is the number of masked states expanded (diagnostics).
 	States int
 }
 
-// maskedState is one state of the single-word shared frontier: the kinematic
-// state plus the set of counterfactual worlds in which it is a live,
-// dedup-winning member of the tube (bit 0 = base world, bit 1+i = world
-// without actor i).
-type maskedState struct {
-	st vehicle.State
-	w  uint64
-}
-
 // maskedKeySet maps dedup keys to the mask of worlds that have claimed the
 // key in the current slice. It is the per-world visited set of Algorithm 1,
-// collapsed: world w treats key k as visited iff bit w of bitsAt(k) is set.
-// Same open-addressing discipline as keySet (exact key equality, generation
-// stamped O(1) reset).
+// collapsed: world w treats key k as visited iff bit w of its claimed mask
+// is set. Each slot carries `words` consecutive uint64s (bit w lives in
+// word w/64), so one lookup covers every world of an arbitrarily wide
+// scene. Same open-addressing discipline as keySet (exact key equality,
+// generation-stamped O(1) reset).
 type maskedKeySet struct {
-	keys  []stateKey
-	masks []uint64
-	gen   []uint32
-	cur   uint32
-	n     int
-}
-
-func newMaskedKeySet() *maskedKeySet { return &maskedKeySet{cur: 1} }
-
-func (ks *maskedKeySet) reset() {
-	ks.cur++
-	ks.n = 0
-	if ks.cur == 0 { // stamp wrapped: old entries would look live again
-		clear(ks.gen)
-		ks.cur = 1
-	}
-}
-
-// bitsAt returns the claimed-world mask for k (zero when unclaimed).
-func (ks *maskedKeySet) bitsAt(k stateKey) uint64 {
-	if len(ks.keys) == 0 {
-		return 0
-	}
-	mask := uint64(len(ks.keys) - 1)
-	for i := hashKey(k) & mask; ; i = (i + 1) & mask {
-		if ks.gen[i] != ks.cur {
-			return 0
-		}
-		if ks.keys[i] == k {
-			return ks.masks[i]
-		}
-	}
-}
-
-// probe returns the claimed-world mask for k plus the slot the probe ended
-// at (k's slot if present, else the first empty slot of its chain), so the
-// candidate's later claim needn't re-walk the chain. The slot stays valid
-// until the next insertion; -1 means the table is unallocated.
-func (ks *maskedKeySet) probe(k stateKey) (bits uint64, slot int) {
-	if len(ks.keys) == 0 {
-		return 0, -1
-	}
-	mask := uint64(len(ks.keys) - 1)
-	for i := hashKey(k) & mask; ; i = (i + 1) & mask {
-		if ks.gen[i] != ks.cur {
-			return 0, int(i)
-		}
-		if ks.keys[i] == k {
-			return ks.masks[i], int(i)
-		}
-	}
-}
-
-// orAt claims the worlds in bits for k at the slot probe returned. A stale
-// or unknown slot (table grown or unallocated since) falls back to a fresh
-// probe; claiming into an empty slot defers to or when the insertion would
-// breach the load factor.
-func (ks *maskedKeySet) orAt(slot int, k stateKey, bits uint64) {
-	if slot >= 0 && slot < len(ks.keys) {
-		if ks.gen[slot] == ks.cur {
-			if ks.keys[slot] == k {
-				ks.masks[slot] |= bits
-				return
-			}
-		} else if 2*(ks.n+1) <= len(ks.keys) {
-			ks.keys[slot] = k
-			ks.masks[slot] = bits
-			ks.gen[slot] = ks.cur
-			ks.n++
-			return
-		}
-	}
-	ks.or(k, bits)
-}
-
-// or claims the worlds in bits for key k.
-func (ks *maskedKeySet) or(k stateKey, bits uint64) {
-	if 2*(ks.n+1) > len(ks.keys) {
-		ks.grow()
-	}
-	mask := uint64(len(ks.keys) - 1)
-	for i := hashKey(k) & mask; ; i = (i + 1) & mask {
-		if ks.gen[i] != ks.cur {
-			ks.keys[i] = k
-			ks.masks[i] = bits
-			ks.gen[i] = ks.cur
-			ks.n++
-			return
-		}
-		if ks.keys[i] == k {
-			ks.masks[i] |= bits
-			return
-		}
-	}
-}
-
-func (ks *maskedKeySet) grow() {
-	capOld := len(ks.keys)
-	capNew := 1024
-	if capOld > 0 {
-		capNew = capOld * 2
-	}
-	oldKeys, oldMasks, oldGen := ks.keys, ks.masks, ks.gen
-	ks.keys = make([]stateKey, capNew)
-	ks.masks = make([]uint64, capNew)
-	ks.gen = make([]uint32, capNew)
-	mask := uint64(capNew - 1)
-	for i, g := range oldGen {
-		if g != ks.cur {
-			continue
-		}
-		k := oldKeys[i]
-		for j := hashKey(k) & mask; ; j = (j + 1) & mask {
-			if ks.gen[j] != ks.cur {
-				ks.keys[j] = k
-				ks.masks[j] = oldMasks[i]
-				ks.gen[j] = ks.cur
-				break
-			}
-		}
-	}
-}
-
-// segKeySet is maskedKeySet with segmented masks: each slot carries `words`
-// consecutive uint64s, so one claimed-key lookup covers every world of an
-// arbitrarily wide scene. Bit w of word w/64 plays exactly the role bit w
-// plays in the single-word set.
-type segKeySet struct {
 	words int
 	keys  []stateKey
 	masks []uint64 // stride `words` per slot
@@ -190,12 +55,12 @@ type segKeySet struct {
 	n     int
 }
 
-func newSegKeySet(words int) *segKeySet { return &segKeySet{words: words, cur: 1} }
+func newMaskedKeySet(words int) *maskedKeySet { return &maskedKeySet{words: words, cur: 1} }
 
 // reset readies the set for a new slice with `words`-wide masks. Changing
 // the width drops the table (the stride no longer matches), which only
 // happens when consecutive scenes differ in actor-count word boundaries.
-func (ks *segKeySet) reset(words int) {
+func (ks *maskedKeySet) reset(words int) {
 	if ks.words != words {
 		ks.words = words
 		ks.keys, ks.masks, ks.gen = nil, nil, nil
@@ -211,73 +76,42 @@ func (ks *segKeySet) reset(words int) {
 	}
 }
 
-// andNot strips the worlds already claimed for k out of possible (in
-// place), reporting whether any world survives. Word w of possible is
-// treated exactly as maskedKeySet treats its single word: possible &^=
-// claimed(k).
-func (ks *segKeySet) andNot(k stateKey, possible []uint64) bool {
+// probe returns the worlds already claimed for k (nil when none are) plus
+// the slot the probe ended at (k's slot if present, else the first empty
+// slot of its chain), so the candidate's later claim needn't re-walk the
+// chain. The slot stays valid until the next insertion; -1 means the table
+// is unallocated.
+func (ks *maskedKeySet) probe(k stateKey) ([]uint64, int) {
 	if len(ks.keys) == 0 {
-		return anyNonzero(possible)
+		return nil, -1
 	}
 	mask := uint64(len(ks.keys) - 1)
 	for i := hashKey(k) & mask; ; i = (i + 1) & mask {
 		if ks.gen[i] != ks.cur {
-			return anyNonzero(possible)
+			return nil, int(i)
 		}
 		if ks.keys[i] == k {
-			base := int(i) * ks.words
-			any := false
-			for w := range possible {
-				possible[w] &^= ks.masks[base+w]
-				any = any || possible[w] != 0
-			}
-			return any
+			return ks.masks[int(i)*ks.words : int(i)*ks.words+ks.words], int(i)
 		}
 	}
 }
 
-// andNotProbe is andNot returning the probe's resting slot as well, with
-// the same contract as maskedKeySet.probe: k's slot if present, else the
-// first empty slot of its chain, valid until the next insertion.
-func (ks *segKeySet) andNotProbe(k stateKey, possible []uint64) (bool, int) {
-	if len(ks.keys) == 0 {
-		return anyNonzero(possible), -1
-	}
-	mask := uint64(len(ks.keys) - 1)
-	for i := hashKey(k) & mask; ; i = (i + 1) & mask {
-		if ks.gen[i] != ks.cur {
-			return anyNonzero(possible), int(i)
-		}
-		if ks.keys[i] == k {
-			base := int(i) * ks.words
-			any := false
-			for w := range possible {
-				possible[w] &^= ks.masks[base+w]
-				any = any || possible[w] != 0
-			}
-			return any, int(i)
-		}
-	}
-}
-
-// orAt claims the worlds in bits for k at the slot andNotProbe returned,
-// falling back to a fresh probe when the slot is stale or the insertion
+// orAt claims the worlds in bits for k at the slot probe returned. A
+// stale or unknown slot (table grown or unallocated since) falls back to a
+// fresh probe; claiming into an empty slot defers to or when the insertion
 // would breach the load factor.
-func (ks *segKeySet) orAt(slot int, k stateKey, bits []uint64) {
+func (ks *maskedKeySet) orAt(slot int, k stateKey, bits []uint64) {
 	if slot >= 0 && slot < len(ks.keys) {
 		if ks.gen[slot] == ks.cur {
 			if ks.keys[slot] == k {
-				base := slot * ks.words
-				for w := range bits {
-					ks.masks[base+w] |= bits[w]
-				}
+				orInto(ks.masks[slot*ks.words:slot*ks.words+ks.words], bits)
 				return
 			}
 		} else if 2*(ks.n+1) <= len(ks.keys) {
 			ks.keys[slot] = k
-			copy(ks.masks[slot*ks.words:slot*ks.words+ks.words], bits)
 			ks.gen[slot] = ks.cur
 			ks.n++
+			setInto(ks.masks[slot*ks.words:slot*ks.words+ks.words], bits)
 			return
 		}
 	}
@@ -285,7 +119,7 @@ func (ks *segKeySet) orAt(slot int, k stateKey, bits []uint64) {
 }
 
 // or claims the worlds in bits (len words) for key k.
-func (ks *segKeySet) or(k stateKey, bits []uint64) {
+func (ks *maskedKeySet) or(k stateKey, bits []uint64) {
 	if 2*(ks.n+1) > len(ks.keys) {
 		ks.grow()
 	}
@@ -293,22 +127,19 @@ func (ks *segKeySet) or(k stateKey, bits []uint64) {
 	for i := hashKey(k) & mask; ; i = (i + 1) & mask {
 		if ks.gen[i] != ks.cur {
 			ks.keys[i] = k
-			copy(ks.masks[int(i)*ks.words:int(i)*ks.words+ks.words], bits)
+			setInto(ks.masks[int(i)*ks.words:int(i)*ks.words+ks.words], bits)
 			ks.gen[i] = ks.cur
 			ks.n++
 			return
 		}
 		if ks.keys[i] == k {
-			base := int(i) * ks.words
-			for w := range bits {
-				ks.masks[base+w] |= bits[w]
-			}
+			orInto(ks.masks[int(i)*ks.words:int(i)*ks.words+ks.words], bits)
 			return
 		}
 	}
 }
 
-func (ks *segKeySet) grow() {
+func (ks *maskedKeySet) grow() {
 	capOld := len(ks.keys)
 	capNew := 1024
 	if capOld > 0 {
@@ -335,14 +166,51 @@ func (ks *segKeySet) grow() {
 	}
 }
 
-// anyNonzero reports whether any word of mask has a bit set.
-func anyNonzero(mask []uint64) bool {
-	for _, v := range mask {
-		if v != 0 {
-			return true
-		}
+// orInto ORs src into dst word by word.
+func orInto(dst, src []uint64) {
+	if len(dst) == 1 {
+		dst[0] |= src[0]
+		return
 	}
-	return false
+	for w := range dst {
+		dst[w] |= src[w]
+	}
+}
+
+// setInto copies src into dst word by word: masks are a word or two wide,
+// where a loop beats copy's memmove call.
+func setInto(dst, src []uint64) {
+	if len(dst) == 1 {
+		dst[0] = src[0]
+		return
+	}
+	for w := range dst {
+		dst[w] = src[w]
+	}
+}
+
+// liveWorlds sets dst to the parent's worlds minus the capped and the
+// already-claimed ones (claimed may be nil) and reports whether any world
+// is left.
+func liveWorlds(dst, parent, capped, claimed []uint64) bool {
+	if len(dst) == 1 { // one word: keep the mask in a register
+		p := parent[0] &^ capped[0]
+		if claimed != nil {
+			p &^= claimed[0]
+		}
+		dst[0] = p
+		return p != 0
+	}
+	any := false
+	for w := range dst {
+		p := parent[w] &^ capped[w]
+		if claimed != nil {
+			p &^= claimed[w]
+		}
+		dst[w] = p
+		any = any || p != 0
+	}
+	return any
 }
 
 // anyUncapped reports whether mask has a live bit outside capMask — i.e.
@@ -356,11 +224,10 @@ func anyUncapped(mask, capMask []uint64) bool {
 	return false
 }
 
-// fullMask sets dst to the mask with the low numWorlds bits set — the
-// segmented analogue of the single-word `^0 >> (64-numWorlds)` all-worlds
-// mask. dst may be wider than ceil(numWorlds/64); excess words are zeroed
-// (the differential tests force extra words to exercise the word loops on
-// small scenes).
+// fullMask sets dst to the mask with the low numWorlds bits set: every
+// world live. dst may be wider than ceil(numWorlds/64); excess words are
+// zeroed (the differential tests force extra words to exercise the word
+// loops on small scenes).
 func fullMask(dst []uint64, numWorlds int) {
 	for w := range dst {
 		lo := w * 64
@@ -395,11 +262,6 @@ func fullMask(dst []uint64, numWorlds int) {
 //
 // The mask is segmented: ceil((1+n)/64) words of 64 bits, so EVERY actor in
 // the scene gets a dedicated world (no spillover, no fallback tubes).
-// Scenes with at most 63 actors take a single-word fast path whose inner
-// loops are scalar; wider scenes run the word-indexed loops. The two paths
-// make identical per-world decisions — bit w of word w/64 is treated
-// exactly as bit w of the single word — so the choice is invisible in the
-// results.
 //
 // Cost: one expansion over the union of the per-world tubes (≈ the largest
 // single tube) with one collision sweep per candidate, making the STI
@@ -408,9 +270,30 @@ func fullMask(dst []uint64, numWorlds int) {
 // scr may be nil; as with ComputeScratch the result is identical either
 // way.
 func ComputeCounterfactuals(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch) SharedTubes {
+	return expand(m, obs, ego, cfg, scr, nil, maskWords(obs.NumActors()))
+}
+
+// maskWords returns the number of 64-bit words a world mask over n actors
+// needs: one bit for the base world plus one per actor.
+func maskWords(n int) int { return (1 + n + 63) / 64 }
+
+// expand is the masked expansion behind ComputeCounterfactuals and
+// ComputeCounterfactualsWarm, with world masks `words` words wide (callers
+// pass maskWords; the differential tests force wider masks). Only the
+// candidate stage depends on ws:
+//
+//   - cold (ws == nil): each candidate is integrated and swept with an
+//     early exit once no world survives;
+//   - warm: the integration and the sweep verdict come from ws's candidate
+//     memo, reused, revalidated against the actors that moved, or swept in
+//     full (see warm.go).
+//
+// Every other decision — root check, broad phase, dedup claims, MaxStates
+// cap replay, grid marks, per-world tallies — is made by this one loop for
+// both, so the warm result is bitwise the cold one.
+func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch, ws *WarmState, words int) SharedTubes {
 	n := obs.NumActors()
 	numWorlds := 1 + n
-	words := (numWorlds + 63) / 64
 	res := SharedTubes{
 		WithoutVolume: make([]float64, n),
 		Represented:   n,
@@ -421,316 +304,236 @@ func ComputeCounterfactuals(m roadmap.Map, obs *Obstacles, ego vehicle.State, cf
 	}
 	telSharedComputes.Inc()
 	telSharedWorlds.Observe(float64(numWorlds))
-	if words == 1 {
-		computeSingleWord(m, obs, ego, cfg, scr, &res, numWorlds)
-	} else {
-		computeSegmented(m, obs, ego, cfg, scr, &res, numWorlds, words)
-	}
-	return res
-}
 
-// computeSingleWord is the ≤63-actor fast path: all world masks fit one
-// uint64, so the inner loops carry scalar masks exactly as the original
-// shared engine did.
-func computeSingleWord(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch, res *SharedTubes, numWorlds int) {
-	n := numWorlds - 1
-	allMask := ^uint64(0) >> (64 - uint(numWorlds))
-
-	scr.resetShared(cfg.CellSize, numWorlds, 1)
-	grid := scr.mgrid
-	claimed := scr.claimed
-	volCount := scr.wvol
-	sliceCount := scr.wslice
-	numSlices := cfg.NumSlices()
+	scr.resetShared(cfg.CellSize, numWorlds, words)
+	grid, claimed := scr.mgrid, scr.claimed
+	volCount, sliceCount := scr.wvol, scr.wslice
+	possible, capMask, newBits := scr.poss, scr.capMask, scr.newBits
+	numSlices, maxStates := cfg.NumSlices(), cfg.MaxStates
 	pm, _ := m.(roadmap.PreparedMap)
-
-	finish := func(states, propagations, pruned int) {
-		cs := cfg.CellSize
-		// Same expression OccupancyGrid.Area evaluates, so per-world
-		// volumes are bitwise what the legacy tubes report.
-		res.BaseVolume = float64(volCount[0]) * cs * cs
-		for i := 0; i < n; i++ {
-			res.WithoutVolume[i] = float64(volCount[1+i]) * cs * cs
-		}
-		res.States = states
-		telSharedStates.Add(int64(states))
-		telPropagations.Add(int64(propagations))
-		telPruned.Add(int64(pruned))
-	}
+	states, propagations, pruned := 0, 0, 0
 
 	// Root: each world checks the ego's starting footprint on its own
 	// obstacle set (legacy: drivability, then one collide at slice 0).
 	egoPb := cfg.Params.Footprint(ego).Prepare()
-	live := uint64(0)
-	if drivable(m, pm, &egoPb) {
-		live = obs.maskHits(&egoPb, 0, allMask)
-	}
-	if live == 0 {
-		finish(0, 0, 0)
-		return
-	}
-
-	controls := cfg.controls()
-	tans := make([]float64, len(controls))
-	for i, u := range controls {
-		tans[i] = math.Tan(u.Steer)
-	}
-	pb := egoPb
-	path := make([]pathState, cfg.SubSteps)
-	frontier := append(scr.mfrontier[:0], maskedState{st: ego, w: live})
-	next := scr.mnext[:0]
-	act := scr.mactive
-	states, propagations, pruned := 0, 0, 0
-
-	for slice := 0; slice < numSlices && len(frontier) > 0; slice++ {
-		claimed.reset()
-		clear(sliceCount)
-		// Broad phase: every footprint swept this slice stays within the
-		// frontier's AABB grown by the worst-case travel (speed is clamped
-		// to [0, MaxSpeed] and gains at most MaxAccel·SliceDt) plus the ego
-		// footprint's bounding radius. Actors outside that window cannot
-		// change any verdict, so the per-candidate scan skips them.
-		fmin, fmax := frontier[0].st.Pos, frontier[0].st.Pos
-		vmax := frontier[0].st.Speed
-		for fi := 1; fi < len(frontier); fi++ {
-			p := frontier[fi].st.Pos
-			if p.X < fmin.X {
-				fmin.X = p.X
-			}
-			if p.Y < fmin.Y {
-				fmin.Y = p.Y
-			}
-			if p.X > fmax.X {
-				fmax.X = p.X
-			}
-			if p.Y > fmax.Y {
-				fmax.Y = p.Y
-			}
-			if v := frontier[fi].st.Speed; v > vmax {
-				vmax = v
-			}
-		}
-		travel := math.Min(vmax+cfg.Params.MaxAccel*cfg.SliceDt, cfg.Params.MaxSpeed) * cfg.SliceDt
-		margin := travel + egoPb.Radius + 1e-6
-		act = obs.activeInto(act[:0],
-			geom.V(fmin.X-margin, fmin.Y-margin), geom.V(fmax.X+margin, fmax.Y+margin), slice)
-		// capMask accumulates worlds whose per-slice expansion hit
-		// MaxStates: legacy breaks out of the slice, so every later
-		// candidate is invisible to those worlds.
-		capMask := uint64(0)
-		next = next[:0]
-		for fi := range frontier {
-			f := &frontier[fi]
-			if f.w&^capMask == 0 {
-				continue // every world of this parent already capped
-			}
-			sin0, cos0 := math.Sincos(f.st.Heading)
-			for ui, u := range controls {
-				s2, nsub := cfg.integrate(f.st, sin0, cos0, u, tans[ui], path)
-				propagations++
-				k := cfg.key(s2)
-				// possible = worlds whose legacy expansion reaches this
-				// candidate and has not already ε-visited its key.
-				possible := f.w &^ capMask
-				cb, slot := claimed.probe(k)
-				possible &^= cb
-				if possible == 0 {
-					continue
-				}
-				// One footprint sweep decides every world: drivability is
-				// world-independent; each blocking actor strikes the worlds
-				// it is present in. The sweep stops as soon as no candidate
-				// world survives — by then every world has either pruned
-				// the path or never examined it.
-				for j := 0; j < nsub; j++ {
-					ps := &path[j]
-					pb.MoveTo(ps.st.Pos, ps.st.Heading, ps.sin, ps.cos)
-					if !drivable(m, pm, &pb) {
-						possible = 0
-						break
-					}
-					possible = obs.maskHitsPath(&pb, slice, possible, act)
-					if possible == 0 {
-						break
-					}
-				}
-				if possible == 0 {
-					pruned++
-					continue
-				}
-				claimed.orAt(slot, k, possible)
-				for b := grid.MarkBits(s2.Pos, possible); b != 0; b &= b - 1 {
-					volCount[bits.TrailingZeros64(b)]++
-				}
-				for b := possible; b != 0; b &= b - 1 {
-					w := bits.TrailingZeros64(b)
-					sliceCount[w]++
-					if sliceCount[w] >= cfg.MaxStates {
-						capMask |= uint64(1) << uint(w)
-					}
-				}
-				next = append(next, maskedState{st: s2, w: possible})
-				states++
-			}
-		}
-		frontier, next = next, frontier[:0]
-	}
-	// Hand the (possibly re-grown) slices back for the next reuse.
-	scr.mfrontier, scr.mnext, scr.mactive = frontier, next, act
-	finish(states, propagations, pruned)
-}
-
-// computeSegmented is the 64+-actor path: world masks span `words` uint64s
-// and every loop over a scalar mask becomes a loop over its words. Each
-// step mirrors computeSingleWord line for line — the per-world decision for
-// world w reads and writes bit w%64 of word w/64, exactly the bit the
-// single-word path would use had it been wide enough — so the induction
-// argument of DESIGN.md §8 carries over per word.
-func computeSegmented(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch, res *SharedTubes, numWorlds, words int) {
-	n := numWorlds - 1
-
-	scr.resetShared(cfg.CellSize, numWorlds, words)
-	grid := scr.mgrid
-	claimed := scr.sclaimed
-	volCount := scr.wvol
-	sliceCount := scr.wslice
-	numSlices := cfg.NumSlices()
-	pm, _ := m.(roadmap.PreparedMap)
-
-	finish := func(states, propagations, pruned int) {
-		cs := cfg.CellSize
-		res.BaseVolume = float64(volCount[0]) * cs * cs
-		for i := 0; i < n; i++ {
-			res.WithoutVolume[i] = float64(volCount[1+i]) * cs * cs
-		}
-		res.States = states
-		telSharedStates.Add(int64(states))
-		telPropagations.Add(int64(propagations))
-		telPruned.Add(int64(pruned))
-	}
-
-	// Root: all worlds start live; drivability and the slice-0 collision
-	// sweep strike the same worlds the legacy roots would reject.
-	egoPb := cfg.Params.Footprint(ego).Prepare()
-	possible := scr.sposs
 	fullMask(possible, numWorlds)
-	if !drivable(m, pm, &egoPb) || !obs.maskHitsSeg(&egoPb, 0, possible) {
-		finish(0, 0, 0)
-		return
-	}
-
-	controls := cfg.controls()
-	tans := make([]float64, len(controls))
-	for i, u := range controls {
-		tans[i] = math.Tan(u.Steer)
-	}
-	pb := egoPb
-	path := make([]pathState, cfg.SubSteps)
-	// The frontier is struct-of-arrays: states in fstates, masks in the
-	// flat stride-`words` arena fmasks (state fi owns fmasks[fi*words :
-	// (fi+1)*words]), so growing it never allocates per-state slices.
-	fstates := append(scr.sfstates[:0], ego)
-	fmasks := append(scr.sfmasks[:0], possible...)
-	nstates := scr.snstates[:0]
-	nmasks := scr.snmasks[:0]
-	act := scr.mactive
-	capMask := scr.scap
-	newBits := scr.snew
-	states, propagations, pruned := 0, 0, 0
-
-	for slice := 0; slice < numSlices && len(fstates) > 0; slice++ {
-		claimed.reset(words)
-		clear(sliceCount)
-		clear(capMask)
-		// Broad phase: identical to the single-word path.
-		fmin, fmax := fstates[0].Pos, fstates[0].Pos
-		vmax := fstates[0].Speed
-		for fi := 1; fi < len(fstates); fi++ {
-			p := fstates[fi].Pos
-			if p.X < fmin.X {
-				fmin.X = p.X
-			}
-			if p.Y < fmin.Y {
-				fmin.Y = p.Y
-			}
-			if p.X > fmax.X {
-				fmax.X = p.X
-			}
-			if p.Y > fmax.Y {
-				fmax.Y = p.Y
-			}
-			if v := fstates[fi].Speed; v > vmax {
-				vmax = v
-			}
+	if drivable(m, pm, &egoPb) && obs.maskHits(&egoPb, 0, possible) {
+		controls := cfg.controls()
+		tans := make([]float64, len(controls))
+		for i, u := range controls {
+			tans[i] = math.Tan(u.Steer)
 		}
-		travel := math.Min(vmax+cfg.Params.MaxAccel*cfg.SliceDt, cfg.Params.MaxSpeed) * cfg.SliceDt
-		margin := travel + egoPb.Radius + 1e-6
-		act = obs.activeInto(act[:0],
-			geom.V(fmin.X-margin, fmin.Y-margin), geom.V(fmax.X+margin, fmax.Y+margin), slice)
-		nstates = nstates[:0]
-		nmasks = nmasks[:0]
-		for fi := range fstates {
-			fmask := fmasks[fi*words : fi*words+words]
-			if !anyUncapped(fmask, capMask) {
-				continue // every world of this parent already capped
+		var path []pathState
+		if ws == nil {
+			path = make([]pathState, cfg.SubSteps)
+		} else {
+			ws.memo.ensureControls(len(controls), cfg.SubSteps)
+		}
+		sw := sweeper{m: m, pm: pm, obs: obs, pb: egoPb}
+		// The frontier is struct-of-arrays: states in fstates, masks in the
+		// flat stride-`words` arena fmasks (state fi owns fmasks[fi*words :
+		// (fi+1)*words]); warm runs also track in fsrc the memo slot that
+		// produced each state.
+		fstates := append(scr.frontier[:0], ego)
+		fmasks := append(scr.fmasks[:0], possible...)
+		nstates, nmasks := scr.next[:0], scr.nmasks[:0]
+		var fsrc, nsrc []int32
+		if ws != nil {
+			fsrc, nsrc = append(ws.fsrc[:0], -1), ws.nsrc[:0]
+		}
+		act := scr.mactive
+
+		for slice := 0; slice < numSlices && len(fstates) > 0; slice++ {
+			claimed.reset(words)
+			clear(sliceCount)
+			// capMask accumulates worlds whose per-slice expansion hit
+			// MaxStates: legacy breaks out of the slice, so every later
+			// candidate is invisible to those worlds.
+			clear(capMask)
+			// Broad phase: every footprint swept this slice stays within the
+			// frontier's AABB grown by the worst-case travel (speed is clamped
+			// to [0, MaxSpeed] and gains at most MaxAccel·SliceDt) plus the ego
+			// footprint's bounding radius. Actors outside that window cannot
+			// change any verdict, so the per-candidate scan skips them.
+			fmin, fmax := fstates[0].Pos, fstates[0].Pos
+			vmax := fstates[0].Speed
+			for _, f := range fstates[1:] {
+				if f.Pos.X < fmin.X {
+					fmin.X = f.Pos.X
+				}
+				if f.Pos.Y < fmin.Y {
+					fmin.Y = f.Pos.Y
+				}
+				if f.Pos.X > fmax.X {
+					fmax.X = f.Pos.X
+				}
+				if f.Pos.Y > fmax.Y {
+					fmax.Y = f.Pos.Y
+				}
+				if f.Speed > vmax {
+					vmax = f.Speed
+				}
 			}
-			sin0, cos0 := math.Sincos(fstates[fi].Heading)
-			for ui, u := range controls {
-				s2, nsub := cfg.integrate(fstates[fi], sin0, cos0, u, tans[ui], path)
-				propagations++
-				k := cfg.key(s2)
-				// possible = parent worlds, minus capped, minus claimed —
-				// word for word the single-word expression.
-				for w := 0; w < words; w++ {
-					possible[w] = fmask[w] &^ capMask[w]
+			travel := math.Min(vmax+cfg.Params.MaxAccel*cfg.SliceDt, cfg.Params.MaxSpeed) * cfg.SliceDt
+			margin := travel + egoPb.Radius + 1e-6
+			act = obs.activeInto(act[:0],
+				geom.V(fmin.X-margin, fmin.Y-margin), geom.V(fmax.X+margin, fmax.Y+margin), slice)
+			sw.act, sw.slice = act, slice
+			sw.s0, sw.s1 = obs.slicePair(slice)
+			nstates, nmasks = nstates[:0], nmasks[:0]
+			for fi := range fstates {
+				f := &fstates[fi]
+				fmask := fmasks[fi*words : fi*words+words]
+				if !anyUncapped(fmask, capMask) {
+					continue // every world of this parent already capped
 				}
-				live, slot := claimed.andNotProbe(k, possible)
-				if !live {
-					continue
-				}
-				ok := true
-				for j := 0; j < nsub; j++ {
-					ps := &path[j]
-					pb.MoveTo(ps.st.Pos, ps.st.Heading, ps.sin, ps.cos)
-					if !drivable(m, pm, &pb) {
-						ok = false
-						break
-					}
-					if !obs.maskHitsPathSeg(&pb, slice, possible, act) {
-						ok = false
-						break
+				var base int32
+				if ws != nil {
+					var existed bool
+					base, existed = ws.memo.lookupVia(fsrc[fi], makeWarmKey(*f, int32(slice)))
+					if !existed {
+						ws.memo.integrate(base, *f, &cfg, controls, tans)
 					}
 				}
-				if !ok {
-					pruned++
-					continue
+				var sin0, cos0 float64
+				if ws == nil {
+					sin0, cos0 = math.Sincos(f.Heading)
 				}
-				claimed.orAt(slot, k, possible)
-				grid.MarkWords(s2.Pos, possible, newBits)
-				for w := 0; w < words; w++ {
-					for b := newBits[w]; b != 0; b &= b - 1 {
-						volCount[w<<6+bits.TrailingZeros64(b)]++
+				for ui, u := range controls {
+					ci := base + int32(ui)
+					var s2 vehicle.State
+					var k stateKey
+					var me *warmCtrl
+					nsub := 0
+					if ws == nil {
+						s2, nsub = cfg.integrate(*f, sin0, cos0, u, tans[ui], path)
+						k = cfg.key(s2)
+					} else {
+						me = &ws.memo.ctrls[ci]
+						s2, k = me.s2, me.skey
 					}
-				}
-				for w := 0; w < words; w++ {
-					for b := possible[w]; b != 0; b &= b - 1 {
-						tz := bits.TrailingZeros64(b)
-						wi := w<<6 + tz
-						sliceCount[wi]++
-						if sliceCount[wi] >= cfg.MaxStates {
-							capMask[w] |= uint64(1) << uint(tz)
+					propagations++
+					// possible = worlds whose legacy expansion reaches this
+					// candidate and has not already ε-visited its key. Dedup
+					// and caps come before the sweep: a duplicate is discarded
+					// identically whether or not its path would have been
+					// pruned, so its verdict need not be resolved at all.
+					claimedBy, slot := claimed.probe(k)
+					if !liveWorlds(possible, fmask, capMask, claimedBy) {
+						continue
+					}
+					var live bool
+					if me == nil {
+						live = sw.sweep(path[:nsub], possible)
+					} else {
+						if !ws.fresh(me, slice) {
+							ws.resolve(&sw, ci, me)
+						}
+						live = me.apply(possible)
+					}
+					if !live {
+						pruned++
+						continue
+					}
+					claimed.orAt(slot, k, possible)
+					grid.Mark(s2.Pos, possible, newBits)
+					// Tally per world: each newly covered cell, and each
+					// accepted state against the slice's MaxStates cap.
+					for w, p := range possible {
+						for b := newBits[w]; b != 0; b &= b - 1 {
+							volCount[w<<6+bits.TrailingZeros64(b)]++
+						}
+						for b := p; b != 0; b &= b - 1 {
+							tz := bits.TrailingZeros64(b)
+							c := sliceCount[w<<6+tz] + 1
+							sliceCount[w<<6+tz] = c
+							if c >= maxStates {
+								capMask[w] |= uint64(1) << uint(tz)
+							}
 						}
 					}
+					nstates = append(nstates, s2)
+					if words == 1 {
+						nmasks = append(nmasks, possible[0])
+					} else {
+						nmasks = append(nmasks, possible...)
+					}
+					if ws != nil {
+						nsrc = append(nsrc, ci)
+					}
+					states++
 				}
-				nstates = append(nstates, s2)
-				nmasks = append(nmasks, possible...)
-				states++
 			}
+			fstates, nstates = nstates, fstates[:0]
+			fmasks, nmasks = nmasks, fmasks[:0]
+			fsrc, nsrc = nsrc, fsrc[:0]
 		}
-		fstates, nstates = nstates, fstates[:0]
-		fmasks, nmasks = nmasks, fmasks[:0]
+		// Hand the (possibly re-grown) slices back for the next reuse.
+		scr.frontier, scr.fmasks, scr.next, scr.nmasks, scr.mactive = fstates, fmasks, nstates, nmasks, act
+		if ws != nil {
+			ws.fsrc, ws.nsrc = fsrc, nsrc
+		}
 	}
-	// Hand the (possibly re-grown) slices back for the next reuse.
-	scr.sfstates, scr.sfmasks, scr.snstates, scr.snmasks, scr.mactive = fstates, fmasks, nstates, nmasks, act
-	finish(states, propagations, pruned)
+
+	cs := cfg.CellSize
+	// Same expression OccupancyGrid.Area evaluates, so per-world volumes are
+	// bitwise what the legacy tubes report.
+	res.BaseVolume = float64(volCount[0]) * cs * cs
+	for i := 0; i < n; i++ {
+		res.WithoutVolume[i] = float64(volCount[1+i]) * cs * cs
+	}
+	res.States = states
+	telSharedStates.Add(int64(states))
+	telPropagations.Add(int64(propagations))
+	telPruned.Add(int64(pruned))
+	return res
+}
+
+// sweeper holds what every path sweep of one slice shares: the map, the
+// obstacles, the reusable prepared ego footprint, the slice's broad-phase
+// survivors and the obstacle slice pair they are tested at.
+type sweeper struct {
+	m      roadmap.Map
+	pm     roadmap.PreparedMap
+	obs    *Obstacles
+	pb     geom.PreparedBox
+	act    []int32
+	slice  int
+	s0, s1 int
+}
+
+// sweep is the cold candidate stage: it moves the footprint along the
+// integrated path and strikes from possible every world a substep is
+// blocked in. Drivability is world-independent; each substep footprint is
+// tested against the broad-phase survivors. A hit by actor i removes every
+// world i is present in, leaving at most world /i (bit 1+i), so the
+// strikes compose to: no hit keeps possible, hits by i alone keep bit 1+i
+// if it was possible, hits by two distinct actors keep nothing. The sweep
+// therefore tracks only the first blocker and stops as soon as no world
+// survives — by then every world has either pruned the path or never
+// examined it. It reports whether any world survives.
+func (sw *sweeper) sweep(path []pathState, possible []uint64) bool {
+	pb := &sw.pb
+	only := int32(-1)
+	for j := range path {
+		ps := &path[j]
+		pb.MoveTo(ps.st.Pos, ps.st.Heading, ps.sin, ps.cos)
+		if !drivable(sw.m, sw.pm, pb) {
+			return false
+		}
+		for rest := sw.act; ; {
+			h := sw.obs.firstHit(pb, sw.s0, sw.s1, rest)
+			if h < 0 {
+				break
+			}
+			if i := rest[h]; i != only {
+				if only >= 0 || !hasBit(possible, 1+int(i)) {
+					return false
+				}
+				only = i
+			}
+			rest = rest[h+1:]
+		}
+	}
+	return only < 0 || strikeOnly(possible, 1+int(only))
 }

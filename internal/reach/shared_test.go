@@ -1,12 +1,14 @@
 package reach
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/actor"
 	"repro/internal/geom"
 	"repro/internal/roadmap"
+	"repro/internal/scenario"
 	"repro/internal/vehicle"
 )
 
@@ -39,19 +41,26 @@ func requireSharedMatchesLegacy(t *testing.T, tag string, m roadmap.Map, ego veh
 	t.Helper()
 	trajs := actor.PredictAll(actors, cfg.NumSlices(), cfg.SliceDt)
 	obs := BuildObstacles(actors, trajs, cfg)
-	sh := ComputeCounterfactuals(m, obs, ego, cfg, nil)
+	requireTubesMatchLegacy(t, tag, m, obs, ego, cfg, ComputeCounterfactuals(m, obs, ego, cfg, nil))
+}
 
-	if sh.Represented != len(actors) {
-		t.Errorf("%s: represented %d, want every actor (%d)", tag, sh.Represented, len(actors))
+// requireTubesMatchLegacy checks sh, a counterfactual expansion over obs,
+// against the legacy oracle: one per-world ComputeScratch tube with
+// Collide (the base world) and with CollideWithout(i) (each world /i).
+func requireTubesMatchLegacy(t *testing.T, tag string, m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, sh SharedTubes) {
+	t.Helper()
+	n := obs.NumActors()
+	if sh.Represented != n {
+		t.Errorf("%s: represented %d, want every actor (%d)", tag, sh.Represented, n)
 	}
-	if want := (1 + len(actors) + 63) / 64; sh.MaskWords != want {
+	if want := (1 + n + 63) / 64; sh.MaskWords != want {
 		t.Errorf("%s: mask words %d, want %d", tag, sh.MaskWords, want)
 	}
 	base := Compute(m, obs.Collide(), ego, cfg)
 	if sh.BaseVolume != base.Volume {
 		t.Errorf("%s: base volume %v, legacy %v", tag, sh.BaseVolume, base.Volume)
 	}
-	for i := range actors {
+	for i := 0; i < n; i++ {
 		wo := Compute(m, obs.CollideWithout(i), ego, cfg)
 		if sh.WithoutVolume[i] != wo.Volume {
 			t.Errorf("%s: world /%d volume %v, legacy %v", tag, i, sh.WithoutVolume[i], wo.Volume)
@@ -149,15 +158,31 @@ func TestSharedMatchesLegacySegmentedUnderCap(t *testing.T) {
 	}
 }
 
-// The word-indexed loops must agree with the scalar fast path even when a
-// scene fits one word: force extra mask words and compare against the
-// dispatcher's single-word result bitwise. This keeps the segmented path
-// covered by the cheap small-scene suites, not only the 64+ ones.
+// The word-indexed mask handling must agree with the one-word case even
+// when a scene fits one word: force extra mask words and compare against
+// the natural one-word result bitwise. Random scenes take the cold path;
+// stop-and-go and ring session traces also take the warm path, one
+// WarmState per forced width, so the wide-mask warm bookkeeping is covered
+// by the cheap small-scene suites, not only the 64+-actor ones.
 func TestSharedSegmentedForcedWords(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	cfg := DefaultConfig()
 	road := testRoad()
 	scr := NewScratch()
+	requireSame := func(tag string, want, got SharedTubes) {
+		t.Helper()
+		if got.BaseVolume != want.BaseVolume {
+			t.Errorf("%s: base %v, single-word %v", tag, got.BaseVolume, want.BaseVolume)
+		}
+		if got.States != want.States {
+			t.Errorf("%s: states %d, single-word %d", tag, got.States, want.States)
+		}
+		for i := range want.WithoutVolume {
+			if got.WithoutVolume[i] != want.WithoutVolume[i] {
+				t.Errorf("%s world /%d: %v, single-word %v", tag, i, got.WithoutVolume[i], want.WithoutVolume[i])
+			}
+		}
+	}
 	for iter := 0; iter < 8; iter++ {
 		n := 1 + rng.Intn(6)
 		ego, actors := randomScene(rng, n)
@@ -168,23 +193,34 @@ func TestSharedSegmentedForcedWords(t *testing.T) {
 			t.Fatalf("iter %d: small scene took %d words", iter, want.MaskWords)
 		}
 		for _, words := range []int{2, 3} {
-			got := SharedTubes{
-				WithoutVolume: make([]float64, n),
-				Represented:   n,
-				MaskWords:     words,
-			}
-			computeSegmented(road, obs, ego, cfg, scr, &got, 1+n, words)
-			if got.BaseVolume != want.BaseVolume {
-				t.Errorf("iter %d words %d: base %v, single-word %v", iter, words, got.BaseVolume, want.BaseVolume)
-			}
-			if got.States != want.States {
-				t.Errorf("iter %d words %d: states %d, single-word %d", iter, words, got.States, want.States)
-			}
-			for i := 0; i < n; i++ {
-				if got.WithoutVolume[i] != want.WithoutVolume[i] {
-					t.Errorf("iter %d words %d world /%d: %v, single-word %v",
-						iter, words, i, got.WithoutVolume[i], want.WithoutVolume[i])
-				}
+			got := expand(road, obs, ego, cfg, scr, nil, words)
+			requireSame(fmt.Sprintf("iter %d words %d", iter, words), want, got)
+		}
+	}
+
+	type trace struct {
+		tag   string
+		m     roadmap.Map
+		ticks []scenario.SessionTick
+	}
+	var traces []trace
+	{
+		m, tr := scenario.StopAndGoSession(12, 12)
+		traces = append(traces, trace{"stop-and-go", m, tr})
+	}
+	{
+		m, tr := scenario.RingSession(8, 12)
+		traces = append(traces, trace{"ring", m, tr})
+	}
+	for _, tr := range traces {
+		warm := map[int]*WarmState{2: NewWarmState(), 3: NewWarmState()}
+		for tick, tk := range tr.ticks {
+			trajs := actor.PredictAll(tk.Actors, cfg.NumSlices(), cfg.SliceDt)
+			obs := BuildObstacles(tk.Actors, trajs, cfg)
+			want := ComputeCounterfactuals(tr.m, obs, tk.Ego, cfg, nil)
+			for _, words := range []int{2, 3} {
+				got, _ := warm[words].compute(tr.m, obs, tk.Ego, cfg, scr, words)
+				requireSame(fmt.Sprintf("%s tick %d warm words %d", tr.tag, tick, words), want, got)
 			}
 		}
 	}

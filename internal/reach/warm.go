@@ -2,7 +2,7 @@ package reach
 
 import (
 	"math"
-	"math/bits"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/roadmap"
@@ -265,6 +265,22 @@ func (m *warmMemo) lookupVia(pci int32, k warmPKey) (base int32, existed bool) {
 	return m.lookupOrInsert(k)
 }
 
+// integrate fills the fresh control block at base with frontier state f's
+// candidates: every control's integration endpoint, its dedup key and its
+// sub-step path — pure kinematics that stay valid for the rest of the
+// epoch.
+func (m *warmMemo) integrate(base int32, f vehicle.State, cfg *Config, controls []vehicle.Control, tans []float64) {
+	sin0, cos0 := math.Sincos(f.Heading)
+	for ui, u := range controls {
+		ci := base + int32(ui)
+		me := &m.ctrls[ci]
+		var nsub int
+		me.s2, nsub = cfg.integrate(f, sin0, cos0, u, tans[ui], m.ctrlPath(ci))
+		me.nsub = uint8(nsub)
+		me.skey = cfg.key(me.s2)
+	}
+}
+
 // newBlock extends the control arena by one zeroed nc-slot block (plus the
 // matching substep-AABB and path slots, which need no zeroing: they are
 // only read through a ctrl entry that wrote them — paths at integration,
@@ -379,8 +395,10 @@ type WarmState struct {
 	sus   [][]warmSuspect // per entry slice, this tick's changed actors
 	susU  []warmSuspect   // per entry slice, union AABB over sus (fast reject)
 	scand []warmSuspect   // per-candidate overlapping-suspect scratch
+	sids  []int32         // the actor indices of scand, for revalidate
 	fsrc  []int32         // per frontier entry, the ctrl slot that produced it
 	nsrc  []int32         // next-frontier counterpart of fsrc
+	stats WarmStats       // the current tick's reuse counts
 }
 
 // NewWarmState returns an empty warm-start state.
@@ -528,8 +546,8 @@ func (ws *WarmState) overlapping(e int, pmin, pmax geom.Vec2) []warmSuspect {
 // subsOverlap reports whether any recorded substep box overlaps any of the
 // overlapping suspects' changed placements. When none does, the suspects
 // cannot have altered a PASS/ONLY verdict and it is reused as-is.
-func subsOverlap(subs []subBox, nsub int, cand []warmSuspect) bool {
-	for j := 0; j < nsub; j++ {
+func subsOverlap(subs []subBox, cand []warmSuspect) bool {
+	for j := range subs {
 		sb := &subs[j]
 		for si := range cand {
 			sp := &cand[si]
@@ -550,19 +568,13 @@ func ComputeCounterfactualsWarm(m roadmap.Map, obs *Obstacles, ego vehicle.State
 	if ws == nil {
 		return ComputeCounterfactuals(m, obs, ego, cfg, scr), WarmStats{}
 	}
+	return ws.compute(m, obs, ego, cfg, scr, maskWords(obs.NumActors()))
+}
+
+// compute is ComputeCounterfactualsWarm with world masks `words` words wide
+// (the differential tests force wider masks than maskWords).
+func (ws *WarmState) compute(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch, words int) (SharedTubes, WarmStats) {
 	n := obs.NumActors()
-	numWorlds := 1 + n
-	words := (numWorlds + 63) / 64
-	res := SharedTubes{
-		WithoutVolume: make([]float64, n),
-		Represented:   n,
-		MaskWords:     words,
-	}
-	if scr == nil {
-		scr = NewScratch()
-	}
-	telSharedComputes.Inc()
-	telSharedWorlds.Observe(float64(numWorlds))
 
 	// Warm iff everything the memoized candidates depend on beyond the
 	// suspect set is bitwise-unchanged: the exact ego root (ε = 0 — any
@@ -587,21 +599,138 @@ func ComputeCounterfactualsWarm(m roadmap.Map, obs *Obstacles, ego vehicle.State
 		}
 	}
 
-	stats := WarmStats{Hit: warm}
-	if words == 1 {
-		warmSingleWord(m, obs, ego, cfg, scr, ws, &res, numWorlds, &stats)
-	} else {
-		warmSegmented(m, obs, ego, cfg, scr, ws, &res, numWorlds, words, &stats)
-	}
+	ws.stats = WarmStats{Hit: warm}
+	res := expand(m, obs, ego, cfg, scr, ws, words)
 
 	ws.prevEgo, ws.prevCfg, ws.prevRoad = ego, cfg, rk
 	ws.prevObs = obs
 	if !cacheable {
 		ws.prevObs = nil // unknown map type: never warm
 	}
-	telWarmReused.Add(int64(stats.Reused))
-	telWarmInvalidated.Add(int64(stats.Invalidated))
-	return res, stats
+	telWarmReused.Add(int64(ws.stats.Reused))
+	telWarmInvalidated.Add(int64(ws.stats.Invalidated))
+	return res, ws.stats
+}
+
+// fresh reports whether me's verdict holds this tick as it stands: it was
+// resolved earlier this tick (duplicate frontier states re-reach the same
+// candidate), or it carries over from the previous tick and no actor
+// changed near entry slice `slice`. A carried-over verdict is stamped
+// current and counted as reused. This is the common case, kept small
+// enough to inline; everything else goes through resolve.
+func (ws *WarmState) fresh(me *warmCtrl, slice int) bool {
+	if me.verdictGen == ws.gen {
+		return true
+	}
+	if me.verdictGen == ws.gen-1 && me.verdict != verdictNone && len(ws.sus[slice]) == 0 {
+		me.verdictGen = ws.gen
+		ws.stats.Reused++
+		return true
+	}
+	return false
+}
+
+// apply strikes me's verdict into possible, reporting whether any world
+// survives.
+func (me *warmCtrl) apply(possible []uint64) bool {
+	switch me.verdict {
+	case verdictPass:
+		return true
+	case verdictOnly:
+		return strikeOnly(possible, 1+int(me.hits[0]))
+	}
+	return false
+}
+
+// resolve brings me, the memo entry of slot ci, up to date for this tick
+// when fresh cannot. An off-road verdict is reused outright: it is
+// actor-independent and never expires within the epoch. The previous
+// tick's verdict is reused when no suspect's changed placement touches its
+// path; a decomposable one is merged with only the overlapping suspects'
+// fresh hits. Anything else is fully re-swept.
+func (ws *WarmState) resolve(sw *sweeper, ci int32, me *warmCtrl) {
+	lastTick := me.verdict != verdictNone && me.verdictGen == ws.gen-1
+	me.verdictGen = ws.gen
+	switch {
+	case me.verdict == verdictOffroad:
+		ws.stats.Reused++
+		return
+	case lastTick:
+		sus := ws.overlapping(sw.slice, me.pathMin, me.pathMax)
+		switch {
+		case len(sus) == 0:
+			ws.stats.Reused++
+			return
+		case me.verdict == verdictZeroOpaque:
+			ws.stats.Invalidated++
+		case !subsOverlap(ws.memo.ctrlSubs(ci)[:me.nsub], sus):
+			ws.stats.Reused++
+			return
+		default:
+			ws.stats.Invalidated++
+			ws.revalidate(sw, ws.memo.ctrlPath(ci)[:me.nsub], sus, ws.memo.ctrlSubs(ci), me)
+			return
+		}
+	}
+	warmSweep(sw, ws.memo.ctrlPath(ci)[:me.nsub], ws.memo.ctrlSubs(ci), me)
+}
+
+// hitSet is a sweep's distinct blocking actors, as many as a memoized
+// verdict can record.
+type hitSet struct {
+	ids [warmMaxHits]int32
+	n   int
+}
+
+// add records actor i, reporting false when i is new and the set is full.
+func (h *hitSet) add(i int32) bool {
+	for _, id := range h.ids[:h.n] {
+		if id == i {
+			return true
+		}
+	}
+	if h.n == warmMaxHits {
+		return false
+	}
+	h.ids[h.n] = i
+	h.n++
+	return true
+}
+
+// scan adds every actor in act whose footprint at the sweeper's slice
+// pair intersects b, reporting false once the set would overflow. It is
+// firstHit's test run to the end of act in one pass: warm sweeps record
+// every blocker, so they cannot stop at the first.
+func (h *hitSet) scan(sw *sweeper, b *geom.PreparedBox, act []int32) bool {
+	for _, i := range act {
+		bs := sw.obs.boxes[i]
+		a := &bs[sw.s0]
+		hit := b.Min.X <= a.Max.X && a.Min.X <= b.Max.X &&
+			b.Min.Y <= a.Max.Y && a.Min.Y <= b.Max.Y && b.Intersects(a)
+		if !hit {
+			a = &bs[sw.s1]
+			hit = b.Min.X <= a.Max.X && a.Min.X <= b.Max.X &&
+				b.Min.Y <= a.Max.Y && a.Min.Y <= b.Max.Y && b.Intersects(a)
+		}
+		if hit && !h.add(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// store writes the set into me with the verdict it collapses to: PASS
+// when empty, ONLY for one blocker, ZERO for more.
+func (h *hitSet) store(me *warmCtrl) {
+	me.hits, me.nhits = h.ids, uint8(h.n)
+	switch h.n {
+	case 0:
+		me.verdict = verdictPass
+	case 1:
+		me.verdict = verdictOnly
+	default:
+		me.verdict = verdictZero
+	}
 }
 
 // warmSweep runs the full path sweep for one candidate, filling me with the
@@ -614,17 +743,9 @@ func ComputeCounterfactualsWarm(m roadmap.Map, obs *Obstacles, ego vehicle.State
 // decomposable for later ticks — but off-road and a fourth distinct
 // blocker are terminal, so it may stop there with the partial AABB (their
 // causes lie entirely within the substeps already swept).
-func warmSweep(m roadmap.Map, pm roadmap.PreparedMap, obs *Obstacles, pb *geom.PreparedBox, path []pathState, slice int, act []int32, subs []subBox, me *warmCtrl) {
-	s0 := slice
-	if s0 > obs.numSlices {
-		s0 = obs.numSlices
-	}
-	s1 := slice + 1
-	if s1 > obs.numSlices {
-		s1 = obs.numSlices
-	}
-	var hits [warmMaxHits]int32
-	nh := 0
+func warmSweep(sw *sweeper, path []pathState, subs []subBox, me *warmCtrl) {
+	pb := &sw.pb
+	var hits hitSet
 	var pmin, pmax geom.Vec2
 	for j := range path {
 		ps := &path[j]
@@ -646,56 +767,22 @@ func warmSweep(m roadmap.Map, pm roadmap.PreparedMap, obs *Obstacles, pb *geom.P
 				pmax.Y = pb.Max.Y
 			}
 		}
-		if !drivable(m, pm, pb) {
+		if !drivable(sw.m, sw.pm, pb) {
 			me.verdict, me.nhits = verdictOffroad, 0
 			me.pathMin, me.pathMax = pmin, pmax
 			return
 		}
-		// Same scan as maskHitsPath: broad-phase survivors only, AABB
-		// reject before SAT, footprints at both bounding slice indices.
-		for _, i := range act {
-			bs := obs.boxes[i]
-			a := &bs[s0]
-			hit := pb.Min.X <= a.Max.X && a.Min.X <= pb.Max.X &&
-				pb.Min.Y <= a.Max.Y && a.Min.Y <= pb.Max.Y && pb.Intersects(a)
-			if !hit {
-				a = &bs[s1]
-				hit = pb.Min.X <= a.Max.X && a.Min.X <= pb.Max.X &&
-					pb.Min.Y <= a.Max.Y && a.Min.Y <= pb.Max.Y && pb.Intersects(a)
-			}
-			if hit {
-				known := false
-				for k := 0; k < nh; k++ {
-					if hits[k] == i {
-						known = true
-						break
-					}
-				}
-				if !known {
-					if nh == warmMaxHits {
-						me.verdict, me.nhits = verdictZeroOpaque, 0
-						me.pathMin, me.pathMax = pmin, pmax
-						return
-					}
-					hits[nh] = i
-					nh++
-				}
-			}
+		if !hits.scan(sw, pb, sw.act) {
+			me.verdict, me.nhits = verdictZeroOpaque, 0
+			me.pathMin, me.pathMax = pmin, pmax
+			return
 		}
 	}
-	me.hits, me.nhits = hits, uint8(nh)
-	switch nh {
-	case 0:
-		me.verdict = verdictPass
-	case 1:
-		me.verdict = verdictOnly
-	default:
-		me.verdict = verdictZero
-	}
+	hits.store(me)
 	me.pathMin, me.pathMax = pmin, pmax
 }
 
-// warmRevalidate re-judges a memoized PASS, ONLY, or recorded-ZERO verdict
+// revalidate re-judges a memoized PASS, ONLY, or recorded-ZERO verdict
 // against only the overlapping suspects: the memoized hit-set restricted to
 // non-suspects is still exact (see the soundness argument at the top of the
 // file), so the suspects' fresh hits are merged into it and the verdict is
@@ -707,471 +794,40 @@ func warmSweep(m roadmap.Map, pm roadmap.PreparedMap, obs *Obstacles, pb *geom.P
 // are skipped outright. Should the merged set outgrow warmMaxHits the
 // verdict degrades to an opaque ZERO; the stored full-path AABB remains a
 // sound (if loose) cover for its future prefix-AABB reuse test.
-func warmRevalidate(obs *Obstacles, pb *geom.PreparedBox, path []pathState, slice int, suspects []warmSuspect, subs []subBox, me *warmCtrl) {
-	s0 := slice
-	if s0 > obs.numSlices {
-		s0 = obs.numSlices
-	}
-	s1 := slice + 1
-	if s1 > obs.numSlices {
-		s1 = obs.numSlices
-	}
+func (ws *WarmState) revalidate(sw *sweeper, path []pathState, suspects []warmSuspect, subs []subBox, me *warmCtrl) {
+	obs, pb := sw.obs, &sw.pb
 	// The union-of-old-and-new suspect boxes decided that this entry must
 	// revalidate; the re-sweep itself only tests current placements, so
 	// shrink each suspect box (a per-candidate copy) to the AABB of its
 	// current boxes at the two tested slices. That tightens the per-substep
 	// near gate below without losing any reachable hit.
+	ids := ws.sids[:0]
 	for si := range suspects {
 		sp := &suspects[si]
-		a0, a1 := &obs.boxes[sp.idx][s0], &obs.boxes[sp.idx][s1]
+		a0, a1 := &obs.boxes[sp.idx][sw.s0], &obs.boxes[sp.idx][sw.s1]
 		sp.min = geom.V(math.Min(a0.Min.X, a1.Min.X), math.Min(a0.Min.Y, a1.Min.Y))
 		sp.max = geom.V(math.Max(a0.Max.X, a1.Max.X), math.Max(a0.Max.Y, a1.Max.Y))
+		ids = append(ids, sp.idx)
 	}
-	var hits [warmMaxHits]int32
-	nh := 0
-	for k := 0; k < int(me.nhits); k++ {
-		h := me.hits[k]
-		keep := true
-		for si := range suspects {
-			if suspects[si].idx == h {
-				// A recorded blocker that is itself a suspect: its old hits
-				// no longer count, the re-sweep below re-derives them.
-				keep = false
-				break
-			}
-		}
-		if keep {
-			hits[nh] = h
-			nh++
+	ws.sids = ids
+	// A recorded blocker that is itself a suspect: its old hits no longer
+	// count, the re-sweep below re-derives them.
+	var hits hitSet
+	for _, h := range me.hits[:me.nhits] {
+		if !slices.ContainsFunc(suspects, func(sp warmSuspect) bool { return sp.idx == h }) {
+			hits.add(h)
 		}
 	}
 	for j := range path {
-		sb := &subs[j]
-		near := false
-		for si := range suspects {
-			sp := &suspects[si]
-			if float64(sb.minX) <= sp.max.X && sp.min.X <= float64(sb.maxX) &&
-				float64(sb.minY) <= sp.max.Y && sp.min.Y <= float64(sb.maxY) {
-				near = true
-				break
-			}
-		}
-		if !near {
+		if !subsOverlap(subs[j:j+1], suspects) {
 			continue
 		}
 		ps := &path[j]
 		pb.MoveTo(ps.st.Pos, ps.st.Heading, ps.sin, ps.cos)
-		for si := range suspects {
-			i := suspects[si].idx
-			bs := obs.boxes[i]
-			a := &bs[s0]
-			hit := pb.Min.X <= a.Max.X && a.Min.X <= pb.Max.X &&
-				pb.Min.Y <= a.Max.Y && a.Min.Y <= pb.Max.Y && pb.Intersects(a)
-			if !hit {
-				a = &bs[s1]
-				hit = pb.Min.X <= a.Max.X && a.Min.X <= pb.Max.X &&
-					pb.Min.Y <= a.Max.Y && a.Min.Y <= pb.Max.Y && pb.Intersects(a)
-			}
-			if hit {
-				known := false
-				for k := 0; k < nh; k++ {
-					if hits[k] == i {
-						known = true
-						break
-					}
-				}
-				if !known {
-					if nh == warmMaxHits {
-						me.verdict, me.nhits = verdictZeroOpaque, 0
-						return
-					}
-					hits[nh] = i
-					nh++
-				}
-			}
+		if !hits.scan(sw, pb, ids) {
+			me.verdict, me.nhits = verdictZeroOpaque, 0
+			return
 		}
 	}
-	me.hits, me.nhits = hits, uint8(nh)
-	switch nh {
-	case 0:
-		me.verdict = verdictPass
-	case 1:
-		me.verdict = verdictOnly
-	default:
-		me.verdict = verdictZero
-	}
-}
-
-// warmSingleWord mirrors computeSingleWord with the candidate memo spliced
-// in; every bookkeeping decision (claims, caps, marks, counters) is
-// replayed identically, so the volumes are bitwise the cold engine's.
-func warmSingleWord(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch, ws *WarmState, res *SharedTubes, numWorlds int, stats *WarmStats) {
-	n := numWorlds - 1
-	allMask := ^uint64(0) >> (64 - uint(numWorlds))
-
-	scr.resetShared(cfg.CellSize, numWorlds, 1)
-	grid := scr.mgrid
-	claimed := scr.claimed
-	volCount := scr.wvol
-	sliceCount := scr.wslice
-	numSlices := cfg.NumSlices()
-	pm, _ := m.(roadmap.PreparedMap)
-
-	finish := func(states, propagations, pruned int) {
-		cs := cfg.CellSize
-		res.BaseVolume = float64(volCount[0]) * cs * cs
-		for i := 0; i < n; i++ {
-			res.WithoutVolume[i] = float64(volCount[1+i]) * cs * cs
-		}
-		res.States = states
-		telSharedStates.Add(int64(states))
-		telPropagations.Add(int64(propagations))
-		telPruned.Add(int64(pruned))
-	}
-
-	// Root: computed cold every tick (one footprint, not worth memoizing).
-	egoPb := cfg.Params.Footprint(ego).Prepare()
-	live := uint64(0)
-	if drivable(m, pm, &egoPb) {
-		live = obs.maskHits(&egoPb, 0, allMask)
-	}
-	if live == 0 {
-		finish(0, 0, 0)
-		return
-	}
-
-	controls := cfg.controls()
-	ws.memo.ensureControls(len(controls), cfg.SubSteps)
-	tans := make([]float64, len(controls))
-	for i, u := range controls {
-		tans[i] = math.Tan(u.Steer)
-	}
-	pb := egoPb
-	frontier := append(scr.mfrontier[:0], maskedState{st: ego, w: live})
-	fsrc := append(ws.fsrc[:0], -1)
-	nsrc := ws.nsrc[:0]
-	next := scr.mnext[:0]
-	act := scr.mactive
-	states, propagations, pruned := 0, 0, 0
-
-	for slice := 0; slice < numSlices && len(frontier) > 0; slice++ {
-		claimed.reset()
-		clear(sliceCount)
-		// Broad phase: identical to the cold path.
-		fmin, fmax := frontier[0].st.Pos, frontier[0].st.Pos
-		vmax := frontier[0].st.Speed
-		for fi := 1; fi < len(frontier); fi++ {
-			p := frontier[fi].st.Pos
-			if p.X < fmin.X {
-				fmin.X = p.X
-			}
-			if p.Y < fmin.Y {
-				fmin.Y = p.Y
-			}
-			if p.X > fmax.X {
-				fmax.X = p.X
-			}
-			if p.Y > fmax.Y {
-				fmax.Y = p.Y
-			}
-			if v := frontier[fi].st.Speed; v > vmax {
-				vmax = v
-			}
-		}
-		travel := math.Min(vmax+cfg.Params.MaxAccel*cfg.SliceDt, cfg.Params.MaxSpeed) * cfg.SliceDt
-		margin := travel + egoPb.Radius + 1e-6
-		act = obs.activeInto(act[:0],
-			geom.V(fmin.X-margin, fmin.Y-margin), geom.V(fmax.X+margin, fmax.Y+margin), slice)
-		capMask := uint64(0)
-		next = next[:0]
-		for fi := range frontier {
-			f := &frontier[fi]
-			if f.w&^capMask == 0 {
-				continue // every world of this parent already capped
-			}
-			base, existed := ws.memo.lookupVia(fsrc[fi], makeWarmKey(f.st, int32(slice)))
-			// Sincos is deferred until a memo miss actually integrates:
-			// cold computes it unconditionally, but it only feeds
-			// integrate, so skipping it on all-memoized parents changes
-			// nothing observable.
-			var sin0, cos0 float64
-			haveSC := false
-			for ui, u := range controls {
-				ci := base + int32(ui)
-				me := &ws.memo.ctrls[ci]
-				if !existed {
-					if !haveSC {
-						sin0, cos0 = math.Sincos(f.st.Heading)
-						haveSC = true
-					}
-					var nsub int
-					me.s2, nsub = cfg.integrate(f.st, sin0, cos0, u, tans[ui], ws.memo.ctrlPath(ci))
-					me.nsub = uint8(nsub)
-					me.skey = cfg.key(me.s2)
-				}
-				propagations++
-				s2 := me.s2
-				k := me.skey
-				// Dedup and caps first, exactly like the cold reordering:
-				// a duplicate is discarded identically whether or not its
-				// sweep would have pruned it, so its verdict need not be
-				// resolved at all this tick.
-				possible := f.w &^ capMask
-				cb, slot := claimed.probe(k)
-				possible &^= cb
-				if possible == 0 {
-					continue
-				}
-				// Verdict: reuse when resolved earlier this tick (duplicate
-				// frontier states re-reach the same candidate), when the
-				// entry is off-road (actor-independent, never expires within
-				// the epoch), or when the previous tick's verdict survives
-				// the suspect checks; merge a decomposable verdict with only
-				// the overlapping suspects' fresh hits; fully re-sweep
-				// otherwise.
-				resolve := true
-				if me.verdict != verdictNone {
-					if me.verdictGen == ws.gen {
-						resolve = false
-					} else if me.verdict == verdictOffroad {
-						stats.Reused++
-						resolve = false
-					} else if me.verdictGen == ws.gen-1 {
-						sus := ws.overlapping(slice, me.pathMin, me.pathMax)
-						if len(sus) == 0 {
-							stats.Reused++
-							resolve = false
-						} else if me.verdict != verdictZeroOpaque {
-							resolve = false
-							if !subsOverlap(ws.memo.ctrlSubs(ci), int(me.nsub), sus) {
-								stats.Reused++
-							} else {
-								stats.Invalidated++
-								warmRevalidate(obs, &pb, ws.memo.ctrlPath(ci)[:me.nsub], slice, sus, ws.memo.ctrlSubs(ci), me)
-							}
-						} else {
-							stats.Invalidated++
-						}
-					}
-				}
-				if resolve {
-					warmSweep(m, pm, obs, &pb, ws.memo.ctrlPath(ci)[:me.nsub], slice, act, ws.memo.ctrlSubs(ci), me)
-				}
-				me.verdictGen = ws.gen
-				switch me.verdict {
-				case verdictOnly:
-					possible &= uint64(1) << uint(1+me.hits[0])
-				case verdictZero, verdictZeroOpaque, verdictOffroad:
-					possible = 0
-				}
-				if possible == 0 {
-					pruned++
-					continue
-				}
-				claimed.orAt(slot, k, possible)
-				for b := grid.MarkBits(s2.Pos, possible); b != 0; b &= b - 1 {
-					volCount[bits.TrailingZeros64(b)]++
-				}
-				for b := possible; b != 0; b &= b - 1 {
-					w := bits.TrailingZeros64(b)
-					sliceCount[w]++
-					if sliceCount[w] >= cfg.MaxStates {
-						capMask |= uint64(1) << uint(w)
-					}
-				}
-				next = append(next, maskedState{st: s2, w: possible})
-				nsrc = append(nsrc, ci)
-				states++
-			}
-		}
-		frontier, next = next, frontier[:0]
-		fsrc, nsrc = nsrc, fsrc[:0]
-	}
-	scr.mfrontier, scr.mnext, scr.mactive = frontier, next, act
-	ws.fsrc, ws.nsrc = fsrc, nsrc
-	finish(states, propagations, pruned)
-}
-
-// warmSegmented mirrors computeSegmented with the candidate memo spliced
-// in, exactly as warmSingleWord mirrors computeSingleWord.
-func warmSegmented(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch, ws *WarmState, res *SharedTubes, numWorlds, words int, stats *WarmStats) {
-	n := numWorlds - 1
-
-	scr.resetShared(cfg.CellSize, numWorlds, words)
-	grid := scr.mgrid
-	claimed := scr.sclaimed
-	volCount := scr.wvol
-	sliceCount := scr.wslice
-	numSlices := cfg.NumSlices()
-	pm, _ := m.(roadmap.PreparedMap)
-
-	finish := func(states, propagations, pruned int) {
-		cs := cfg.CellSize
-		res.BaseVolume = float64(volCount[0]) * cs * cs
-		for i := 0; i < n; i++ {
-			res.WithoutVolume[i] = float64(volCount[1+i]) * cs * cs
-		}
-		res.States = states
-		telSharedStates.Add(int64(states))
-		telPropagations.Add(int64(propagations))
-		telPruned.Add(int64(pruned))
-	}
-
-	egoPb := cfg.Params.Footprint(ego).Prepare()
-	possible := scr.sposs
-	fullMask(possible, numWorlds)
-	if !drivable(m, pm, &egoPb) || !obs.maskHitsSeg(&egoPb, 0, possible) {
-		finish(0, 0, 0)
-		return
-	}
-
-	controls := cfg.controls()
-	ws.memo.ensureControls(len(controls), cfg.SubSteps)
-	tans := make([]float64, len(controls))
-	for i, u := range controls {
-		tans[i] = math.Tan(u.Steer)
-	}
-	pb := egoPb
-	fstates := append(scr.sfstates[:0], ego)
-	fmasks := append(scr.sfmasks[:0], possible...)
-	fsrc := append(ws.fsrc[:0], -1)
-	nsrc := ws.nsrc[:0]
-	nstates := scr.snstates[:0]
-	nmasks := scr.snmasks[:0]
-	act := scr.mactive
-	capMask := scr.scap
-	newBits := scr.snew
-	states, propagations, pruned := 0, 0, 0
-
-	for slice := 0; slice < numSlices && len(fstates) > 0; slice++ {
-		claimed.reset(words)
-		clear(sliceCount)
-		clear(capMask)
-		fmin, fmax := fstates[0].Pos, fstates[0].Pos
-		vmax := fstates[0].Speed
-		for fi := 1; fi < len(fstates); fi++ {
-			p := fstates[fi].Pos
-			if p.X < fmin.X {
-				fmin.X = p.X
-			}
-			if p.Y < fmin.Y {
-				fmin.Y = p.Y
-			}
-			if p.X > fmax.X {
-				fmax.X = p.X
-			}
-			if p.Y > fmax.Y {
-				fmax.Y = p.Y
-			}
-			if v := fstates[fi].Speed; v > vmax {
-				vmax = v
-			}
-		}
-		travel := math.Min(vmax+cfg.Params.MaxAccel*cfg.SliceDt, cfg.Params.MaxSpeed) * cfg.SliceDt
-		margin := travel + egoPb.Radius + 1e-6
-		act = obs.activeInto(act[:0],
-			geom.V(fmin.X-margin, fmin.Y-margin), geom.V(fmax.X+margin, fmax.Y+margin), slice)
-		nstates = nstates[:0]
-		nmasks = nmasks[:0]
-		for fi := range fstates {
-			fmask := fmasks[fi*words : fi*words+words]
-			if !anyUncapped(fmask, capMask) {
-				continue // every world of this parent already capped
-			}
-			base, existed := ws.memo.lookupVia(fsrc[fi], makeWarmKey(fstates[fi], int32(slice)))
-			var sin0, cos0 float64
-			haveSC := false
-			for ui, u := range controls {
-				ci := base + int32(ui)
-				me := &ws.memo.ctrls[ci]
-				if !existed {
-					if !haveSC {
-						sin0, cos0 = math.Sincos(fstates[fi].Heading)
-						haveSC = true
-					}
-					var nsub int
-					me.s2, nsub = cfg.integrate(fstates[fi], sin0, cos0, u, tans[ui], ws.memo.ctrlPath(ci))
-					me.nsub = uint8(nsub)
-					me.skey = cfg.key(me.s2)
-				}
-				propagations++
-				s2 := me.s2
-				k := me.skey
-				for w := 0; w < words; w++ {
-					possible[w] = fmask[w] &^ capMask[w]
-				}
-				live, slot := claimed.andNotProbe(k, possible)
-				if !live {
-					continue
-				}
-				resolve := true
-				if me.verdict != verdictNone {
-					if me.verdictGen == ws.gen {
-						resolve = false
-					} else if me.verdict == verdictOffroad {
-						stats.Reused++
-						resolve = false
-					} else if me.verdictGen == ws.gen-1 {
-						sus := ws.overlapping(slice, me.pathMin, me.pathMax)
-						if len(sus) == 0 {
-							stats.Reused++
-							resolve = false
-						} else if me.verdict != verdictZeroOpaque {
-							resolve = false
-							if !subsOverlap(ws.memo.ctrlSubs(ci), int(me.nsub), sus) {
-								stats.Reused++
-							} else {
-								stats.Invalidated++
-								warmRevalidate(obs, &pb, ws.memo.ctrlPath(ci)[:me.nsub], slice, sus, ws.memo.ctrlSubs(ci), me)
-							}
-						} else {
-							stats.Invalidated++
-						}
-					}
-				}
-				if resolve {
-					warmSweep(m, pm, obs, &pb, ws.memo.ctrlPath(ci)[:me.nsub], slice, act, ws.memo.ctrlSubs(ci), me)
-				}
-				me.verdictGen = ws.gen
-				ok := true
-				switch me.verdict {
-				case verdictOnly:
-					ok = strikeOnly(possible, 1+int(me.hits[0]))
-				case verdictZero, verdictZeroOpaque, verdictOffroad:
-					ok = false
-				}
-				if !ok {
-					pruned++
-					continue
-				}
-				claimed.orAt(slot, k, possible)
-				grid.MarkWords(s2.Pos, possible, newBits)
-				for w := 0; w < words; w++ {
-					for b := newBits[w]; b != 0; b &= b - 1 {
-						volCount[w<<6+bits.TrailingZeros64(b)]++
-					}
-				}
-				for w := 0; w < words; w++ {
-					for b := possible[w]; b != 0; b &= b - 1 {
-						tz := bits.TrailingZeros64(b)
-						wi := w<<6 + tz
-						sliceCount[wi]++
-						if sliceCount[wi] >= cfg.MaxStates {
-							capMask[w] |= uint64(1) << uint(tz)
-						}
-					}
-				}
-				nstates = append(nstates, s2)
-				nmasks = append(nmasks, possible...)
-				nsrc = append(nsrc, ci)
-				states++
-			}
-		}
-		fstates, nstates = nstates, fstates[:0]
-		fmasks, nmasks = nmasks, fmasks[:0]
-		fsrc, nsrc = nsrc, fsrc[:0]
-	}
-	scr.sfstates, scr.sfmasks, scr.snstates, scr.snmasks, scr.mactive = fstates, fmasks, nstates, nmasks, act
-	ws.fsrc, ws.nsrc = fsrc, nsrc
-	finish(states, propagations, pruned)
+	hits.store(me)
 }

@@ -1,6 +1,7 @@
 package reach
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -38,6 +39,8 @@ func requireTubesIdentical(t *testing.T, tag string, tick int, want, got SharedT
 // replayWarmVsCold replays a recorded session trace through the warm engine
 // (one WarmState across all ticks, like a server session) and the cold
 // engine side by side, requiring bitwise-identical tubes at every tick.
+// Cold and warm share one expansion loop, so every warm tick is also held
+// to the per-world legacy oracle, which shares none of its bookkeeping.
 // Returns the per-tick warm stats for reuse assertions.
 func replayWarmVsCold(t *testing.T, tag string, m roadmap.Map, trace []scenario.SessionTick, cfg Config) []WarmStats {
 	t.Helper()
@@ -51,6 +54,7 @@ func replayWarmVsCold(t *testing.T, tag string, m roadmap.Map, trace []scenario.
 		var got SharedTubes
 		got, stats[tick] = ComputeCounterfactualsWarm(m, obs, tk.Ego, cfg, warmScr, ws)
 		requireTubesIdentical(t, tag, tick, want, got)
+		requireTubesMatchLegacy(t, fmt.Sprintf("%s tick %d", tag, tick), m, obs, tk.Ego, cfg, got)
 	}
 	return stats
 }
@@ -201,9 +205,9 @@ func TestWarmReset(t *testing.T) {
 
 // FuzzWarmVsCold drives a warm session with one actor perturbed per tick —
 // the adversarial input for the dirty-region revalidation — across both
-// the single-word (12-actor) and segmented (70-actor) engines, with the
-// ego occasionally nudged to interleave full invalidations. Every tick
-// must stay bitwise-cold.
+// one-word (12-actor) and two-word (70-actor) masks, with the ego
+// occasionally nudged to interleave full invalidations. Every tick must
+// stay bitwise-cold and match the per-world legacy oracle.
 func FuzzWarmVsCold(f *testing.F) {
 	f.Add(int64(1), 0.3, -0.2, 1.0, false, false)
 	f.Add(int64(42), -4.0, 0.9, -3.0, true, false)
@@ -252,6 +256,7 @@ func FuzzWarmVsCold(f *testing.F) {
 			want := ComputeCounterfactuals(road, obs, ego, cfg, nil)
 			got, _ := ComputeCounterfactualsWarm(road, obs, ego, cfg, scr, ws)
 			requireTubesIdentical(t, "fuzz", tick, want, got)
+			requireTubesMatchLegacy(t, fmt.Sprintf("fuzz tick %d", tick), road, obs, ego, cfg, got)
 		}
 	})
 }

@@ -23,7 +23,7 @@ type Provenance struct {
 	// every actor, so on the shared engine this equals the actor count.
 	MaskWidth int `json:"mask_width,omitempty"`
 	// MaskWords is the number of 64-bit words in the shared expansion's
-	// world masks (1 = single-word fast path; zero on the legacy engine).
+	// world masks (1 for at most 63 actors; zero on the legacy engine).
 	MaskWords int `json:"mask_words,omitempty"`
 	// ElidedActors counts per-actor counterfactual tubes skipped by a
 	// certificate (never-blocking actor or dead-band).

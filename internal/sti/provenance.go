@@ -30,8 +30,8 @@ type Provenance struct {
 	// became segmented this is every actor in the scene.
 	MaskWidth int
 	// MaskWords is the number of 64-bit words in each state's world mask:
-	// ceil((1+MaskWidth)/64), 1 on the single-word fast path, zero on the
-	// legacy engine.
+	// ceil((1+MaskWidth)/64), 1 for at most 63 actors, zero on the legacy
+	// engine.
 	MaskWords int
 	// ElidedActors is the number of per-actor counterfactual tubes skipped
 	// by a certificate (never an exclusive blocker, or the dead-band

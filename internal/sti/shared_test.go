@@ -95,7 +95,7 @@ func TestSharedExpansionDense12(t *testing.T) {
 }
 
 // Randomized property sweep: shared and legacy agree bitwise across small
-// scene sizes (single-word fast path), with a mix of blocked and free
+// scene sizes (one-word masks), with a mix of blocked and free
 // roads.
 func TestSharedExpansionRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))

@@ -103,7 +103,7 @@ type Options struct {
 	// trades nothing but memory locality for a superlinear speedup on
 	// multi-actor scenes. Masks are segmented (ceil((1+N)/64) words), so
 	// every actor in the scene is carried by the one expansion; scenes of
-	// at most 63 actors take a scalar single-word fast path.
+	// at most 63 actors need one word.
 	SharedExpansion bool
 
 	// WarmStart arms the temporal-coherence warm start for the shared

@@ -20,8 +20,23 @@ go test -race -timeout 45m ./...
 # recorded session traces and the FuzzWarmVsCold perturbation corpus
 # (already part of ./... above, but run explicitly so a perf-motivated
 # edit cannot silently drop either proof).
-go test -race -count=1 -run 'Shared|MaskGrid|Warm|FuzzSharedVsLegacy|FuzzWarmVsCold' \
-  ./internal/reach ./internal/sti ./internal/geom ./internal/server
+# A rename could leave a package matching no test, which go test passes
+# silently, so list the matches first: every package must match at least
+# one test or fuzz target, and the cornerstone differential tests must all
+# be present.
+diff_run='Shared|MaskGrid|Warm|FuzzSharedVsLegacy|FuzzWarmVsCold'
+diff_pkgs=(./internal/reach ./internal/sti ./internal/geom ./internal/server)
+diff_list="$(go test -list "$diff_run" "${diff_pkgs[@]}")"
+echo "$diff_list" | awk '
+  /^(Test|Fuzz)/ { n++ }
+  /^(ok|\?) / { if (n == 0) { print "verify: " $2 " matches no differential test" > "/dev/stderr"; bad = 1 } n = 0 }
+  END { exit bad }'
+for t in TestSharedMatchesLegacySegmented TestSharedSegmentedForcedWords \
+  TestWarmMatchesColdSessionTraces FuzzSharedVsLegacy FuzzWarmVsCold; do
+  echo "$diff_list" | grep -qx "$t" \
+    || { echo "verify: differential test $t is missing" >&2; exit 1; }
+done
+go test -race -count=1 -run "$diff_run" "${diff_pkgs[@]}"
 
 # Serving smoke: ephemeral-port server, a short load burst, then SIGTERM.
 # The server must answer every accepted request and exit 0 from the drain.
