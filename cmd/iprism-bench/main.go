@@ -48,13 +48,11 @@ type report struct {
 	NumCPU    int    `json:"num_cpu"`
 
 	Config struct {
-		STIIters        int   `json:"sti_iters"`
-		STIWorkers      int   `json:"sti_workers"`
-		SharedExpansion bool  `json:"shared_expansion"`
-		Episodes        int   `json:"episodes"`
-		Seed            int64 `json:"seed"`
-		TrainEpisodes   int   `json:"train_episodes"`
-		TrainWorkers    int   `json:"train_workers"`
+		STIIters      int   `json:"sti_iters"`
+		Episodes      int   `json:"episodes"`
+		Seed          int64 `json:"seed"`
+		TrainEpisodes int   `json:"train_episodes"`
+		TrainWorkers  int   `json:"train_workers"`
 	} `json:"config"`
 
 	// Workloads holds wall-clock totals per workload; the per-operation
@@ -77,8 +75,6 @@ func run() error {
 		seed       = flag.Int64("seed", 2024, "scenario generation seed")
 		trainEps   = flag.Int("train-episodes", 12, "SMC training episodes for the smc_train workload")
 		trainWork  = flag.Int("train-workers", 0, "episode workers for the smc_train workload (0 = GOMAXPROCS)")
-		workers    = flag.Int("sti-workers", 0, "STI counterfactual fan-out width (0 = GOMAXPROCS, 1 = serial)")
-		shared     = flag.Bool("shared", true, "evaluate STI with the shared-expansion counterfactual engine (false = legacy per-actor tubes)")
 		outDir     = flag.String("o", ".", "directory for the BENCH_<date>.json snapshot")
 		telAddr    = flag.String("telemetry", "", "additionally serve expvar and pprof on this address while benchmarking")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
@@ -131,12 +127,10 @@ func run() error {
 
 	// Workload 1: STI evaluation on the canonical three-actor straight-road
 	// scene (mirrors BenchmarkSTIEvaluation / BenchmarkEvaluateCombined).
-	eval, err := sti.NewEvaluatorOptions(reach.DefaultConfig(), sti.Options{Workers: *workers, SharedExpansion: *shared})
+	eval, err := sti.NewEvaluator(reach.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	rep.Config.STIWorkers = eval.Workers()
-	rep.Config.SharedExpansion = eval.SharedExpansion()
 	road := roadmap.MustStraightRoad(2, 3.5, -100, 1000)
 	actors := []*actor.Actor{
 		actor.NewVehicle(1, vehicle.State{Pos: geom.V(14, 1.75), Speed: 3}),
@@ -181,8 +175,9 @@ func run() error {
 	// BenchmarkEvaluateDense12*): a fast ego rolling up on two ranks of slow
 	// traffic across three lanes with fast vehicles closing from behind, so
 	// ~6 actors genuinely carve the reach-tube. This is the workload class
-	// where the legacy path pays a near-full-size counterfactual tube per
-	// blocker and the shared expansion covers the union once.
+	// where a per-actor evaluation would pay a near-full-size
+	// counterfactual tube per blocker; the shared expansion covers the
+	// union once.
 	denseRoad := roadmap.MustStraightRoad(3, 3.5, -100, 1000)
 	denseEgo := vehicle.State{Pos: geom.V(0, 5.25), Speed: 12}
 	dense12 := []*actor.Actor{
@@ -271,7 +266,7 @@ func run() error {
 		{"sti_evaluate_session12", true, histSession12},
 		{"sti_evaluate_session12_cold", false, histSession12Cold},
 	} {
-		sessEval, err := sti.NewEvaluatorOptions(sessCfg, sti.Options{Workers: 1, SharedExpansion: true, WarmStart: wl.warm})
+		sessEval, err := sti.NewEvaluatorOptions(sessCfg, sti.Options{WarmStart: wl.warm})
 		if err != nil {
 			return err
 		}

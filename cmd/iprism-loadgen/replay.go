@@ -164,7 +164,6 @@ func runSessionReplay(o replayOpts) error {
 		rep.Config.Concurrency = o.concurrency
 		rep.Config.Batch = 1
 		rep.Config.SelfServe = o.selfServe
-		rep.Config.SharedExpansion = o.selfServe
 		rep.Results.OK = ok
 		rep.Results.Rejected = rejected
 		rep.Results.Errors = errs

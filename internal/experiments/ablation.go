@@ -7,6 +7,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/smc"
+	"repro/internal/sti"
 )
 
 // ActionSetResult is one row of the action-space ablation.
@@ -35,7 +36,7 @@ func ActionAblationOn(suites []Suite, ty scenario.Typology, opt Options) ([]Acti
 	if !ok {
 		return nil, fmt.Errorf("experiments: missing %v suite", ty)
 	}
-	eval, err := stiEvaluator(opt)
+	eval, err := sti.NewEvaluator(opt.Reach)
 	if err != nil {
 		return nil, err
 	}

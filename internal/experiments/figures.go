@@ -31,7 +31,7 @@ func Fig4(suites []Suite, opt Options) ([]Fig4Series, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	eval, err := stiEvaluator(opt)
+	eval, err := sti.NewEvaluator(opt.Reach)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +111,7 @@ func Fig5(suites []Suite, ctrl *smc.SMC, opt Options, sample int) (Fig5Result, e
 	if err := opt.Validate(); err != nil {
 		return res, err
 	}
-	eval, err := stiEvaluator(opt)
+	eval, err := sti.NewEvaluator(opt.Reach)
 	if err != nil {
 		return res, err
 	}
@@ -172,7 +172,7 @@ func Fig6(corpus dataset.CorpusConfig, opt Options) (Fig6Result, error) {
 	if err != nil {
 		return res, err
 	}
-	eval, err := stiEvaluator(opt)
+	eval, err := sti.NewEvaluator(opt.Reach)
 	if err != nil {
 		return res, err
 	}
@@ -195,7 +195,7 @@ type Fig7Case struct {
 
 // Fig7 evaluates the four §V-D case studies.
 func Fig7(opt Options) ([]Fig7Case, error) {
-	eval, err := stiEvaluator(opt)
+	eval, err := sti.NewEvaluator(opt.Reach)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +235,7 @@ func STISeparation(suites []Suite, opt Options) ([]SeparationResult, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	eval, err := stiEvaluator(opt)
+	eval, err := sti.NewEvaluator(opt.Reach)
 	if err != nil {
 		return nil, err
 	}

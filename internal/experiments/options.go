@@ -14,7 +14,6 @@ import (
 	"repro/internal/reach"
 	"repro/internal/rl"
 	"repro/internal/smc"
-	"repro/internal/sti"
 )
 
 // Options scale the experiments. Paper scale is 1000 scenarios per typology
@@ -75,15 +74,4 @@ func (o Options) smcConfig(useSTI bool, seed int64) smc.Config {
 	ddqn.EpsDecaySteps = o.TrainEpisodes * 100
 	cfg.DDQN = ddqn
 	return cfg
-}
-
-// stiEvaluator constructs an evaluator from the options. Experiments
-// parallelise at the episode/trace level via o.Workers, so the evaluator's
-// inner counterfactual fan-out is pinned to one worker — total concurrency
-// stays bounded by o.Workers instead of multiplying with it. The shared-
-// expansion engine is on: results are bitwise-identical to the legacy
-// per-actor path (the Shared/MaskGrid differential suites) and dense scenes
-// evaluate superlinearly faster.
-func stiEvaluator(o Options) (*sti.Evaluator, error) {
-	return sti.NewEvaluatorOptions(o.Reach, sti.Options{Workers: 1, SharedExpansion: true})
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/smc"
+	"repro/internal/sti"
 )
 
 // RoundaboutResult is the §V-C generalisation study: the RIP-analogue ring
@@ -82,7 +83,7 @@ func TrainGhostCutInSMC(suites []Suite, opt Options) (*smc.SMC, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: missing ghost cut-in suite")
 	}
-	eval, err := stiEvaluator(opt)
+	eval, err := sti.NewEvaluator(opt.Reach)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/smc"
 	"repro/internal/stats"
+	"repro/internal/sti"
 )
 
 // SeverityResult compares collision severity (relative impact speed) with
@@ -50,7 +51,7 @@ func Severity(suites []Suite, ty scenario.Typology, ctrl *smc.SMC, opt Options) 
 	res.BaselineP90Impact = stats.Percentile(base, 90)
 
 	if ctrl == nil {
-		eval, err := stiEvaluator(opt)
+		eval, err := sti.NewEvaluator(opt.Reach)
 		if err != nil {
 			return res, err
 		}

@@ -46,7 +46,7 @@ func TableII(suites []Suite, opt Options) (TableIIResult, error) {
 	if err != nil {
 		return res, err
 	}
-	eval, err := stiEvaluator(opt)
+	eval, err := sti.NewEvaluator(opt.Reach)
 	if err != nil {
 		return res, err
 	}

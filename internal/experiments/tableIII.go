@@ -58,7 +58,7 @@ func TableIII(suites []Suite, opt Options) (TableIIIResult, error) {
 	if err := opt.Validate(); err != nil {
 		return res, err
 	}
-	eval, err := stiEvaluator(opt)
+	eval, err := sti.NewEvaluator(opt.Reach)
 	if err != nil {
 		return res, err
 	}

@@ -44,22 +44,11 @@ func BuildObstacles(actors []*actor.Actor, trajs []actor.Trajectory, cfg Config)
 func (o *Obstacles) NumActors() int { return len(o.boxes) }
 
 // Collide returns a CollisionFunc that tests against every actor.
-func (o *Obstacles) Collide() CollisionFunc { return o.collideSkipping(-1) }
-
-// CollideWithout returns a CollisionFunc for the counterfactual world with
-// actor index i removed (the paper's X^{/i}).
-func (o *Obstacles) CollideWithout(i int) CollisionFunc { return o.collideSkipping(i) }
-
-func (o *Obstacles) collideSkipping(skip int) CollisionFunc {
+func (o *Obstacles) Collide() CollisionFunc {
 	return func(b *geom.PreparedBox, slice int) bool {
-		if slice > o.numSlices {
-			slice = o.numSlices
-		}
-		for i, bs := range o.boxes {
-			if i == skip {
-				continue
-			}
-			if b.Intersects(&bs[slice]) {
+		slice = min(slice, o.numSlices)
+		for i := range o.boxes {
+			if b.Intersects(&o.boxes[i][slice]) {
 				return true
 			}
 		}
@@ -73,8 +62,8 @@ func (o *Obstacles) collideSkipping(skip int) CollisionFunc {
 // actor left unmarked after a full tube computation never changed a single
 // collision verdict on its own, so removing it cannot alter the
 // (deterministic) expansion: its counterfactual tube T^{/i} equals the base
-// tube T exactly. sti.Evaluator uses this to elide counterfactual
-// computations for non-blocking actors.
+// tube T exactly. sti.Evaluator uses this on one-actor scenes to tell a
+// never-blocking actor (T^{/0} = T) from a blocker (T^{/0} = T^∅).
 //
 // The test stops early once two distinct actors intersect (the verdict is
 // true and exclusivity is impossible), so the overhead compared to Collide

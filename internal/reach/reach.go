@@ -293,7 +293,7 @@ type Scratch struct {
 	grid     *geom.OccupancyGrid
 
 	// Shared-expansion working memory (ComputeCounterfactuals), allocated
-	// lazily on first shared use so legacy-only scratches stay slim. The
+	// lazily on first shared use so single-tube scratches stay slim. The
 	// shared frontier keeps its states in frontier/next and their world
 	// masks in the flat stride-words arenas fmasks/nmasks.
 	fmasks  []uint64

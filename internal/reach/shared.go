@@ -26,7 +26,8 @@ type SharedTubes struct {
 	// bit-for-bit the volume ComputeScratch returns with Obstacles.Collide.
 	BaseVolume float64
 	// WithoutVolume[i] is |T^{/i}| for each actor i — bit-for-bit the
-	// volume ComputeScratch returns with CollideWithout(i).
+	// volume ComputeScratch returns over obstacles built from every actor
+	// but i.
 	WithoutVolume []float64
 	// Represented is the number of actors carried as explicit counterfactual
 	// worlds. Since masks became segmented this is always NumActors: every

@@ -33,6 +33,22 @@ func randomScene(rng *rand.Rand, n int) (vehicle.State, []*actor.Actor) {
 	return ego, actors
 }
 
+// CollideWithout returns a CollisionFunc for the counterfactual world with
+// actor index skip removed (the paper's X^{/i}): the per-world oracle the
+// differential suites expand on its own and compare the masked expansion
+// against.
+func (o *Obstacles) CollideWithout(skip int) CollisionFunc {
+	return func(b *geom.PreparedBox, slice int) bool {
+		slice = min(slice, o.numSlices)
+		for i := range o.boxes {
+			if i != skip && b.Intersects(&o.boxes[i][slice]) {
+				return true
+			}
+		}
+		return false
+	}
+}
+
 // requireSharedMatchesLegacy checks every volume ComputeCounterfactuals
 // reports against the legacy per-world tubes, bit for bit, plus the result
 // metadata: every actor is represented and the mask width matches the

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/reach"
 	"repro/internal/scene"
 	"repro/internal/sti"
 	"repro/internal/telemetry"
@@ -117,34 +118,51 @@ func TestScoreHappyPath(t *testing.T) {
 	}
 }
 
-// A server configured with the shared-expansion engine must answer every
-// scoring request with exactly the bytes the legacy configuration answers:
-// the engine is a perf choice, never an API-visible one.
+// The server scores multi-actor scenes on the shared-expansion engine, and
+// every answer must carry exactly the numbers an in-process evaluator
+// computes from the same scene: decode, materialise, queue and encode add
+// nothing to the scores.
 func TestScoreSharedExpansionIdentical(t *testing.T) {
-	_, legacyTS := newTestServer(t, Config{Workers: 2})
-	_, sharedTS := newTestServer(t, Config{Workers: 2, SharedExpansion: true})
+	_, ts := newTestServer(t, Config{Workers: 2})
+	ev := sti.MustNewEvaluator(reach.DefaultConfig())
 
-	body := sceneBody(t)
-	// A denser variant so the shared path (>1 actor with real blockers)
-	// actually engages.
-	densScene := testScene()
-	densScene.Actors = append(densScene.Actors,
+	// A denser variant with real blockers besides the two-actor base scene.
+	dense := testScene()
+	dense.Actors = append(dense.Actors,
 		scene.Actor{ID: 3, Kind: "vehicle", State: scene.State{X: 8, Y: 5.25, Speed: 6}},
 		scene.Actor{ID: 4, Kind: "vehicle", State: scene.State{X: 25, Y: 1.75, Speed: 5}},
 	)
-	denseBody, err := scene.Encode(densScene)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for name, b := range map[string][]byte{"base": body, "dense": denseBody} {
-		respL, bodyL := postJSON(t, legacyTS.URL+"/v1/score", b)
-		respS, bodyS := postJSON(t, sharedTS.URL+"/v1/score", b)
-		if respL.StatusCode != http.StatusOK || respS.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status legacy=%d shared=%d", name, respL.StatusCode, respS.StatusCode)
+	for name, sc := range map[string]scene.Scene{"base": testScene(), "dense": dense} {
+		body, err := scene.Encode(sc)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(bodyL, bodyS) {
-			t.Errorf("%s: responses diverge:\nlegacy: %s\nshared: %s", name, bodyL, bodyS)
+		resp, raw := postJSON(t, ts.URL+"/v1/score?explain=1", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", name, resp.StatusCode, raw)
+		}
+		var got ScoreResponse
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Provenance == nil || got.Provenance.Engine != sti.EngineShared {
+			t.Errorf("%s: provenance %+v, want engine %q", name, got.Provenance, sti.EngineShared)
+		}
+		m, ego, actors, _, _, err := sc.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ev.EvaluateWithPrediction(m, ego, actors)
+		if got.Combined != want.Combined || got.BaseVolume != want.BaseVolume || got.EmptyVolume != want.EmptyVolume {
+			t.Errorf("%s: served %+v, in-process %+v", name, got, want)
+		}
+		if len(got.Actors) != len(actors) {
+			t.Fatalf("%s: %d actor scores for %d actors", name, len(got.Actors), len(actors))
+		}
+		for i, a := range got.Actors {
+			if a.STI != want.PerActor[i] || a.WithoutVolume != want.WithoutVolume[i] {
+				t.Errorf("%s actor %d: served %+v, in-process STI %v |T^{/i}| %v", name, i, a, want.PerActor[i], want.WithoutVolume[i])
+			}
 		}
 	}
 }

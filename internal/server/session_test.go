@@ -54,8 +54,8 @@ func TestSessionObserveRejectsNonMonotonicTime(t *testing.T) {
 // risk numbers a cold server answers for the same tick stream, and its
 // ?explain=1 provenance must report the warm outcome.
 func TestSessionObserveWarmMatchesCold(t *testing.T) {
-	_, coldTS := newTestServer(t, Config{Workers: 1, SharedExpansion: true})
-	_, warmTS := newTestServer(t, Config{Workers: 1, SharedExpansion: true, WarmStart: true})
+	_, coldTS := newTestServer(t, Config{Workers: 1})
+	_, warmTS := newTestServer(t, Config{Workers: 1, WarmStart: true})
 	coldID := createSession(t, coldTS.URL, SessionCreateRequest{})
 	warmID := createSession(t, warmTS.URL, SessionCreateRequest{})
 
@@ -99,7 +99,7 @@ func TestSessionObserveWarmMatchesCold(t *testing.T) {
 // state across sessions: the recycled WarmState scores the new session's
 // first tick cold.
 func TestSessionWarmStateRecycledCold(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, SharedExpansion: true, WarmStart: true})
+	_, ts := newTestServer(t, Config{Workers: 1, WarmStart: true})
 	id := createSession(t, ts.URL, SessionCreateRequest{})
 	for i := 0; i < 3; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/sessions/"+id+"/observe", observeBody(t, float64(i)*0.1))

@@ -305,10 +305,21 @@ func TestBatchSizeObservedNotCap(t *testing.T) {
 	telemetry.Enable()
 	telBatchSize.Reset()
 	_, ts := newTestServer(t, Config{Workers: 1, BatchMax: 16})
-	for i := 0; i < 3; i++ {
+	for i := 1; i <= 3; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/score", sceneBody(t))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("score status = %d body %s", resp.StatusCode, body)
+		}
+		// The response can arrive before the worker leaves its drain
+		// select (runJob signals the job done first), so a request sent
+		// right away could be drained into the same wake-up. Wait until
+		// the worker has recorded this request's wake-up before sending
+		// the next one.
+		for deadline := time.Now().Add(5 * time.Second); telBatchSize.Count() < uint64(i); {
+			if time.Now().After(deadline) {
+				t.Fatalf("batch size count = %d after %d sequential requests", telBatchSize.Count(), i)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 	// Sequential requests: each wake-up drained exactly one job, so every

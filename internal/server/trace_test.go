@@ -97,7 +97,7 @@ func TestErrorPathsCarryTraceHeaders(t *testing.T) {
 }
 
 func TestExplainProvenance(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, SharedExpansion: true})
+	_, ts := newTestServer(t, Config{Workers: 2})
 
 	callerID := trace.NewID().String()
 	resp, body := postTraced(t, ts.URL+"/v1/score?explain=1", callerID, sceneBody(t))
@@ -116,7 +116,7 @@ func TestExplainProvenance(t *testing.T) {
 		t.Errorf("provenance trace_id = %q, want %q", p.TraceID, callerID)
 	}
 	if p.Engine != "shared" {
-		t.Errorf("engine = %q, want shared (multi-actor scene, shared expansion on)", p.Engine)
+		t.Errorf("engine = %q, want shared (multi-actor scene)", p.Engine)
 	}
 	if p.CacheState == "" {
 		t.Error("provenance missing cache_state")

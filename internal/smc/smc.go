@@ -249,13 +249,10 @@ func New(cfg Config, policy *rl.Policy) (*SMC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Suites clone controllers across an episode-level worker pool, so a
-	// single-worker evaluator avoids oversubscribing that pool. The shared-
-	// expansion engine (bitwise-equal to the legacy per-actor path) backs
-	// the warm start used when the ego root is stationary between decisions;
-	// the common moving-ego decision still takes the two-tube
+	// The warm start serves decisions whose ego root is stationary between
+	// steps; the common moving-ego decision still takes the two-tube
 	// EvaluateCombined fast path.
-	eval, err := sti.NewEvaluatorOptions(cfg.Reach, sti.Options{Workers: 1, SharedExpansion: true, WarmStart: true})
+	eval, err := sti.NewEvaluatorOptions(cfg.Reach, sti.Options{WarmStart: true})
 	if err != nil {
 		return nil, err
 	}

@@ -63,7 +63,7 @@ func oracleTrain(t *testing.T, scns []scenario.Scenario, cfg Config, episodes in
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval, err := sti.NewEvaluatorOptions(cfg.Reach, sti.Options{Workers: 1})
+	eval, err := sti.NewEvaluator(cfg.Reach)
 	if err != nil {
 		t.Fatal(err)
 	}

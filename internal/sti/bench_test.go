@@ -44,37 +44,29 @@ func BenchmarkEvaluateFull(b *testing.B) {
 	}
 }
 
-// benchmarkDense12 measures the full evaluation on the dense 12-actor
-// scene — the workload class the shared-expansion engine targets — with the
-// engine on or off. Compare:
+// The dense 12-actor scene — the workload class the shared-expansion
+// engine targets — scored by the evaluator and, for scale, by the serial
+// per-actor oracle it replaces. Compare:
 //
 //	go test -bench 'EvaluateDense12' -run - ./internal/sti
-func benchmarkDense12(b *testing.B, opts Options) {
-	e, err := NewEvaluatorOptions(reach.DefaultConfig(), opts)
-	if err != nil {
-		b.Fatal(err)
+func BenchmarkEvaluateDense12Legacy(b *testing.B) {
+	o := newLegacyOracle(b)
+	m, egoS, actors := dense12Scene()
+	trajs := actor.PredictAll(actors, o.cfg.NumSlices(), o.cfg.SliceDt)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.Evaluate(m, egoS, actors, trajs)
 	}
+}
+
+func BenchmarkEvaluateDense12Shared(b *testing.B) {
+	e := MustNewEvaluator(reach.DefaultConfig())
 	m, egoS, actors := dense12Scene()
 	trajs := actor.PredictAll(actors, e.cfg.NumSlices(), e.cfg.SliceDt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Evaluate(m, egoS, actors, trajs)
 	}
-}
-
-func BenchmarkEvaluateDense12Legacy(b *testing.B) {
-	benchmarkDense12(b, Options{Workers: 1})
-}
-
-func BenchmarkEvaluateDense12Shared(b *testing.B) {
-	benchmarkDense12(b, Options{Workers: 1, SharedExpansion: true})
-}
-
-// The parallel legacy path is the strongest baseline: even against a
-// worker-per-counterfactual fan-out, one shared expansion should win on
-// total work (it runs the state space once instead of N+1 times).
-func BenchmarkEvaluateDense12LegacyParallel(b *testing.B) {
-	benchmarkDense12(b, Options{Workers: 8})
 }
 
 // benchmarkSession12 replays the canonical 12-actor stop-and-go session
@@ -85,7 +77,7 @@ func BenchmarkEvaluateDense12LegacyParallel(b *testing.B) {
 //
 //	go test -bench 'EvaluateSession12' -run - ./internal/sti
 func benchmarkSession12(b *testing.B, warm bool) {
-	e, err := NewEvaluatorOptions(reach.DefaultConfig(), Options{Workers: 1, SharedExpansion: true, WarmStart: warm})
+	e, err := NewEvaluatorOptions(reach.DefaultConfig(), Options{WarmStart: warm})
 	if err != nil {
 		b.Fatal(err)
 	}

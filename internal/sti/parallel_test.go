@@ -15,8 +15,8 @@ import (
 
 // parallelScenes returns a mix of straight-road and ring-road scenes with
 // several actors each: generated suite instances plus a dense hand-built
-// scene, so the serial/parallel comparison exercises both map families and
-// a fan-out wider than the worker count.
+// scene, so the concurrency and differential suites exercise both map
+// families.
 func parallelScenes(t *testing.T) []sim.Observation {
 	t.Helper()
 	var scenes []sim.Observation
@@ -45,64 +45,35 @@ func parallelScenes(t *testing.T) []sim.Observation {
 	return scenes
 }
 
-func requireIdentical(t *testing.T, scene int, serial, parallel Result) {
+func requireIdentical(t *testing.T, scene int, want, got Result) {
 	t.Helper()
-	if serial.Combined != parallel.Combined ||
-		serial.BaseVolume != parallel.BaseVolume ||
-		serial.EmptyVolume != parallel.EmptyVolume {
-		t.Errorf("scene %d: scalar fields diverge: serial %+v parallel %+v", scene, serial, parallel)
+	if want.Combined != got.Combined ||
+		want.BaseVolume != got.BaseVolume ||
+		want.EmptyVolume != got.EmptyVolume {
+		t.Errorf("scene %d: scalar fields diverge: want %+v got %+v", scene, want, got)
 	}
-	if len(serial.PerActor) != len(parallel.PerActor) {
+	if len(want.PerActor) != len(got.PerActor) {
 		// Errorf, not Fatalf: this helper also runs on non-test goroutines.
-		t.Errorf("scene %d: PerActor length %d vs %d", scene, len(serial.PerActor), len(parallel.PerActor))
+		t.Errorf("scene %d: PerActor length %d vs %d", scene, len(want.PerActor), len(got.PerActor))
 		return
 	}
-	for i := range serial.PerActor {
-		if serial.PerActor[i] != parallel.PerActor[i] {
-			t.Errorf("scene %d actor %d: STI %v vs %v", scene, i, serial.PerActor[i], parallel.PerActor[i])
+	for i := range want.PerActor {
+		if want.PerActor[i] != got.PerActor[i] {
+			t.Errorf("scene %d actor %d: STI %v vs %v", scene, i, want.PerActor[i], got.PerActor[i])
 		}
-		if serial.WithoutVolume[i] != parallel.WithoutVolume[i] {
-			t.Errorf("scene %d actor %d: |T^{/i}| %v vs %v", scene, i, serial.WithoutVolume[i], parallel.WithoutVolume[i])
+		if want.WithoutVolume[i] != got.WithoutVolume[i] {
+			t.Errorf("scene %d actor %d: |T^{/i}| %v vs %v", scene, i, want.WithoutVolume[i], got.WithoutVolume[i])
 		}
-	}
-}
-
-// The tentpole determinism contract: Evaluate is bitwise-identical at every
-// worker count. Run under -race this also proves the fan-out is data-race
-// free.
-func TestParallelEvaluateMatchesSerial(t *testing.T) {
-	cfg := reach.DefaultConfig()
-	serialEval, err := NewEvaluatorOptions(cfg, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallelEval, err := NewEvaluatorOptions(cfg, Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serialEval.Workers() != 1 || parallelEval.Workers() != 8 {
-		t.Fatalf("worker resolution: %d/%d", serialEval.Workers(), parallelEval.Workers())
-	}
-	for si, obs := range parallelScenes(t) {
-		trajs := actor.PredictAll(obs.Actors, cfg.NumSlices(), cfg.SliceDt)
-		serial := serialEval.Evaluate(obs.Map, obs.Ego, obs.Actors, trajs)
-		parallel := parallelEval.Evaluate(obs.Map, obs.Ego, obs.Actors, trajs)
-		requireIdentical(t, si, serial, parallel)
 	}
 }
 
 // One evaluator shared by concurrent callers (the suite/SMC deployment
-// shape) must stay deterministic: every goroutine sees the serial results.
+// shape) must stay deterministic: every goroutine sees the results of a
+// fresh evaluator scoring serially.
 func TestSharedEvaluatorConcurrentUse(t *testing.T) {
 	cfg := reach.DefaultConfig()
-	shared, err := NewEvaluatorOptions(cfg, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialEval, err := NewEvaluatorOptions(cfg, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	shared := MustNewEvaluator(cfg)
+	serialEval := MustNewEvaluator(cfg)
 
 	scenes := parallelScenes(t)
 	trajs := make([][]actor.Trajectory, len(scenes))

@@ -5,7 +5,7 @@ package sti
 // and into wide events.
 const (
 	EngineShared = "shared" // one masked expansion (reach.ComputeCounterfactuals)
-	EngineLegacy = "legacy" // per-actor counterfactual tubes
+	EngineSingle = "single" // one-actor scene: base tube plus cached empty tube
 	EngineEmpty  = "empty"  // actor-free scene, single tube
 
 	CacheHit    = "hit"
@@ -19,23 +19,23 @@ const (
 // EvaluateTraced and carried into the serving tier's wide events and the
 // ?explain=1 response block; the untraced Evaluate discards it.
 type Provenance struct {
-	// Engine is EngineShared, EngineLegacy or EngineEmpty.
+	// Engine is EngineShared, EngineSingle or EngineEmpty.
 	Engine string
 	// CacheState is the empty-volume cache outcome for |T^∅|: CacheHit,
 	// CacheMiss, or CacheBypass (map family not cacheable, or a straight
 	// road scored near a segment end).
 	CacheState string
 	// MaskWidth is the number of actors carried as explicit world-mask bits
-	// by the shared expansion (zero on the legacy engine). Since masks
-	// became segmented this is every actor in the scene.
+	// by the shared expansion (zero on empty and single-actor scenes).
+	// Masks are segmented, so this is every actor in the scene.
 	MaskWidth int
 	// MaskWords is the number of 64-bit words in each state's world mask:
-	// ceil((1+MaskWidth)/64), 1 for at most 63 actors, zero on the legacy
-	// engine.
+	// ceil((1+MaskWidth)/64), 1 for at most 63 actors, zero on empty and
+	// single-actor scenes.
 	MaskWords int
-	// ElidedActors is the number of per-actor counterfactual tubes skipped
-	// by a certificate (never an exclusive blocker, or the dead-band
-	// certificate covering the whole scene).
+	// ElidedActors is the number of per-actor counterfactual results
+	// reported without their own expansion: the sole actor of a one-actor
+	// scene, or every actor under the dead-band certificate.
 	ElidedActors int
 	// WarmHit reports whether a warm evaluation validated its previous-tick
 	// state (ego root, config, map and actor count all unchanged) and could

@@ -22,24 +22,24 @@ func blockingActors(n int) []*actor.Actor {
 	return actors
 }
 
-// TestEvaluateTracedMatchesEvaluate: tracing must observe, never perturb.
+// TestEvaluateTracedMatchesEvaluate: tracing must observe, never perturb,
+// on the single-actor shortcut and on the shared engine alike.
 func TestEvaluateTracedMatchesEvaluate(t *testing.T) {
-	for _, shared := range []bool{false, true} {
-		e, err := NewEvaluatorOptions(reach.DefaultConfig(), Options{SharedExpansion: shared})
-		if err != nil {
-			t.Fatal(err)
-		}
-		actors := blockingActors(3)
+	e := MustNewEvaluator(reach.DefaultConfig())
+	for _, n := range []int{1, 3} {
+		actors := blockingActors(n)
 		trajs := groundTruth(e, actors)
 		want := e.Evaluate(testRoad(), ego(0, 1.75, 10), actors, trajs)
 		ctx := trace.NewContext(context.Background(), trace.NewRecorder(trace.NewID()))
 		got, _ := e.EvaluateTraced(ctx, testRoad(), ego(0, 1.75, 10), actors, trajs)
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("shared=%v: traced result diverged:\nwant %+v\ngot  %+v", shared, want, got)
+			t.Errorf("%d actors: traced result diverged:\nwant %+v\ngot  %+v", n, want, got)
 		}
 	}
 }
 
+// The engine label tells the truth about the scene size: empty for no
+// actors, single for one, shared for two or more.
 func TestProvenanceEngines(t *testing.T) {
 	ctxOf := func() (context.Context, *trace.Recorder) {
 		rec := trace.NewRecorder(trace.NewID())
@@ -53,104 +53,97 @@ func TestProvenanceEngines(t *testing.T) {
 		return names
 	}
 
-	legacy := MustNewEvaluator(reach.DefaultConfig())
-	shared, err := NewEvaluatorOptions(reach.DefaultConfig(), Options{SharedExpansion: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := MustNewEvaluator(reach.DefaultConfig())
 	actors := blockingActors(3)
-	trajs := groundTruth(legacy, actors)
+	trajs := groundTruth(e, actors)
 
 	ctx, rec := ctxOf()
-	_, prov := legacy.EvaluateTraced(ctx, testRoad(), ego(0, 1.75, 10), actors, trajs)
-	if prov.Engine != EngineLegacy {
-		t.Errorf("legacy engine = %q", prov.Engine)
+	_, prov := e.EvaluateTraced(ctx, testRoad(), ego(0, 1.75, 10), actors[:1], trajs[:1])
+	if prov.Engine != EngineSingle {
+		t.Errorf("single-actor engine = %q, want %q", prov.Engine, EngineSingle)
 	}
 	if prov.CacheState != CacheMiss {
-		t.Errorf("first legacy eval cache state = %q, want %q", prov.CacheState, CacheMiss)
+		t.Errorf("first single-actor eval cache state = %q, want %q", prov.CacheState, CacheMiss)
 	}
-	if names := spanNames(rec); !names["reach.empty_tube"] || !names["reach.base_tube"] || !names["reach.counterfactual_tubes"] {
-		t.Errorf("legacy spans = %v", names)
+	if prov.MaskWidth != 0 || prov.MaskWords != 0 {
+		t.Errorf("single-actor mask width/words = %d/%d, want 0/0", prov.MaskWidth, prov.MaskWords)
 	}
-
-	ctx, rec = ctxOf()
-	_, prov = shared.EvaluateTraced(ctx, testRoad(), ego(0, 1.75, 10), actors, trajs)
-	if prov.Engine != EngineShared {
-		t.Errorf("shared engine = %q", prov.Engine)
-	}
-	if prov.MaskWidth != len(actors) {
-		t.Errorf("mask width = %d, want %d", prov.MaskWidth, len(actors))
-	}
-	if names := spanNames(rec); !names["reach.empty_tube"] || !names["reach.shared_expansion"] {
-		t.Errorf("shared spans = %v", names)
-	}
-	// Second evaluation of the same pose hits the empty-volume cache.
-	ctx, _ = ctxOf()
-	_, prov = shared.EvaluateTraced(ctx, testRoad(), ego(0, 1.75, 10), actors, trajs)
-	if prov.CacheState != CacheHit {
-		t.Errorf("repeat cache state = %q, want %q", prov.CacheState, CacheHit)
+	if names := spanNames(rec); !names["reach.empty_tube"] || !names["reach.base_tube"] || names["reach.shared_expansion"] {
+		t.Errorf("single-actor spans = %v", names)
 	}
 
+	for _, n := range []int{2, 3} {
+		ctx, rec = ctxOf()
+		_, prov = e.EvaluateTraced(ctx, testRoad(), ego(0, 1.75, 10), actors[:n], trajs[:n])
+		if prov.Engine != EngineShared {
+			t.Errorf("%d actors: engine = %q, want %q", n, prov.Engine, EngineShared)
+		}
+		if prov.MaskWidth != n {
+			t.Errorf("%d actors: mask width = %d", n, prov.MaskWidth)
+		}
+		if names := spanNames(rec); !names["reach.empty_tube"] || !names["reach.shared_expansion"] {
+			t.Errorf("%d actors: shared spans = %v", n, names)
+		}
+		// Every evaluation after the first at this pose hits the
+		// empty-volume cache.
+		if prov.CacheState != CacheHit {
+			t.Errorf("%d actors: repeat cache state = %q, want %q", n, prov.CacheState, CacheHit)
+		}
+	}
+
 	ctx, _ = ctxOf()
-	_, prov = legacy.EvaluateTraced(ctx, testRoad(), ego(0, 1.75, 10), nil, nil)
+	_, prov = e.EvaluateTraced(ctx, testRoad(), ego(0, 1.75, 10), nil, nil)
 	if prov.Engine != EngineEmpty || prov.CacheState != CacheBypass {
 		t.Errorf("empty-scene provenance = %+v", prov)
 	}
 
 	// No recorder in context: identical results, no spans, no panic.
-	res, prov := shared.EvaluateTraced(context.Background(), testRoad(), ego(0, 1.75, 10), actors, trajs)
+	res, prov := e.EvaluateTraced(context.Background(), testRoad(), ego(0, 1.75, 10), actors, trajs)
 	if prov.Engine != EngineShared {
 		t.Errorf("untraced ctx engine = %q", prov.Engine)
 	}
-	if want := shared.Evaluate(testRoad(), ego(0, 1.75, 10), actors, trajs); !reflect.DeepEqual(res, want) {
+	if want := e.Evaluate(testRoad(), ego(0, 1.75, 10), actors, trajs); !reflect.DeepEqual(res, want) {
 		t.Error("untraced-ctx result diverged from Evaluate")
 	}
 }
 
 // Provenance.ElidedActors must agree with the sti.counterfactuals.elided
-// counter delta of the same evaluation — the accounting is additive, so a
-// path that elides in more than one place (or a rewritten one that elides
-// in a different place than before) cannot under-report by overwriting an
-// earlier count. Exercised on the scene classes that elide: a legacy marks
-// pass (some actors never block), a legacy dead-band certificate (far-away
-// actor, combined snaps to zero), and the shared engine's dead-band
-// certificate.
+// counter delta of the same evaluation, so the wire block and the metric
+// cannot drift apart. Exercised on every scene class that elides or could:
+// a lone blocker and a lone far actor (the single-actor shortcut, the
+// latter also under the dead-band certificate), a mixed multi-actor scene,
+// the shared engine's dead-band certificate and a dense scene.
 func TestProvenanceElidedMatchesCounter(t *testing.T) {
 	telemetry.Enable()
 	t.Cleanup(telemetry.Disable)
-	legacy := MustNewEvaluator(reach.DefaultConfig())
-	shared, err := NewEvaluatorOptions(reach.DefaultConfig(), Options{SharedExpansion: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := MustNewEvaluator(reach.DefaultConfig())
 	// Mixed scene: two blockers dead ahead plus actors far beyond the
-	// horizon that can never block, so the legacy marks pass elides some
-	// but not all actors.
+	// horizon that can never block.
 	mixed := append(blockingActors(2),
 		actor.NewVehicle(90, vehicle.State{Pos: ego(400, 1.75, 0).Pos}),
 		actor.NewVehicle(91, vehicle.State{Pos: ego(450, 5.25, 0).Pos}),
 	)
-	// Dead-band scene: a single crawler at the horizon's edge nudges the
-	// base tube by less than the dead band, so the certificate elides all.
+	// Dead-band scene: crawlers at the horizon's edge nudge the base tube
+	// by less than the dead band, so the certificate elides all.
 	farOnly := []*actor.Actor{
 		actor.NewVehicle(95, vehicle.State{Pos: ego(420, 1.75, 0).Pos}),
 		actor.NewVehicle(96, vehicle.State{Pos: ego(470, 5.25, 0).Pos}),
 	}
 	cases := []struct {
 		name   string
-		eval   *Evaluator
 		actors []*actor.Actor
 	}{
-		{"legacy-marks", legacy, mixed},
-		{"legacy-deadband", legacy, farOnly},
-		{"shared-deadband", shared, farOnly},
-		{"shared-dense", shared, blockingActors(3)},
+		{"single-blocker", blockingActors(1)},
+		{"single-deadband", farOnly[:1]},
+		{"shared-mixed", mixed},
+		{"shared-deadband", farOnly},
+		{"shared-dense", blockingActors(3)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			trajs := groundTruth(tc.eval, tc.actors)
+			trajs := groundTruth(e, tc.actors)
 			before := telElided.Value()
-			_, prov := tc.eval.evaluate(nil, testRoad(), ego(0, 1.75, 10), tc.actors, trajs)
+			_, prov := e.evaluate(nil, testRoad(), ego(0, 1.75, 10), tc.actors, trajs)
 			delta := telElided.Value() - before
 			if int64(prov.ElidedActors) != delta {
 				t.Errorf("Provenance.ElidedActors = %d, counter delta = %d", prov.ElidedActors, delta)
@@ -160,21 +153,17 @@ func TestProvenanceElidedMatchesCounter(t *testing.T) {
 }
 
 // The shared engine reports its mask geometry: width = every actor in the
-// scene, words = ceil((1+width)/64).
+// scene, words = ceil((1+width)/64); the single-actor shortcut reports none.
 func TestProvenanceMaskWords(t *testing.T) {
-	shared, err := NewEvaluatorOptions(reach.DefaultConfig(), Options{SharedExpansion: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := MustNewEvaluator(reach.DefaultConfig())
 	actors := blockingActors(3)
-	trajs := groundTruth(shared, actors)
-	_, prov := shared.evaluate(nil, testRoad(), ego(0, 1.75, 10), actors, trajs)
+	trajs := groundTruth(e, actors)
+	_, prov := e.evaluate(nil, testRoad(), ego(0, 1.75, 10), actors, trajs)
 	if prov.MaskWidth != 3 || prov.MaskWords != 1 {
 		t.Errorf("mask width/words = %d/%d, want 3/1", prov.MaskWidth, prov.MaskWords)
 	}
-	legacy := MustNewEvaluator(reach.DefaultConfig())
-	_, prov = legacy.evaluate(nil, testRoad(), ego(0, 1.75, 10), actors, trajs)
+	_, prov = e.evaluate(nil, testRoad(), ego(0, 1.75, 10), actors[:1], trajs[:1])
 	if prov.MaskWidth != 0 || prov.MaskWords != 0 {
-		t.Errorf("legacy mask width/words = %d/%d, want 0/0", prov.MaskWidth, prov.MaskWords)
+		t.Errorf("single-actor mask width/words = %d/%d, want 0/0", prov.MaskWidth, prov.MaskWords)
 	}
 }

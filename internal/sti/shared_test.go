@@ -8,6 +8,9 @@ import (
 	"repro/internal/geom"
 	"repro/internal/reach"
 	"repro/internal/roadmap"
+	"repro/internal/scenario"
+	"repro/internal/scene"
+	"repro/internal/sim"
 	"repro/internal/vehicle"
 )
 
@@ -15,8 +18,8 @@ import (
 // fast ego on a three-lane road rolling up on two ranks of slow traffic
 // (one per lane each), fast vehicles closing from behind and a far rank at
 // the horizon's edge. The base tube is large and half the actors clip it at
-// the periphery, so the legacy path re-expands a nearly full-size tube for
-// each of ~6 blockers while the shared expansion covers the union once.
+// the periphery, so the per-actor oracle re-expands a nearly full-size tube
+// for each of ~6 blockers while the shared expansion covers the union once.
 // Benchmarks and cmd/iprism-bench's sti_evaluate_dense12 workload mirror it.
 func dense12Scene() (roadmap.Map, vehicle.State, []*actor.Actor) {
 	m := roadmap.MustStraightRoad(3, 3.5, -100, 1000)
@@ -38,35 +41,71 @@ func dense12Scene() (roadmap.Map, vehicle.State, []*actor.Actor) {
 	return m, e, actors
 }
 
-func sharedAndLegacy(t testing.TB, workers int) (legacy, shared *Evaluator) {
-	cfg := reach.DefaultConfig()
-	legacy, err := NewEvaluatorOptions(cfg, Options{Workers: workers})
+func sharedAndLegacy(t testing.TB) (legacy *legacyOracle, shared *Evaluator) {
+	t.Helper()
+	shared, err := NewEvaluator(reach.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err = NewEvaluatorOptions(cfg, Options{Workers: workers, SharedExpansion: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.SharedExpansion() || !shared.SharedExpansion() {
-		t.Fatal("SharedExpansion option not reflected by evaluators")
-	}
-	return legacy, shared
+	return newLegacyOracle(t), shared
 }
 
-// The differential contract of the tentpole: with SharedExpansion on,
-// Evaluate is bitwise-identical to the legacy path — every Result field,
-// after snap and dead-band handling — on the full scene mix used by the
-// parallel determinism suite, at both worker counts.
-func TestSharedExpansionMatchesLegacyScenes(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		legacy, shared := sharedAndLegacy(t, workers)
-		for si, obs := range parallelScenes(t) {
-			trajs := actor.PredictAll(obs.Actors, legacy.cfg.NumSlices(), legacy.cfg.SliceDt)
-			want := legacy.Evaluate(obs.Map, obs.Ego, obs.Actors, trajs)
-			got := shared.Evaluate(obs.Map, obs.Ego, obs.Actors, trajs)
-			requireIdentical(t, si, want, got)
+// benchmarkScenes returns the input classes the repository benchmark
+// scores, each decoded and materialised from its wire bytes exactly as the
+// server does: scenario.Fixtures snapshots of every typology at three
+// seeds, plus (outside -short) the 64- and 128-actor UrbanCrush crowds.
+func benchmarkScenes(t *testing.T) []sim.Observation {
+	t.Helper()
+	var scenes []scene.Scene
+	for _, ty := range append(append([]scenario.Typology{}, scenario.Typologies...), scenario.RoundaboutCutIn) {
+		for seed := int64(1); seed <= 3; seed++ {
+			fx, err := scenario.Fixtures(ty, 10, seed)
+			if err != nil {
+				t.Fatalf("fixtures %v seed %d: %v", ty, seed, err)
+			}
+			scenes = append(scenes, fx...)
 		}
+	}
+	if !testing.Short() {
+		for _, n := range []int{64, 128} {
+			m, e, actors := scenario.UrbanCrush(n)
+			sc, err := scene.FromParts(m, e, actors, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scenes = append(scenes, sc)
+		}
+	}
+	obs := make([]sim.Observation, len(scenes))
+	for i, sc := range scenes {
+		b, err := scene.Encode(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := scene.Decode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, e, actors, _, _, err := dec.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs[i] = sim.Observation{Map: m, Ego: e, Actors: actors}
+	}
+	return obs
+}
+
+// The differential contract: Evaluate on the shared-expansion engine is
+// bitwise-identical to the per-actor oracle — every Result field, after
+// snap and dead-band handling — on the scene mix of the concurrency suite
+// and on the input classes the repository benchmark scores.
+func TestSharedExpansionMatchesLegacyScenes(t *testing.T) {
+	legacy, shared := sharedAndLegacy(t)
+	for si, obs := range append(parallelScenes(t), benchmarkScenes(t)...) {
+		trajs := actor.PredictAll(obs.Actors, legacy.cfg.NumSlices(), legacy.cfg.SliceDt)
+		want := legacy.Evaluate(obs.Map, obs.Ego, obs.Actors, trajs)
+		got := shared.Evaluate(obs.Map, obs.Ego, obs.Actors, trajs)
+		requireIdentical(t, si, want, got)
 	}
 }
 
@@ -74,7 +113,7 @@ func TestSharedExpansionMatchesLegacyScenes(t *testing.T) {
 // for — must also be exact, and most actors must really block (otherwise
 // the scene would not exercise the engine).
 func TestSharedExpansionDense12(t *testing.T) {
-	legacy, shared := sharedAndLegacy(t, 4)
+	legacy, shared := sharedAndLegacy(t)
 	m, e, actors := dense12Scene()
 	trajs := actor.PredictAll(actors, legacy.cfg.NumSlices(), legacy.cfg.SliceDt)
 	want := legacy.Evaluate(m, e, actors, trajs)
@@ -94,12 +133,12 @@ func TestSharedExpansionDense12(t *testing.T) {
 	}
 }
 
-// Randomized property sweep: shared and legacy agree bitwise across small
+// Randomized property sweep: shared and oracle agree bitwise across small
 // scene sizes (one-word masks), with a mix of blocked and free
 // roads.
 func TestSharedExpansionRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
-	legacy, shared := sharedAndLegacy(t, 4)
+	legacy, shared := sharedAndLegacy(t)
 	road := testRoad()
 	for iter := 0; iter < 25; iter++ {
 		n := rng.Intn(10)
@@ -131,7 +170,7 @@ func TestSharedExpansionSegmented(t *testing.T) {
 		t.Skip("64-130-actor differential scenes")
 	}
 	rng := rand.New(rand.NewSource(5))
-	legacy, shared := sharedAndLegacy(t, 4)
+	legacy, shared := sharedAndLegacy(t)
 	road := testRoad()
 	for _, n := range []int{64, 70, 130} {
 		span := 60 + 3*float64(n)
@@ -162,10 +201,10 @@ func TestSharedExpansionSegmented(t *testing.T) {
 	}
 }
 
-// One evaluator under SharedExpansion shared by concurrent callers must
-// stay deterministic (scratch pooling, empty-volume cache, fan-out).
+// One evaluator shared by concurrent callers must stay deterministic
+// (scratch pooling, empty-volume cache) and match the oracle.
 func TestSharedExpansionConcurrentUse(t *testing.T) {
-	legacy, shared := sharedAndLegacy(t, 4)
+	legacy, shared := sharedAndLegacy(t)
 	scenes := parallelScenes(t)
 	trajs := make([][]actor.Trajectory, len(scenes))
 	want := make([]Result, len(scenes))
@@ -215,8 +254,8 @@ func fuzzScene(seed int64, n uint8, egoY, egoSpeed float64) (vehicle.State, []*a
 	return ego(0, egoY, egoSpeed), actors
 }
 
-// FuzzSharedVsLegacy drives randomized scenes through both evaluator paths
-// and requires bitwise-equal Results. The corpus seeds mirror the suite's
+// FuzzSharedVsLegacy drives randomized scenes through the evaluator and the
+// per-actor oracle and requires bitwise-equal Results. The corpus seeds mirror the suite's
 // hand-picked regressions: a ghost-cut-in-like close leading blocker, the
 // dense straight-road scene's shape, a ring-of-actors configuration, and
 // crowd-scale scenes whose world masks need two and three words.
@@ -228,14 +267,7 @@ func FuzzSharedVsLegacy(f *testing.F) {
 	f.Add(int64(505), uint8(64), 1.75, 12.0) // first scene past the old 63-actor cap
 	f.Add(int64(606), uint8(70), 3.5, 10.0)  // word-1 masks (71 worlds)
 	f.Add(int64(707), uint8(130), 1.75, 8.0) // word-2 masks (131 worlds)
-	legacy, err := NewEvaluatorOptions(reach.DefaultConfig(), Options{Workers: 2})
-	if err != nil {
-		f.Fatal(err)
-	}
-	shared, err := NewEvaluatorOptions(reach.DefaultConfig(), Options{Workers: 2, SharedExpansion: true})
-	if err != nil {
-		f.Fatal(err)
-	}
+	legacy, shared := sharedAndLegacy(f)
 	road := testRoad()
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, egoY, egoSpeed float64) {
 		e, actors := fuzzScene(seed, n, egoY, egoSpeed)

@@ -13,9 +13,7 @@ package sti
 import (
 	"context"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/actor"
 	"repro/internal/reach"
@@ -32,16 +30,11 @@ var (
 	telEvalSeconds     = telemetry.NewHistogram("sti.evaluate.seconds", telemetry.LatencyBuckets())
 	telCombinedSeconds = telemetry.NewHistogram("sti.evaluate_combined.seconds", telemetry.LatencyBuckets())
 	telActorsPerEval   = telemetry.NewHistogram("sti.actors_per_eval", telemetry.LinearBuckets(0, 1, 16))
-	// telParallelWorkers records the fan-out width of the latest Evaluate;
-	// telActorTubeSeconds the per-counterfactual tube latency each worker
-	// observes (serial path included, so the histogram is always populated).
-	telParallelWorkers  = telemetry.NewGauge("sti.parallel.workers")
-	telActorTubeSeconds = telemetry.NewHistogram("sti.actor_tube.seconds", telemetry.LatencyBuckets())
-	// telElided counts per-actor counterfactual tubes skipped because the
-	// actor provably could not change the base tube (never an exclusive
-	// blocker, sole actor, or dead-band certificate).
+	// telElided counts per-actor counterfactual results reported without
+	// their own expansion: the sole actor of a one-actor scene, and every
+	// actor covered by the dead-band certificate.
 	telElided = telemetry.NewCounter("sti.counterfactuals.elided")
-	// Shared-expansion path (Options.SharedExpansion): evaluation latency,
+	// Shared-expansion engine (every scene of two or more actors): latency,
 	// how many actors each evaluation carried as explicit world-mask bits,
 	// and how many mask words the expansion needed (1 = single-word fast
 	// path).
@@ -83,52 +76,38 @@ func (r Result) MostThreatening() (int, float64) {
 
 // Options tunes evaluator behaviour beyond the reach-tube configuration.
 type Options struct {
-	// Workers bounds the goroutines fanning the per-actor counterfactual
-	// tubes of Evaluate out. 0 (the default) resolves to
-	// runtime.GOMAXPROCS(0); 1 forces the serial path. Results are
-	// bitwise-identical at every setting — each counterfactual is an
-	// independent deterministic computation written to its own index — so
-	// the knob trades only CPU against latency. Callers that already run
-	// episodes on their own worker pool (experiment suites, SMC training)
-	// should pass 1 to avoid oversubscription.
+	// Deprecated: ignored; kept only because perfbench/ sets it.
 	Workers int
 
-	// SharedExpansion selects the shared-expansion counterfactual engine
-	// (reach.ComputeCounterfactuals): the base tube |T| and every per-actor
-	// tube |T^{/i}| are derived from ONE masked expansion instead of up to
-	// N+1 independent ones, making Evaluate ~O(1) in the number of actors.
-	// Results are bitwise-identical to the legacy path — each world's
-	// expansion order, ε-dedup, pruning and MaxStates cut-off are replayed
-	// exactly through per-state world masks (DESIGN.md §8) — so the knob
-	// trades nothing but memory locality for a superlinear speedup on
-	// multi-actor scenes. Masks are segmented (ceil((1+N)/64) words), so
-	// every actor in the scene is carried by the one expansion; scenes of
-	// at most 63 actors need one word.
+	// Deprecated: ignored; kept only because perfbench/ sets it.
 	SharedExpansion bool
 
-	// WarmStart arms the temporal-coherence warm start for the shared
-	// engine: EvaluateWarm calls holding a *WarmState reuse the previous
-	// tick's path-sweep verdicts where provably unchanged
-	// (reach.ComputeCounterfactualsWarm), with results bitwise-identical
-	// to the cold path. It only affects EvaluateWarm/EvaluateWarmTraced —
-	// the stateless Evaluate entry points have no previous tick to warm
-	// from — and requires SharedExpansion (single-actor scenes and the
-	// legacy engine always score cold).
+	// WarmStart arms the temporal-coherence warm start: EvaluateWarm calls
+	// holding a *WarmState reuse the previous tick's path-sweep verdicts
+	// where provably unchanged (reach.ComputeCounterfactualsWarm), with
+	// results bitwise-identical to the cold path. It only affects
+	// EvaluateWarm/EvaluateWarmTraced — the stateless Evaluate entry points
+	// have no previous tick to warm from — and empty and single-actor
+	// scenes always score cold.
 	WarmStart bool
 }
 
 // Evaluator computes STI for scenes. It is stateless apart from
 // configuration, the empty-world volume cache and pooled scratch memory,
 // and is safe for concurrent use.
+//
+// Scenes of two or more actors are scored by the shared-expansion engine
+// (reach.ComputeCounterfactuals): one masked expansion yields |T| and every
+// |T^{/i}|, bitwise-identical to expanding each counterfactual world on
+// its own (DESIGN.md §8). Empty and single-actor scenes take exact
+// shortcuts with nothing to share.
 type Evaluator struct {
-	cfg     reach.Config
-	workers int
-	shared  bool
-	warm    bool
-	cache   *emptyCache
-	// scratch pools *reach.Scratch so the N+2 tube computations per
-	// evaluation reuse frontier slices, dedup maps and occupancy grids
-	// instead of churning the GC (one scratch per concurrent worker).
+	cfg   reach.Config
+	warm  bool
+	cache *emptyCache
+	// scratch pools *reach.Scratch so concurrent evaluations reuse
+	// frontier slices, dedup maps and occupancy grids instead of churning
+	// the GC.
 	scratch sync.Pool
 }
 
@@ -143,11 +122,7 @@ func NewEvaluatorOptions(cfg reach.Config, opts Options) (*Evaluator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	e := &Evaluator{cfg: cfg, workers: workers, shared: opts.SharedExpansion, warm: opts.WarmStart && opts.SharedExpansion, cache: newEmptyCache()}
+	e := &Evaluator{cfg: cfg, warm: opts.WarmStart, cache: newEmptyCache()}
 	e.scratch.New = func() any { return reach.NewScratch() }
 	return e, nil
 }
@@ -163,13 +138,6 @@ func MustNewEvaluator(cfg reach.Config) *Evaluator {
 
 // Config returns the evaluator's reach configuration.
 func (e *Evaluator) Config() reach.Config { return e.cfg }
-
-// Workers returns the resolved counterfactual fan-out bound.
-func (e *Evaluator) Workers() int { return e.workers }
-
-// SharedExpansion reports whether the evaluator uses the shared-expansion
-// counterfactual engine.
-func (e *Evaluator) SharedExpansion() bool { return e.shared }
 
 // WarmStart reports whether EvaluateWarm calls may warm-start the shared
 // expansion from a caller-held WarmState.
@@ -201,40 +169,41 @@ func (e *Evaluator) evaluate(rec *trace.Recorder, m roadmap.Map, ego vehicle.Sta
 	telActorsPerEval.Observe(float64(len(actors)))
 	scr := e.takeScratch()
 	defer e.putScratch(scr)
-	if len(actors) == 0 {
+	switch len(actors) {
+	case 0:
 		sp := rec.StartSpan("reach.empty_tube")
 		vol := reach.ComputeScratch(m, nil, ego, e.cfg, scr).Volume
 		sp.End()
 		return Result{BaseVolume: vol, EmptyVolume: vol}, Provenance{Engine: EngineEmpty, CacheState: CacheBypass}
+	case 1:
+		return e.evaluateSingle(rec, m, ego, actors, trajs, scr)
 	}
-	// Single-actor scenes stay on the legacy path even under
-	// SharedExpansion: |T^{/0}| = |T^∅| comes from the empty-volume cache,
-	// so the legacy path is already two tubes (one on a cache hit) and the
-	// masked expansion has nothing to share.
-	if e.shared && len(actors) > 1 {
-		return e.evaluateShared(rec, m, ego, actors, trajs, scr, nil)
-	}
-	prov := Provenance{Engine: EngineLegacy}
-	obs := reach.BuildObstacles(actors, trajs, e.cfg)
+	return e.evaluateShared(rec, m, ego, actors, trajs, scr, nil)
+}
 
+// evaluateSingle scores a one-actor scene with two tubes, one on a cache
+// hit: removing the only actor leaves the empty world, so |T^{/0}| is the
+// cached |T^∅| the combined ratio already uses, and the masked expansion
+// would have nothing to share. The counterfactual tube is never computed,
+// so the actor always counts as elided.
+func (e *Evaluator) evaluateSingle(rec *trace.Recorder, m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory, scr *reach.Scratch) (Result, Provenance) {
+	prov := Provenance{Engine: EngineSingle}
+	obs := reach.BuildObstacles(actors, trajs, e.cfg)
 	sp := rec.StartSpan("reach.empty_tube")
 	emptyVol, cacheState := e.emptyVolumeState(m, ego, scr)
 	sp.Annotate("cache_state", cacheState).End()
 	prov.CacheState = cacheState
-	// The base tube records which actors ever exclusively blocked a
-	// candidate footprint. An unmarked actor never changed a collision
-	// verdict on its own, so the deterministic expansion without it is
-	// identical: T^{/i} = T exactly, and its counterfactual tube can be
-	// skipped (the dominant cost on sparse scenes, where most actors never
-	// touch the tube).
-	marks := make([]bool, len(actors))
+	// The base tube records whether the actor ever blocked a candidate
+	// footprint. If it never did, the deterministic expansion without it is
+	// identical: T^{/0} = T exactly, whatever the cached |T^∅| says.
+	marks := make([]bool, 1)
 	sp = rec.StartSpan("reach.base_tube")
 	base := reach.ComputeScratch(m, obs.CollideRecording(marks), ego, e.cfg, scr)
 	sp.End()
 
 	res := Result{
-		PerActor:      make([]float64, len(actors)),
-		WithoutVolume: make([]float64, len(actors)),
+		PerActor:      make([]float64, 1),
+		WithoutVolume: make([]float64, 1),
 		BaseVolume:    base.Volume,
 		EmptyVolume:   emptyVol,
 	}
@@ -244,109 +213,27 @@ func (e *Evaluator) evaluate(rec *trace.Recorder, m roadmap.Map, ego vehicle.Sta
 		return res, prov
 	}
 	res.Combined = snap(clamp01((emptyVol - base.Volume) / emptyVol))
-
-	// Dead-band certificate: |T| ≤ |T^{/i}| ≤ |T^∅| (up to the dedup
-	// jitter the dead band exists to absorb), so every per-actor ratio is
-	// bounded by the combined ratio. A combined STI snapped to zero
-	// certifies every per-actor STI snaps to zero too — report |T| for the
-	// without-volumes (correct to within deadBand·|T^∅|) and skip all N
-	// counterfactual tubes.
-	if res.Combined == 0 {
-		telElided.Add(int64(len(actors)))
-		prov.ElidedActors += len(actors)
-		for i := range actors {
-			res.WithoutVolume[i] = base.Volume
-		}
+	telElided.Inc()
+	prov.ElidedActors = 1
+	if res.Combined == 0 || !marks[0] {
+		// Dead-band certificate (see evaluateShared) or a never-blocking
+		// actor: report |T| as the without-volume, STI zero.
+		res.WithoutVolume[0] = base.Volume
 		return res, prov
 	}
-
-	// work collects the actors whose counterfactual actually needs a tube.
-	work := make([]int, 0, len(actors))
-	for i := range actors {
-		switch {
-		case !marks[i]:
-			// Never an exclusive blocker: T^{/i} = T, STI exactly zero.
-			res.WithoutVolume[i] = base.Volume
-		case len(actors) == 1:
-			// Removing the only actor leaves the empty world: T^{/i} = T^∅,
-			// with the same cached |T^∅| the combined ratio uses.
-			res.WithoutVolume[i] = emptyVol
-			res.PerActor[i] = res.Combined
-		default:
-			work = append(work, i)
-		}
-	}
-	// Elision accounting is additive on purpose: a single evaluation can
-	// elide in more than one place (dead-band certificate above, the marks
-	// pass here), and Provenance must agree with the telElided counter
-	// delta rather than reporting only the last writer.
-	telElided.Add(int64(len(actors) - len(work)))
-	prov.ElidedActors += len(actors) - len(work)
-	if len(work) == 0 {
-		return res, prov
-	}
-
-	// Fan the remaining independent |T^{/i}| counterfactuals out over a
-	// bounded worker pool. Each index is claimed atomically and written to
-	// its own slot of the pre-sized result slices, so the output is
-	// identical to the serial loop regardless of scheduling.
-	sp = rec.StartSpan("reach.counterfactual_tubes")
-	e.fanOut(work, scr, func(i int, ws *reach.Scratch) {
-		t := telActorTubeSeconds.Start()
-		wo := reach.ComputeScratch(m, obs.CollideWithout(i), ego, e.cfg, ws)
-		t.Stop()
-		res.WithoutVolume[i] = wo.Volume
-		res.PerActor[i] = snap(clamp01((wo.Volume - base.Volume) / emptyVol))
-	})
-	sp.Annotate("tubes", len(work)).End()
+	res.WithoutVolume[0] = emptyVol
+	res.PerActor[0] = res.Combined
 	return res, prov
-}
-
-// fanOut runs fn(i, scratch) for every index in work over the evaluator's
-// bounded worker pool, serially (reusing the caller's scratch) when the
-// bound or the workload is 1. fn must confine its writes to index-owned
-// slots; the output is then identical regardless of scheduling.
-func (e *Evaluator) fanOut(work []int, scr *reach.Scratch, fn func(i int, ws *reach.Scratch)) {
-	workers := e.workers
-	if workers > len(work) {
-		workers = len(work)
-	}
-	telParallelWorkers.Set(float64(workers))
-	if workers <= 1 {
-		for _, i := range work {
-			fn(i, scr)
-		}
-		return
-	}
-	var nextIdx atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			ws := e.takeScratch()
-			defer e.putScratch(ws)
-			for {
-				k := int(nextIdx.Add(1)) - 1
-				if k >= len(work) {
-					return
-				}
-				fn(work[k], ws)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // evaluateShared is Evaluate on the shared-expansion engine: one masked
 // expansion (reach.ComputeCounterfactuals) yields |T| and every per-actor
-// |T^{/i}| at once. The masks are segmented, so every actor in the scene —
-// not just the first 63 — is carried by that single expansion; the
-// spillover fan-out the old single-word engine needed is gone. The
-// observable Result is bitwise-identical to the legacy path, including its
-// reporting conventions: the cached |T^∅| backs every ratio, every
-// per-actor value passes through the same snap(clamp01(·)) pipeline, and
-// the dead-band certificate reports |T| for the without-volumes it skips.
+// |T^{/i}| at once. The masks are segmented, so every actor in the scene
+// is carried by that single expansion. The reporting conventions are those
+// of the per-actor definition the differential suites check against: the
+// cached |T^∅| backs every ratio, every per-actor value passes through the
+// same snap(clamp01(·)) pipeline, and the dead-band certificate reports
+// |T| for the without-volumes it skips.
 func (e *Evaluator) evaluateShared(rec *trace.Recorder, m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory, scr *reach.Scratch, ws *reach.WarmState) (Result, Provenance) {
 	defer telSharedSeconds.Start().Stop()
 	telSharedEvals.Inc()
@@ -384,12 +271,14 @@ func (e *Evaluator) evaluateShared(rec *trace.Recorder, m roadmap.Map, ego vehic
 	}
 	res.Combined = snap(clamp01((emptyVol - sh.BaseVolume) / emptyVol))
 
-	// Dead-band certificate (see Evaluate): a combined STI snapped to zero
-	// certifies every per-actor STI snaps to zero. Match the legacy
-	// reporting exactly — |T| stands in for the without-volumes.
+	// Dead-band certificate: |T| ≤ |T^{/i}| ≤ |T^∅| (up to the dedup
+	// jitter the dead band exists to absorb), so every per-actor ratio is
+	// bounded by the combined ratio. A combined STI snapped to zero
+	// certifies every per-actor STI snaps to zero too; |T| stands in for
+	// the without-volumes (correct to within deadBand·|T^∅|).
 	if res.Combined == 0 {
 		telElided.Add(int64(len(actors)))
-		prov.ElidedActors += len(actors)
+		prov.ElidedActors = len(actors)
 		for i := range actors {
 			res.WithoutVolume[i] = sh.BaseVolume
 		}

@@ -9,9 +9,9 @@ import (
 	"repro/internal/scenario"
 )
 
-func warmEvaluator(t testing.TB, workers int) *Evaluator {
+func warmEvaluator(t testing.TB) *Evaluator {
 	t.Helper()
-	e, err := NewEvaluatorOptions(reach.DefaultConfig(), Options{Workers: workers, SharedExpansion: true, WarmStart: true})
+	e, err := NewEvaluatorOptions(reach.DefaultConfig(), Options{WarmStart: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func warmEvaluator(t testing.TB, workers int) *Evaluator {
 // Evaluate at every tick, with provenance reporting a hit (and real verdict
 // reuse) from tick 1 on.
 func TestEvaluateWarmMatchesColdSessionTraces(t *testing.T) {
-	e := warmEvaluator(t, 1)
+	e := warmEvaluator(t)
 	type traceCase struct {
 		tag   string
 		ticks int
@@ -66,7 +66,7 @@ func TestEvaluateWarmSegmented(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64-actor warm replay")
 	}
-	e := warmEvaluator(t, 1)
+	e := warmEvaluator(t)
 	m, tr := scenario.UrbanCrushSession(64, 6)
 	ws := NewWarmState()
 	for tick, tk := range tr {
@@ -88,7 +88,7 @@ func TestEvaluateWarmDegradesToCold(t *testing.T) {
 	tk := tr[0]
 	trajs := actor.PredictAll(tk.Actors, reach.DefaultConfig().NumSlices(), reach.DefaultConfig().SliceDt)
 
-	warm := warmEvaluator(t, 1)
+	warm := warmEvaluator(t)
 	want := warm.Evaluate(m, tk.Ego, tk.Actors, trajs)
 	got, prov := warm.EvaluateWarm(m, tk.Ego, tk.Actors, trajs, nil)
 	requireIdentical(t, 0, want, got)
@@ -96,23 +96,11 @@ func TestEvaluateWarmDegradesToCold(t *testing.T) {
 		t.Errorf("nil WarmState produced warm provenance %+v", prov)
 	}
 
-	shared, err := NewEvaluatorOptions(reach.DefaultConfig(), Options{SharedExpansion: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, prov = shared.EvaluateWarm(m, tk.Ego, tk.Actors, trajs, NewWarmState())
+	cold := MustNewEvaluator(reach.DefaultConfig())
+	got, prov = cold.EvaluateWarm(m, tk.Ego, tk.Actors, trajs, NewWarmState())
 	requireIdentical(t, 1, want, got)
 	if prov.WarmHit {
 		t.Error("evaluator without WarmStart reported a warm hit")
-	}
-
-	// WarmStart without SharedExpansion must resolve to a cold evaluator.
-	legacyWarm, err := NewEvaluatorOptions(reach.DefaultConfig(), Options{WarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacyWarm.WarmStart() {
-		t.Error("WarmStart without SharedExpansion should be off")
 	}
 
 	one := tk.Actors[:1]
@@ -120,8 +108,8 @@ func TestEvaluateWarmDegradesToCold(t *testing.T) {
 	wantOne := warm.Evaluate(m, tk.Ego, one, oneTrajs)
 	gotOne, prov := warm.EvaluateWarm(m, tk.Ego, one, oneTrajs, NewWarmState())
 	requireIdentical(t, 2, wantOne, gotOne)
-	if prov.Engine == EngineShared {
-		t.Error("single-actor scene scored on the shared engine")
+	if prov.Engine != EngineSingle {
+		t.Errorf("single-actor scene scored on engine %q, want %q", prov.Engine, EngineSingle)
 	}
 }
 
@@ -129,7 +117,7 @@ func TestEvaluateWarmDegradesToCold(t *testing.T) {
 // the CAS gate admits one owner per tick and every loser scores cold, so
 // all results are bitwise-identical to Evaluate regardless of interleaving.
 func TestEvaluateWarmContention(t *testing.T) {
-	e := warmEvaluator(t, 1)
+	e := warmEvaluator(t)
 	m, tr := scenario.StopAndGoSession(12, 8)
 	ws := NewWarmState()
 	want := make([]Result, len(tr))

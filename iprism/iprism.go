@@ -57,11 +57,6 @@ type (
 	ReachConfig = reach.Config
 	// Evaluator computes STI (Eqs. 4–5).
 	Evaluator = sti.Evaluator
-	// EvaluatorOptions tunes the evaluator: the per-actor counterfactual
-	// fan-out width, and SharedExpansion, which derives every
-	// counterfactual tube from one masked expansion (bitwise-identical
-	// results, ~O(1) in actor count instead of O(N)).
-	EvaluatorOptions = sti.Options
 	// Result holds per-actor and combined STI for one instant.
 	Result = sti.Result
 )
@@ -107,17 +102,11 @@ func DefaultVehicleParams() VehicleParams { return vehicle.DefaultParams() }
 
 // NewEvaluator constructs an STI evaluator; it panics on an invalid
 // configuration (use sti.NewEvaluator via the internal packages for error
-// returns). Per-actor counterfactuals fan out over GOMAXPROCS workers by
-// default; use NewEvaluatorWithOptions to bound or disable the fan-out.
+// returns). Scenes of two or more actors derive |T| and every
+// counterfactual |T^{/i}| from one masked reach-tube expansion, so an
+// evaluation costs about one tube however many actors there are; it runs
+// on the calling goroutine, and the evaluator is safe for concurrent use.
 func NewEvaluator(cfg ReachConfig) *Evaluator { return sti.MustNewEvaluator(cfg) }
-
-// NewEvaluatorWithOptions constructs an STI evaluator with explicit
-// options. Evaluation results are identical at any worker count and with
-// SharedExpansion on or off; the shared-expansion engine only changes how
-// fast dense scenes evaluate.
-func NewEvaluatorWithOptions(cfg ReachConfig, opts EvaluatorOptions) (*Evaluator, error) {
-	return sti.NewEvaluatorOptions(cfg, opts)
-}
 
 // NewVehicleActor creates a standard-sized vehicle actor.
 func NewVehicleActor(id int, state VehicleState) *Actor { return actor.NewVehicle(id, state) }

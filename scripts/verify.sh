@@ -9,15 +9,19 @@ cd "$(dirname "$0")/.."
 
 go vet ./...
 go build ./...
+# perfbench/ is a nested module, so ./... above skips it; compile it here so
+# an API change it depends on fails tier-1, not only the bench pipeline.
+(cd perfbench && go vet ./... && go build -o /dev/null ./...)
 # The race detector is ~10x; internal/experiments alone runs ~20 min on a
 # 1-CPU container, past go test's default 10 min per-package timeout.
 go test -race -timeout 45m ./...
 
 # Differential suite: the shared-expansion counterfactual engine must match
-# the legacy per-actor oracle bit-for-bit — including the 64-130-actor
-# segmented-mask scenes and the FuzzSharedVsLegacy seed corpus — and the
-# warm-started session engine must match the cold path bit-for-bit across
-# recorded session traces and the FuzzWarmVsCold perturbation corpus
+# the per-actor oracle (test code) bit-for-bit — including the 64-130-actor
+# segmented-mask scenes, the benchmark's input classes and the
+# FuzzSharedVsLegacy seed corpus — and the warm-started session engine must
+# match the cold path bit-for-bit across recorded session traces and the
+# FuzzWarmVsCold perturbation corpus
 # (already part of ./... above, but run explicitly so a perf-motivated
 # edit cannot silently drop either proof).
 # A rename could leave a package matching no test, which go test passes
@@ -32,6 +36,7 @@ echo "$diff_list" | awk '
   /^(ok|\?) / { if (n == 0) { print "verify: " $2 " matches no differential test" > "/dev/stderr"; bad = 1 } n = 0 }
   END { exit bad }'
 for t in TestSharedMatchesLegacySegmented TestSharedSegmentedForcedWords \
+  TestSharedExpansionMatchesLegacyScenes \
   TestWarmMatchesColdSessionTraces FuzzSharedVsLegacy FuzzWarmVsCold; do
   echo "$diff_list" | grep -qx "$t" \
     || { echo "verify: differential test $t is missing" >&2; exit 1; }
