@@ -116,7 +116,7 @@ func (b Box) PrepareInto(p *PreparedBox) {
 
 // PrepareIntoAxes is PrepareInto with sin(b.Heading) and cos(b.Heading)
 // supplied by the caller — for hot loops that already track the heading's
-// sine and cosine incrementally (see vehicle.Params.StepPath) and can skip
+// sine and cosine incrementally (see reach's integrateFan) and can skip
 // the per-footprint Sincos.
 func (b Box) PrepareIntoAxes(p *PreparedBox, sin, cos float64) {
 	p.Box = b

@@ -71,11 +71,19 @@ func (v Vec2) Lerp(w Vec2, t float64) Vec2 {
 // String implements fmt.Stringer.
 func (v Vec2) String() string { return fmt.Sprintf("(%.3f, %.3f)", v.X, v.Y) }
 
-// NormalizeAngle wraps an angle into (-π, π].
+// NormalizeAngle wraps an angle into (-π, π]. An angle already in range
+// is returned as is, by a check small enough to inline into the hot
+// integration loops; anything else takes the wrapping path.
 func NormalizeAngle(a float64) float64 {
-	// Mod leaves |a| < 2π unchanged, so the (hot-path) common case of an
-	// angle already within one turn skips it entirely without changing the
-	// result.
+	if a > -math.Pi && a <= math.Pi {
+		return a
+	}
+	return wrapAngle(a)
+}
+
+func wrapAngle(a float64) float64 {
+	// Mod leaves |a| < 2π unchanged, so an angle within one turn skips it
+	// entirely without changing the result.
 	if a <= -2*math.Pi || a >= 2*math.Pi {
 		a = math.Mod(a, 2*math.Pi)
 	}

@@ -306,6 +306,8 @@ type Scratch struct {
 	poss    []uint64 // per-candidate possible-world mask
 	capMask []uint64 // per-slice MaxStates cap mask
 	newBits []uint64 // MaskGrid.Mark newly-set-bits buffer
+
+	cfan controlFan // the control set and integration buffers (fan.go)
 }
 
 // NewScratch returns an empty scratch ready for ComputeScratch.
@@ -399,21 +401,14 @@ func ComputeScratch(m roadmap.Map, collide CollisionFunc, ego vehicle.State, cfg
 		return tube
 	}
 
-	controls := cfg.controls()
-	// The control set is fixed for the whole tube: precompute each
-	// control's steering tangent so the sub-step integrator skips the
-	// per-step tan (see vehicle.Params.StepTan).
-	tans := make([]float64, len(controls))
-	for i, u := range controls {
-		tans[i] = math.Tan(u.Steer)
-	}
 	// One prepared footprint reused across every sub-step of the tube —
 	// seeded from the start footprint so the half-extents and bounding
 	// radius (constant for the whole tube) are prepared exactly once — and
-	// one path buffer holding the sub-step states of the candidate under
-	// consideration.
+	// the control fan, whose buffers hold the sub-step paths of the
+	// frontier state under consideration.
 	pb := egoPb
-	path := make([]pathState, cfg.SubSteps)
+	fan := scr.fan(&cfg)
+	stride := cfg.SubSteps
 	frontier := append(scr.frontier, ego)
 	visited := scr.visited
 	next := scr.next
@@ -424,25 +419,24 @@ func ComputeScratch(m roadmap.Map, collide CollisionFunc, ego vehicle.State, cfg
 		next = next[:0]
 	expand:
 		for _, s := range frontier {
-			// One Sincos per frontier state, shared by all its control
-			// branches; StepPath rotates it incrementally per sub-step.
-			sin0, cos0 := math.Sincos(s.Heading)
-			for ui, u := range controls {
-				// Integrate the candidate's sub-step path first — pure
-				// kinematics, no footprint work — and discard duplicate
-				// endpoints before paying for the drivability and collision
-				// sweep. In saturated slices most propagations land on an
-				// already-visited dedup cell, and a duplicate is discarded
-				// identically whether or not its path would have been pruned
-				// (the checks have no effect on surviving states), so this
-				// reordering leaves the tube bit-for-bit unchanged.
-				s2, nsub := cfg.integrate(s, sin0, cos0, u, tans[ui], path)
+			// Integrate every control's sub-step path first — pure
+			// kinematics, no footprint work — and discard duplicate
+			// endpoints before paying for the drivability and collision
+			// sweep. In saturated slices most propagations land on an
+			// already-visited dedup cell, and a duplicate is discarded
+			// identically whether or not its path would have been pruned
+			// (the checks have no effect on surviving states), so this
+			// reordering leaves the tube bit-for-bit unchanged.
+			nsub := cfg.integrateFan(fan, s, fan.paths)
+			for ui := range fan.controls {
+				s2 := fan.ends[ui]
+				path := fan.paths[ui*stride : ui*stride+nsub]
 				propagations++
 				k := cfg.key(s2)
 				if visited.contains(k) {
 					continue
 				}
-				if !cfg.pathOK(m, pm, collide, path[:nsub], slice, &pb) {
+				if !cfg.pathOK(m, pm, collide, path, slice, &pb) {
 					pruned++
 					continue
 				}
@@ -482,35 +476,11 @@ func drivable(m roadmap.Map, pm roadmap.PreparedMap, b *geom.PreparedBox) bool {
 }
 
 // pathState is one sub-step of an integrated candidate path, carrying the
-// heading sine/cosine StepPath maintains so pathOK can prepare footprints
-// without recomputing the trigonometry.
+// heading sine/cosine the integration maintains so pathOK can prepare
+// footprints without recomputing the trigonometry.
 type pathState struct {
 	st       vehicle.State
 	sin, cos float64
-}
-
-// integrate advances one Δt slice of the bicycle model in sub-increments,
-// recording every intermediate state into path (pre-sized to SubSteps by
-// the caller) and returning the endpoint plus the number of sub-steps
-// written. sinH, cosH must hold sincos(s.Heading). The number of sub-steps
-// adapts to the state's speed — enough that no sub-step covers more than
-// ~half a vehicle length, capped at SubSteps — so slow states stay cheap
-// and fast states cannot tunnel between the footprint checks pathOK later
-// runs over the recorded states.
-func (c *Config) integrate(s vehicle.State, sinH, cosH float64, u vehicle.Control, tanSteer float64, path []pathState) (vehicle.State, int) {
-	sub := int(math.Ceil(s.Speed * c.SliceDt / (c.Params.Length / 2)))
-	if sub < 1 {
-		sub = 1
-	}
-	if sub > c.SubSteps {
-		sub = c.SubSteps
-	}
-	dt := c.SliceDt / float64(sub)
-	for j := 0; j < sub; j++ {
-		s = c.Params.StepPath(s, u, tanSteer, dt, &sinH, &cosH)
-		path[j] = pathState{st: s, sin: sinH, cos: cosH}
-	}
-	return s, sub
 }
 
 // pathOK sweeps the footprint along an integrated sub-step path, rejecting

@@ -10,9 +10,9 @@ import (
 	"repro/internal/vehicle"
 )
 
-// A scratch carried across computations — including across different maps
-// and cell sizes — must never leak state between tubes: every result equals
-// the scratch-free computation.
+// A scratch carried across computations — including across different maps,
+// cell sizes and control sets — must never leak state between tubes: every
+// result equals the scratch-free computation.
 func TestComputeScratchReuseIdentical(t *testing.T) {
 	straight := roadmap.MustStraightRoad(2, 3.5, -50, 500)
 	ring, err := roadmap.NewRingRoad(geom.V(0, 0), 15, 22)
@@ -30,6 +30,10 @@ func TestComputeScratchReuseIdentical(t *testing.T) {
 
 	small := DefaultConfig()
 	small.CellSize = 0.5
+	// A different control set rebuilds the scratch's control fan.
+	sampled := DefaultConfig()
+	sampled.Samples = 7
+	sampled.BoundaryOnly = false
 
 	cases := []struct {
 		name    string
@@ -42,6 +46,7 @@ func TestComputeScratchReuseIdentical(t *testing.T) {
 		{"straight obstacles", straight, obs.Collide(), vehicle.State{Pos: geom.V(0, 1.75), Speed: 10}, cfg},
 		{"straight fine grid", straight, nil, vehicle.State{Pos: geom.V(20, 5.25), Speed: 4}, small},
 		{"ring", ring, nil, vehicle.State{Pos: ringPos, Heading: ringHeading, Speed: 8}, cfg},
+		{"straight sampled", straight, obs.Collide(), vehicle.State{Pos: geom.V(0, 1.75), Speed: 10}, sampled},
 	}
 
 	scr := NewScratch()

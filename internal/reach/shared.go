@@ -283,8 +283,9 @@ func maskWords(n int) int { return (1 + n + 63) / 64 }
 // pass maskWords; the differential tests force wider masks). Only the
 // candidate stage depends on ws:
 //
-//   - cold (ws == nil): each candidate is integrated and swept with an
-//     early exit once no world survives;
+//   - cold (ws == nil): each parent's control fan is integrated in one
+//     pass (integrateFan) and each candidate swept with an early exit once
+//     no world survives;
 //   - warm: the integration and the sweep verdict come from ws's candidate
 //     memo, reused, revalidated against the actors that moved, or swept in
 //     full (see warm.go).
@@ -319,16 +320,10 @@ func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *S
 	egoPb := cfg.Params.Footprint(ego).Prepare()
 	fullMask(possible, numWorlds)
 	if drivable(m, pm, &egoPb) && obs.maskHits(&egoPb, 0, possible) {
-		controls := cfg.controls()
-		tans := make([]float64, len(controls))
-		for i, u := range controls {
-			tans[i] = math.Tan(u.Steer)
-		}
-		var path []pathState
-		if ws == nil {
-			path = make([]pathState, cfg.SubSteps)
-		} else {
-			ws.memo.ensureControls(len(controls), cfg.SubSteps)
+		fan := scr.fan(&cfg)
+		stride := cfg.SubSteps
+		if ws != nil {
+			ws.memo.ensureControls(len(fan.controls), stride)
 		}
 		sw := sweeper{m: m, pm: pm, obs: obs, pb: egoPb}
 		// The frontier is struct-of-arrays: states in fstates, masks in the
@@ -389,25 +384,26 @@ func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *S
 					continue // every world of this parent already capped
 				}
 				var base int32
-				if ws != nil {
+				var nsub int
+				if ws == nil {
+					nsub = cfg.integrateFan(fan, *f, fan.paths)
+				} else {
+					// The memoized paths span the sub-step count the parent's
+					// speed gives, as when they were integrated.
+					nsub = cfg.subSteps(f.Speed)
 					var existed bool
 					base, existed = ws.memo.lookupVia(fsrc[fi], makeWarmKey(*f, int32(slice)))
 					if !existed {
-						ws.memo.integrate(base, *f, &cfg, controls, tans)
+						ws.memo.integrate(base, *f, &cfg, fan)
 					}
 				}
-				var sin0, cos0 float64
-				if ws == nil {
-					sin0, cos0 = math.Sincos(f.Heading)
-				}
-				for ui, u := range controls {
+				for ui := range fan.controls {
 					ci := base + int32(ui)
 					var s2 vehicle.State
 					var k stateKey
 					var me *warmCtrl
-					nsub := 0
 					if ws == nil {
-						s2, nsub = cfg.integrate(*f, sin0, cos0, u, tans[ui], path)
+						s2 = fan.ends[ui]
 						k = cfg.key(s2)
 					} else {
 						me = &ws.memo.ctrls[ci]
@@ -425,10 +421,10 @@ func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *S
 					}
 					var live bool
 					if me == nil {
-						live = sw.sweep(path[:nsub], possible)
+						live = sw.sweep(fan.paths[ui*stride:ui*stride+nsub], possible)
 					} else {
 						if !ws.fresh(me, slice) {
-							ws.resolve(&sw, ci, me)
+							ws.resolve(&sw, ci, nsub, me)
 						}
 						live = me.apply(possible)
 					}

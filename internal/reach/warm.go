@@ -139,7 +139,6 @@ type warmCtrl struct {
 	verdictGen uint32
 	hits       [warmMaxHits]int32 // the distinct actors hit, hits[:nhits]
 	child      int32              // arena base of s2's own block next slice (a hint, verified by key)
-	nsub       uint8
 	nhits      uint8
 	verdict    uint8
 }
@@ -266,18 +265,18 @@ func (m *warmMemo) lookupVia(pci int32, k warmPKey) (base int32, existed bool) {
 }
 
 // integrate fills the fresh control block at base with frontier state f's
-// candidates: every control's integration endpoint, its dedup key and its
-// sub-step path — pure kinematics that stay valid for the rest of the
-// epoch.
-func (m *warmMemo) integrate(base int32, f vehicle.State, cfg *Config, controls []vehicle.Control, tans []float64) {
-	sin0, cos0 := math.Sincos(f.Heading)
-	for ui, u := range controls {
-		ci := base + int32(ui)
-		me := &m.ctrls[ci]
-		var nsub int
-		me.s2, nsub = cfg.integrate(f, sin0, cos0, u, tans[ui], m.ctrlPath(ci))
-		me.nsub = uint8(nsub)
-		me.skey = cfg.key(me.s2)
+// candidates: the block's sub-step paths, integrated straight into the
+// arena in one fan pass, and every control's endpoint and dedup key — pure
+// kinematics that stay valid for the rest of the epoch. The paths span
+// cfg.subSteps(f.Speed) sub-steps; readers recompute that count from the
+// parent rather than store it.
+func (m *warmMemo) integrate(base int32, f vehicle.State, cfg *Config, fan *controlFan) {
+	b := int(base)
+	cfg.integrateFan(fan, f, m.paths[b*m.stride:(b+m.nc)*m.stride])
+	for ui, s2 := range fan.ends {
+		me := &m.ctrls[b+ui]
+		me.s2 = s2
+		me.skey = cfg.key(s2)
 	}
 }
 
@@ -307,14 +306,11 @@ func (m *warmMemo) newBlock() int32 {
 	return int32(base)
 }
 
-// ctrlSubs returns the substep-AABB slots for control slot ci.
-func (m *warmMemo) ctrlSubs(ci int32) []subBox {
-	return m.subs[int(ci)*m.stride : (int(ci)+1)*m.stride]
-}
-
-// ctrlPath returns the integrated-path slots for control slot ci.
-func (m *warmMemo) ctrlPath(ci int32) []pathState {
-	return m.paths[int(ci)*m.stride : (int(ci)+1)*m.stride]
+// ctrlSweep returns control slot ci's integrated path and its substep-AABB
+// slots, both cut to the nsub sub-steps the path was integrated with.
+func (m *warmMemo) ctrlSweep(ci int32, nsub int) ([]pathState, []subBox) {
+	lo := int(ci) * m.stride
+	return m.paths[lo : lo+nsub], m.subs[lo : lo+nsub]
 }
 
 func (m *warmMemo) grow() {
@@ -647,10 +643,12 @@ func (me *warmCtrl) apply(possible []uint64) bool {
 // actor-independent and never expires within the epoch. The previous
 // tick's verdict is reused when no suspect's changed placement touches its
 // path; a decomposable one is merged with only the overlapping suspects'
-// fresh hits. Anything else is fully re-swept.
-func (ws *WarmState) resolve(sw *sweeper, ci int32, me *warmCtrl) {
+// fresh hits. Anything else is fully re-swept. nsub is the sub-step count
+// of the memoized path.
+func (ws *WarmState) resolve(sw *sweeper, ci int32, nsub int, me *warmCtrl) {
 	lastTick := me.verdict != verdictNone && me.verdictGen == ws.gen-1
 	me.verdictGen = ws.gen
+	path, subs := ws.memo.ctrlSweep(ci, nsub)
 	switch {
 	case me.verdict == verdictOffroad:
 		ws.stats.Reused++
@@ -663,16 +661,16 @@ func (ws *WarmState) resolve(sw *sweeper, ci int32, me *warmCtrl) {
 			return
 		case me.verdict == verdictZeroOpaque:
 			ws.stats.Invalidated++
-		case !subsOverlap(ws.memo.ctrlSubs(ci)[:me.nsub], sus):
+		case !subsOverlap(subs, sus):
 			ws.stats.Reused++
 			return
 		default:
 			ws.stats.Invalidated++
-			ws.revalidate(sw, ws.memo.ctrlPath(ci)[:me.nsub], sus, ws.memo.ctrlSubs(ci), me)
+			ws.revalidate(sw, path, sus, subs, me)
 			return
 		}
 	}
-	warmSweep(sw, ws.memo.ctrlPath(ci)[:me.nsub], ws.memo.ctrlSubs(ci), me)
+	warmSweep(sw, path, subs, me)
 }
 
 // hitSet is a sweep's distinct blocking actors, as many as a memoized

@@ -36,8 +36,8 @@ var (
 	telElided = telemetry.NewCounter("sti.counterfactuals.elided")
 	// Shared-expansion engine (every scene of two or more actors): latency,
 	// how many actors each evaluation carried as explicit world-mask bits,
-	// and how many mask words the expansion needed (1 = single-word fast
-	// path).
+	// and how many 64-bit mask words the expansion needed (one bit per
+	// actor plus the base world).
 	telSharedSeconds   = telemetry.NewHistogram("sti.shared_expansion.seconds", telemetry.LatencyBuckets())
 	telSharedEvals     = telemetry.NewCounter("sti.shared_expansion.evals")
 	telSharedMaskWidth = telemetry.NewHistogram("sti.shared_expansion.mask_width", telemetry.LinearBuckets(0, 8, 18))

@@ -135,15 +135,19 @@ func (p Params) Step(s State, u Control, dt float64) State {
 	}
 }
 
-// StepPath is Step for the reach-tube hot path. The caller supplies
-// tan(u.Steer) precomputed once per control (the control set is fixed per
-// tube, while Step recomputes the tangent per sub-step), u already within
-// the vehicle limits (reach.Config.controls guarantees this), and *sinH,
-// *cosH holding sincos(s.Heading); on return they hold sincos of the new
-// heading. The speed-dependent steering cap is applied in tangent space:
-// tan is monotonic on (-π/2, π/2), so clamping tan φ to tan(SteerLimit(v))
-// = MaxLatAccel·L/v² selects the same effective yaw rate SteerLimit
-// followed by tan would, without the atan/tan round-trip.
+// StepPath is Step in the form the reach-tube integration uses, and the
+// reference semantics of reach's integrateFan, which computes the same
+// values for a whole control fan at once and is tested bit for bit against
+// this function. The caller supplies tan(u.Steer) precomputed once per
+// control (the control set is fixed per tube, while Step recomputes the
+// tangent per sub-step), u already within the vehicle limits
+// (reach.Config.controls guarantees this), and *sinH, *cosH holding
+// sincos(s.Heading); on return they hold sincos of the new heading.
+//
+// The speed-dependent steering cap is applied in tangent space: tan is
+// monotonic on (-π/2, π/2), so clamping tan φ to tan(SteerLimit(v)) =
+// MaxLatAccel·L/v² selects the same effective yaw rate SteerLimit followed
+// by tan would, without the atan/tan round-trip.
 //
 // Carrying the heading's sine and cosine lets the per-step trigonometry
 // collapse to one small-angle sincos of the yaw increment plus two planar
@@ -170,7 +174,7 @@ func (p Params) StepPath(s State, u Control, tanSteer, dt float64, sinH, cosH *f
 	// Rotate the carried (sin, cos) by half the yaw increment twice: once to
 	// the average heading the position update integrates along, once more to
 	// the end-of-step heading.
-	sh, ch := sincosSmall(yawRate * dt / 2)
+	sh, ch := SincosSmall(yawRate * dt / 2)
 	s0, c0 := *sinH, *cosH
 	sinAvg := s0*ch + c0*sh
 	cosAvg := c0*ch - s0*sh
@@ -183,11 +187,13 @@ func (p Params) StepPath(s State, u Control, tanSteer, dt float64, sinH, cosH *f
 	}
 }
 
-// sincosSmall evaluates sincos for the small per-sub-step yaw increments of
+// SincosSmall evaluates sincos for the small per-sub-step yaw increments of
 // StepPath (|x| ≲ 0.3 rad for any physical parameterisation) with Taylor
 // polynomials accurate to < 1 ulp over |x| ≤ 0.35, falling back to
-// math.Sincos outside that range.
-func sincosSmall(x float64) (sin, cos float64) {
+// math.Sincos outside that range. Both branches are odd in sin and even in
+// cos bit for bit — SincosSmall(-x) is exactly (-sin, cos) — which lets
+// reach's integrateFan share one evaluation between ±φ controls.
+func SincosSmall(x float64) (sin, cos float64) {
 	if x > 0.35 || x < -0.35 {
 		return math.Sincos(x)
 	}

@@ -21,14 +21,17 @@ go test -race -timeout 45m ./...
 # segmented-mask scenes, the benchmark's input classes and the
 # FuzzSharedVsLegacy seed corpus — and the warm-started session engine must
 # match the cold path bit-for-bit across recorded session traces and the
-# FuzzWarmVsCold perturbation corpus
+# FuzzWarmVsCold perturbation corpus; the control-fan integration kernel
+# must match the per-control StepPath oracle bit for bit, and Evaluate
+# must still produce the committed golden digest (the differential
+# oracles share the integration, so only the digest sees it drift)
 # (already part of ./... above, but run explicitly so a perf-motivated
-# edit cannot silently drop either proof).
+# edit cannot silently drop any of these proofs).
 # A rename could leave a package matching no test, which go test passes
 # silently, so list the matches first: every package must match at least
 # one test or fuzz target, and the cornerstone differential tests must all
 # be present.
-diff_run='Shared|MaskGrid|Warm|FuzzSharedVsLegacy|FuzzWarmVsCold'
+diff_run='Shared|MaskGrid|Warm|FuzzSharedVsLegacy|FuzzWarmVsCold|IntegrateFan|GoldenDigest'
 diff_pkgs=(./internal/reach ./internal/sti ./internal/geom ./internal/server)
 diff_list="$(go test -list "$diff_run" "${diff_pkgs[@]}")"
 echo "$diff_list" | awk '
@@ -37,7 +40,8 @@ echo "$diff_list" | awk '
   END { exit bad }'
 for t in TestSharedMatchesLegacySegmented TestSharedSegmentedForcedWords \
   TestSharedExpansionMatchesLegacyScenes \
-  TestWarmMatchesColdSessionTraces FuzzSharedVsLegacy FuzzWarmVsCold; do
+  TestWarmMatchesColdSessionTraces FuzzSharedVsLegacy FuzzWarmVsCold \
+  TestIntegrateFanMatchesPerControl TestEvaluateGoldenDigest; do
   echo "$diff_list" | grep -qx "$t" \
     || { echo "verify: differential test $t is missing" >&2; exit 1; }
 done
