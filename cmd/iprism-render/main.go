@@ -107,7 +107,7 @@ func run() error {
 	// Reach-tube for the rendered frame.
 	trajs := actor.PredictAll(scene.Actors, cfg.NumSlices(), cfg.SliceDt)
 	obs := reach.BuildObstacles(scene.Actors, trajs, cfg)
-	tube := reach.Compute(scene.Map, obs.Collide(), scene.Ego, cfg)
+	tube := reach.Compute(scene.Map, obs, scene.Ego, cfg)
 	scene.Tube = &tube
 
 	svg := render.SVG(scene, render.Options{Window: 70})

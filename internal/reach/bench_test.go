@@ -110,7 +110,8 @@ func BenchmarkCounterfactuals(b *testing.B) {
 		b.Run(fmt.Sprintf("cold-words%d/dense12", words), func(b *testing.B) {
 			scr := NewScratch()
 			for i := 0; i < b.N; i++ {
-				benchSink = expand(dense.m, dense.obs[0], dense.egos[0], cfg, scr, nil, words)
+				base, without := expand(dense.m, dense.obs[0], dense.egos[0], cfg, scr, nil, 1+dense.obs[0].NumActors(), words)
+				benchSink = sharedTubes(base, without, words)
 			}
 		})
 	}

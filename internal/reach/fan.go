@@ -131,7 +131,7 @@ func (s *Scratch) fan(cfg *Config) *controlFan {
 // subSteps returns how many sub-steps integrate a slice from speed v:
 // enough that none covers more than ~half a vehicle length, capped at
 // SubSteps, so slow states stay cheap and fast states cannot tunnel
-// between the footprint checks pathOK later runs over the recorded path.
+// between the footprint checks the sweep later runs over the recorded path.
 func (c *Config) subSteps(v float64) int {
 	sub := int(math.Ceil(v * c.SliceDt / (c.Params.Length / 2)))
 	if sub < 1 {

@@ -17,9 +17,12 @@ import (
 	"repro/internal/vehicle"
 )
 
-// Telemetry: per-Compute counts are accumulated in locals inside the
-// expansion loops and flushed once per tube, keeping the hot path free of
-// atomics (collection itself is gated on telemetry.Enable).
+// Telemetry: per-expansion counts are accumulated in locals inside expand
+// and flushed once per call, keeping the hot path free of atomics
+// (collection itself is gated on telemetry.Enable). reach.computes,
+// reach.states_expanded and reach.tube_volume_m2 count single-world tubes
+// (Compute, ComputeScratch); counterfactual expansions have their own
+// reach.shared.* series. Propagations and prunes count both.
 var (
 	telComputes     = telemetry.NewCounter("reach.computes")
 	telStates       = telemetry.NewCounter("reach.states_expanded")
@@ -27,12 +30,6 @@ var (
 	telPruned       = telemetry.NewCounter("reach.pruned")
 	telTubeVolume   = telemetry.NewHistogram("reach.tube_volume_m2", telemetry.LinearBuckets(0, 25, 24))
 )
-
-// CollisionFunc reports whether the footprint b collides with any obstacle
-// during time slice index slice (slice 0 is the current instant). The
-// footprint arrives prepared so implementations can run cached broad-phase
-// rejections; b is only valid for the duration of the call.
-type CollisionFunc func(b *geom.PreparedBox, slice int) bool
 
 // Config holds the reach-tube parameters. The defaults mirror the paper's
 // setup: horizon k = 3 s, slices Δt = 0.5 s, boundary-control enumeration
@@ -127,6 +124,11 @@ type Tube struct {
 	// Points holds every expanded state position when
 	// Config.RecordPoints is set; empty otherwise.
 	Points []geom.Vec2
+	// Blocked reports whether any actor intersected a footprint the
+	// expansion tested: the root or a swept path sub-step. When it is false
+	// no actor changed a single verdict, so the tube is exactly the
+	// empty-world tube; a one-actor scene's T^{/0} is then T itself.
+	Blocked bool
 }
 
 // Depth returns the number of slices with at least one surviving state.
@@ -186,47 +188,6 @@ func (c Config) key(s vehicle.State) stateKey {
 	}
 }
 
-// keySet is an open-addressed hash set of stateKeys. It replaces a Go map
-// in the expansion loop: insertion is a single linear-probe pass (the map
-// needed a lookup followed by a store), clearing is a generation bump
-// instead of an O(capacity) wipe, and the hash is a fixed multiply-mix with
-// no runtime hashing machinery. Exactness is preserved — membership is
-// decided by full key equality, the hash only picks the probe start.
-type keySet struct {
-	keys []stateKey
-	gen  []uint32
-	cur  uint32
-	n    int
-}
-
-func newKeySet() *keySet { return &keySet{cur: 1} }
-
-// contains reports membership without modifying the set.
-func (ks *keySet) contains(k stateKey) bool {
-	if len(ks.keys) == 0 {
-		return false
-	}
-	mask := uint64(len(ks.keys) - 1)
-	for i := hashKey(k) & mask; ; i = (i + 1) & mask {
-		if ks.gen[i] != ks.cur {
-			return false
-		}
-		if ks.keys[i] == k {
-			return true
-		}
-	}
-}
-
-// reset empties the set in O(1) by advancing the generation stamp.
-func (ks *keySet) reset() {
-	ks.cur++
-	ks.n = 0
-	if ks.cur == 0 { // stamp wrapped: old entries would look live again
-		clear(ks.gen)
-		ks.cur = 1
-	}
-}
-
 func hashKey(k stateKey) uint64 {
 	h := uint64(uint32(k.ix)) | uint64(uint32(k.iy))<<32
 	h ^= (uint64(uint32(k.ih)) | uint64(uint32(k.iv))<<32) * 0x9e3779b97f4a7c15
@@ -235,108 +196,36 @@ func hashKey(k stateKey) uint64 {
 	return h
 }
 
-// insert adds k and reports whether it was absent. The table grows before
-// load factor reaches 1/2.
-func (ks *keySet) insert(k stateKey) bool {
-	if 2*(ks.n+1) > len(ks.keys) {
-		ks.grow()
-	}
-	mask := uint64(len(ks.keys) - 1)
-	for i := hashKey(k) & mask; ; i = (i + 1) & mask {
-		if ks.gen[i] != ks.cur {
-			ks.keys[i] = k
-			ks.gen[i] = ks.cur
-			ks.n++
-			return true
-		}
-		if ks.keys[i] == k {
-			return false
-		}
-	}
-}
-
-func (ks *keySet) grow() {
-	capOld := len(ks.keys)
-	capNew := 1024
-	if capOld > 0 {
-		capNew = capOld * 2
-	}
-	oldKeys, oldGen := ks.keys, ks.gen
-	ks.keys = make([]stateKey, capNew)
-	ks.gen = make([]uint32, capNew)
-	mask := uint64(capNew - 1)
-	for i, g := range oldGen {
-		if g != ks.cur {
-			continue
-		}
-		k := oldKeys[i]
-		for j := hashKey(k) & mask; ; j = (j + 1) & mask {
-			if ks.gen[j] != ks.cur {
-				ks.keys[j] = k
-				ks.gen[j] = ks.cur
-				break
-			}
-		}
-	}
-}
-
-// Scratch holds the reusable allocations of a reach-tube computation: the
-// frontier/next state slices, the per-slice dedup map and the occupancy
-// grid. A Scratch amortises the GC churn of the N+2 tube computations per
-// STI evaluation; sti.Evaluator pools one per worker. A Scratch must not be
-// used by two computations concurrently. The zero value is not usable;
-// construct with NewScratch.
+// Scratch holds the reusable working memory of reach-tube expansions: the
+// frontier and next state slices with their world masks, the claimed-key
+// set, the mask grid and the control fan. sti.Evaluator pools one per
+// worker. A Scratch must not be used by two computations concurrently.
+// Construct with NewScratch.
 type Scratch struct {
+	// The frontier is struct-of-arrays: states in frontier/next, their
+	// world masks in the flat stride-words arenas fmasks/nmasks.
 	frontier []vehicle.State
 	next     []vehicle.State
-	visited  *keySet
-	grid     *geom.OccupancyGrid
-
-	// Shared-expansion working memory (ComputeCounterfactuals), allocated
-	// lazily on first shared use so single-tube scratches stay slim. The
-	// shared frontier keeps its states in frontier/next and their world
-	// masks in the flat stride-words arenas fmasks/nmasks.
-	fmasks  []uint64
-	nmasks  []uint64
-	claimed *maskedKeySet
-	mgrid   *geom.MaskGrid
-	wvol    []int    // per-world marked-cell counts
-	wslice  []int    // per-world accepted states in the current slice
-	mactive []int32  // actors surviving the per-slice broad phase
-	poss    []uint64 // per-candidate possible-world mask
-	capMask []uint64 // per-slice MaxStates cap mask
-	newBits []uint64 // MaskGrid.Mark newly-set-bits buffer
+	fmasks   []uint64
+	nmasks   []uint64
+	claimed  *maskedKeySet
+	mgrid    *geom.MaskGrid
+	wvol     []int    // per-world marked-cell counts
+	wslice   []int    // per-world accepted states in the current slice
+	mactive  []int32  // actors surviving the per-slice broad phase
+	poss     []uint64 // per-candidate possible-world mask
+	capMask  []uint64 // per-slice MaxStates cap mask
+	newBits  []uint64 // MaskGrid.Mark newly-set-bits buffer
 
 	cfan controlFan // the control set and integration buffers (fan.go)
 }
 
-// NewScratch returns an empty scratch ready for ComputeScratch.
-func NewScratch() *Scratch {
-	return &Scratch{
-		frontier: make([]vehicle.State, 0, 64),
-		next:     make([]vehicle.State, 0, 64),
-		visited:  newKeySet(),
-		grid:     geom.NewOccupancyGrid(1),
-	}
-}
+// NewScratch returns an empty scratch ready for any expansion.
+func NewScratch() *Scratch { return &Scratch{} }
 
-// reset readies the scratch for a computation at the given grid resolution,
-// retaining capacity wherever the resolution allows it.
-func (s *Scratch) reset(cellSize float64) {
-	s.frontier = s.frontier[:0]
-	s.next = s.next[:0]
-	s.visited.reset()
-	if s.grid.CellSize() != cellSize {
-		s.grid = geom.NewOccupancyGrid(cellSize)
-	} else {
-		s.grid.Reset()
-	}
-}
-
-// resetShared readies the shared-expansion working memory for a masked
-// expansion with numWorlds counterfactual worlds packed into `words` 64-bit
-// mask words.
-func (s *Scratch) resetShared(cellSize float64, numWorlds, words int) {
+// reset readies the scratch for an expansion of numWorlds worlds packed
+// into `words` 64-bit mask words at the given grid resolution.
+func (s *Scratch) reset(cellSize float64, numWorlds, words int) {
 	if s.claimed == nil {
 		s.claimed = newMaskedKeySet(words)
 	}
@@ -370,101 +259,26 @@ func sizeU64(buf []uint64, n int) []uint64 {
 	return buf
 }
 
+// noObstacles is the empty world a nil *Obstacles stands for.
+var noObstacles Obstacles
+
 // Compute runs Algorithm 1: it returns the reach-tube of the ego vehicle on
-// map m, with collisions judged by collide (which may be nil for an empty
-// world — the T^∅ counterfactual). It allocates fresh working state; hot
-// callers should use ComputeScratch.
-func Compute(m roadmap.Map, collide CollisionFunc, ego vehicle.State, cfg Config) Tube {
-	return ComputeScratch(m, collide, ego, cfg, nil)
+// map m among the actors in obs (nil or empty for the empty world — the
+// T^∅ counterfactual). It allocates fresh working state; hot callers
+// should use ComputeScratch.
+func Compute(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config) Tube {
+	return ComputeScratch(m, obs, ego, cfg, nil)
 }
 
 // ComputeScratch is Compute with caller-provided working memory. scr may be
 // nil (fresh allocations); the result is identical either way, and scr can
-// be reused for any subsequent computation.
-func ComputeScratch(m roadmap.Map, collide CollisionFunc, ego vehicle.State, cfg Config, scr *Scratch) Tube {
-	numSlices := cfg.NumSlices()
-	if scr == nil {
-		scr = NewScratch()
+// be reused for any subsequent computation. The tube is expand's base
+// world alone: one world bit, no counterfactual worlds.
+func ComputeScratch(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch) Tube {
+	if obs == nil {
+		obs = &noObstacles
 	}
-	scr.reset(cfg.CellSize)
-	grid := scr.grid
-	tube := Tube{SliceStates: make([]int, numSlices)}
-	// Resolve the prepared-footprint fast path once per tube; maps outside
-	// the roadmap package fall back to DrivableBox.
-	pm, _ := m.(roadmap.PreparedMap)
-
-	telComputes.Inc()
-	egoPb := cfg.Params.Footprint(ego).Prepare()
-	if !drivable(m, pm, &egoPb) || (collide != nil && collide(&egoPb, 0)) {
-		// The ego is already off-road or in contact: no escape routes.
-		telTubeVolume.Observe(0)
-		return tube
-	}
-
-	// One prepared footprint reused across every sub-step of the tube —
-	// seeded from the start footprint so the half-extents and bounding
-	// radius (constant for the whole tube) are prepared exactly once — and
-	// the control fan, whose buffers hold the sub-step paths of the
-	// frontier state under consideration.
-	pb := egoPb
-	fan := scr.fan(&cfg)
-	stride := cfg.SubSteps
-	frontier := append(scr.frontier, ego)
-	visited := scr.visited
-	next := scr.next
-	propagations, pruned := 0, 0
-
-	for slice := 0; slice < numSlices; slice++ {
-		visited.reset()
-		next = next[:0]
-	expand:
-		for _, s := range frontier {
-			// Integrate every control's sub-step path first — pure
-			// kinematics, no footprint work — and discard duplicate
-			// endpoints before paying for the drivability and collision
-			// sweep. In saturated slices most propagations land on an
-			// already-visited dedup cell, and a duplicate is discarded
-			// identically whether or not its path would have been pruned
-			// (the checks have no effect on surviving states), so this
-			// reordering leaves the tube bit-for-bit unchanged.
-			nsub := cfg.integrateFan(fan, s, fan.paths)
-			for ui := range fan.controls {
-				s2 := fan.ends[ui]
-				path := fan.paths[ui*stride : ui*stride+nsub]
-				propagations++
-				k := cfg.key(s2)
-				if visited.contains(k) {
-					continue
-				}
-				if !cfg.pathOK(m, pm, collide, path, slice, &pb) {
-					pruned++
-					continue
-				}
-				visited.insert(k)
-				grid.Mark(s2.Pos)
-				if cfg.RecordPoints {
-					tube.Points = append(tube.Points, s2.Pos)
-				}
-				next = append(next, s2)
-				if len(next) >= cfg.MaxStates {
-					break expand
-				}
-			}
-		}
-		tube.SliceStates[slice] = len(next)
-		tube.States += len(next)
-		if len(next) == 0 {
-			break
-		}
-		frontier, next = next, frontier[:0]
-	}
-	// Hand the (possibly re-grown) slices back for the next reuse.
-	scr.frontier, scr.next = frontier, next
-	tube.Volume = grid.Area()
-	telStates.Add(int64(tube.States))
-	telPropagations.Add(int64(propagations))
-	telPruned.Add(int64(pruned))
-	telTubeVolume.Observe(tube.Volume)
+	tube, _ := expand(m, obs, ego, cfg, scr, nil, 1, 1)
 	return tube
 }
 
@@ -476,27 +290,9 @@ func drivable(m roadmap.Map, pm roadmap.PreparedMap, b *geom.PreparedBox) bool {
 }
 
 // pathState is one sub-step of an integrated candidate path, carrying the
-// heading sine/cosine the integration maintains so pathOK can prepare
+// heading sine/cosine the integration maintains so the sweep can prepare
 // footprints without recomputing the trigonometry.
 type pathState struct {
 	st       vehicle.State
 	sin, cos float64
-}
-
-// pathOK sweeps the footprint along an integrated sub-step path, rejecting
-// the transition if any intermediate footprint leaves the map or collides.
-// Intermediate collisions are tested against both bounding slice indices of
-// the (moving) obstacles, a conservative sweep approximation.
-func (c Config) pathOK(m roadmap.Map, pm roadmap.PreparedMap, collide CollisionFunc, path []pathState, slice int, pb *geom.PreparedBox) bool {
-	for i := range path {
-		ps := &path[i]
-		pb.MoveTo(ps.st.Pos, ps.st.Heading, ps.sin, ps.cos)
-		if !drivable(m, pm, pb) {
-			return false
-		}
-		if collide != nil && (collide(pb, slice) || collide(pb, slice+1)) {
-			return false
-		}
-	}
-	return true
 }

@@ -118,11 +118,21 @@ func TestComputeOffRoadStart(t *testing.T) {
 	}
 }
 
+// staticObstacles returns obstacles holding the box b at every slice.
+func staticObstacles(b geom.Box, cfg Config) *Obstacles {
+	bs := make([]geom.PreparedBox, cfg.NumSlices()+1)
+	for s := range bs {
+		bs[s] = b.Prepare()
+	}
+	return &Obstacles{boxes: [][]geom.PreparedBox{bs}, numSlices: cfg.NumSlices()}
+}
+
 func TestComputeCollidingStart(t *testing.T) {
-	collide := func(*geom.PreparedBox, int) bool { return true }
-	tube := Compute(testRoad(), collide, egoState(0, 1.75, 10), DefaultConfig())
-	if tube.Volume != 0 {
-		t.Errorf("colliding start should yield empty tube, got %+v", tube)
+	cfg := DefaultConfig()
+	everywhere := staticObstacles(geom.NewBox(geom.V(0, 1.75), 1000, 1000, 0), cfg)
+	tube := Compute(testRoad(), everywhere, egoState(0, 1.75, 10), cfg)
+	if tube.Volume != 0 || !tube.Blocked {
+		t.Errorf("colliding start should yield a blocked empty tube, got %+v", tube)
 	}
 }
 
@@ -131,11 +141,9 @@ func TestComputeBlockedAhead(t *testing.T) {
 	// the empty world but braking keeps some escape routes alive.
 	road := testRoad()
 	cfg := DefaultConfig()
-	wall := geom.NewBox(geom.V(20, 3.5), 2, 7, 0)
-	wallPb := wall.Prepare()
-	collide := func(b *geom.PreparedBox, _ int) bool { return b.Intersects(&wallPb) }
+	wall := staticObstacles(geom.NewBox(geom.V(20, 3.5), 2, 7, 0), cfg)
 	free := Compute(road, nil, egoState(0, 1.75, 10), cfg)
-	blocked := Compute(road, collide, egoState(0, 1.75, 10), cfg)
+	blocked := Compute(road, wall, egoState(0, 1.75, 10), cfg)
 	if blocked.Volume >= free.Volume {
 		t.Errorf("blocked volume %v should be < free volume %v", blocked.Volume, free.Volume)
 	}
@@ -148,10 +156,8 @@ func TestComputeInescapableTrap(t *testing.T) {
 	// Ego at high speed immediately behind a wall: every control collides.
 	road := testRoad()
 	cfg := DefaultConfig()
-	wall := geom.NewBox(geom.V(8, 3.5), 2, 7, 0)
-	wallPb := wall.Prepare()
-	collide := func(b *geom.PreparedBox, _ int) bool { return b.Intersects(&wallPb) }
-	tube := Compute(road, collide, egoState(0, 1.75, 25), cfg)
+	wall := staticObstacles(geom.NewBox(geom.V(8, 3.5), 2, 7, 0), cfg)
+	tube := Compute(road, wall, egoState(0, 1.75, 25), cfg)
 	if tube.Depth() == cfg.NumSlices() {
 		t.Errorf("trap should cut the tube short, depth = %d", tube.Depth())
 	}
@@ -269,10 +275,13 @@ func TestComputeActorReducesVolume(t *testing.T) {
 	trajs := actor.PredictAll([]*actor.Actor{blocker}, cfg.NumSlices(), cfg.SliceDt)
 	obs := BuildObstacles([]*actor.Actor{blocker}, trajs, cfg)
 
-	with := Compute(road, obs.Collide(), ego, cfg)
-	without := Compute(road, obs.CollideWithout(0), ego, cfg)
+	with := Compute(road, obs, ego, cfg)
+	without := Compute(road, obs.without(0), ego, cfg)
 	if with.Volume >= without.Volume {
 		t.Errorf("blocking actor must reduce volume: with=%v without=%v", with.Volume, without.Volume)
+	}
+	if !with.Blocked || without.Blocked {
+		t.Errorf("Blocked with the actor %v, without %v; want true, false", with.Blocked, without.Blocked)
 	}
 }
 

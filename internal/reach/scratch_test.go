@@ -36,24 +36,24 @@ func TestComputeScratchReuseIdentical(t *testing.T) {
 	sampled.BoundaryOnly = false
 
 	cases := []struct {
-		name    string
-		m       roadmap.Map
-		collide CollisionFunc
-		ego     vehicle.State
-		cfg     Config
+		name string
+		m    roadmap.Map
+		obs  *Obstacles
+		ego  vehicle.State
+		cfg  Config
 	}{
 		{"straight empty", straight, nil, vehicle.State{Pos: geom.V(0, 1.75), Speed: 10}, cfg},
-		{"straight obstacles", straight, obs.Collide(), vehicle.State{Pos: geom.V(0, 1.75), Speed: 10}, cfg},
+		{"straight obstacles", straight, obs, vehicle.State{Pos: geom.V(0, 1.75), Speed: 10}, cfg},
 		{"straight fine grid", straight, nil, vehicle.State{Pos: geom.V(20, 5.25), Speed: 4}, small},
 		{"ring", ring, nil, vehicle.State{Pos: ringPos, Heading: ringHeading, Speed: 8}, cfg},
-		{"straight sampled", straight, obs.Collide(), vehicle.State{Pos: geom.V(0, 1.75), Speed: 10}, sampled},
+		{"straight sampled", straight, obs, vehicle.State{Pos: geom.V(0, 1.75), Speed: 10}, sampled},
 	}
 
 	scr := NewScratch()
 	for round := 0; round < 2; round++ { // second round reuses warm scratch
 		for _, tc := range cases {
-			want := Compute(tc.m, tc.collide, tc.ego, tc.cfg)
-			got := ComputeScratch(tc.m, tc.collide, tc.ego, tc.cfg, scr)
+			want := Compute(tc.m, tc.obs, tc.ego, tc.cfg)
+			got := ComputeScratch(tc.m, tc.obs, tc.ego, tc.cfg, scr)
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("round %d %s: scratch result diverges\n got %+v\nwant %+v",
 					round, tc.name, got, want)

@@ -1,7 +1,6 @@
 package reach
 
 import (
-	"math"
 	"math/bits"
 
 	"repro/internal/geom"
@@ -10,8 +9,8 @@ import (
 	"repro/internal/vehicle"
 )
 
-// Telemetry for the shared-expansion engine (flushed once per call, like
-// ComputeScratch's counters).
+// Telemetry for the counterfactual expansions (flushed once per call, like
+// the single-world counters in reach.go).
 var (
 	telSharedComputes = telemetry.NewCounter("reach.shared.computes")
 	telSharedStates   = telemetry.NewCounter("reach.shared.states_expanded")
@@ -23,7 +22,7 @@ var (
 // expansion instead of one expansion per counterfactual world.
 type SharedTubes struct {
 	// BaseVolume is |T|, the tube volume with every actor present —
-	// bit-for-bit the volume ComputeScratch returns with Obstacles.Collide.
+	// bit-for-bit the volume ComputeScratch returns over the same obstacles.
 	BaseVolume float64
 	// WithoutVolume[i] is |T^{/i}| for each actor i — bit-for-bit the
 	// volume ComputeScratch returns over obstacles built from every actor
@@ -45,8 +44,8 @@ type SharedTubes struct {
 // collapsed: world w treats key k as visited iff bit w of its claimed mask
 // is set. Each slot carries `words` consecutive uint64s (bit w lives in
 // word w/64), so one lookup covers every world of an arbitrarily wide
-// scene. Same open-addressing discipline as keySet (exact key equality,
-// generation-stamped O(1) reset).
+// scene. Open addressing with exact key equality (the hash only picks the
+// probe start) and a generation stamp for an O(1) reset.
 type maskedKeySet struct {
 	words int
 	keys  []stateKey
@@ -246,8 +245,7 @@ func fullMask(dst []uint64, numWorlds int) {
 // ComputeCounterfactuals expands the reach-tubes of every counterfactual
 // world the STI per-actor evaluation needs — the base world (all actors)
 // and each single-actor-removed world /i — in ONE pass over the state
-// space, instead of the N+1 independent ComputeScratch calls of the naive
-// Algorithm 1 loop.
+// space, instead of N+1 independent single-world ComputeScratch calls.
 //
 // Each frontier state carries a world mask: the set of worlds in which the
 // state is a live, dedup-winning member of that world's expansion. A
@@ -259,7 +257,7 @@ func fullMask(dst []uint64, numWorlds int) {
 // Because the per-world decisions — expansion order, ε-dedup claims, path
 // pruning, cap cut-offs, grid cells marked — are replicated exactly (see
 // DESIGN.md §8 for the induction), the resulting volumes are bit-for-bit
-// equal to the legacy per-world tubes, not merely equal up to dedup jitter.
+// equal to the per-world tubes, not merely equal up to dedup jitter.
 //
 // The mask is segmented: ceil((1+n)/64) words of 64 bits, so EVERY actor in
 // the scene gets a dedicated world (no spillover, no fallback tubes).
@@ -271,17 +269,38 @@ func fullMask(dst []uint64, numWorlds int) {
 // scr may be nil; as with ComputeScratch the result is identical either
 // way.
 func ComputeCounterfactuals(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch) SharedTubes {
-	return expand(m, obs, ego, cfg, scr, nil, maskWords(obs.NumActors()))
+	n := obs.NumActors()
+	words := maskWords(n)
+	base, without := expand(m, obs, ego, cfg, scr, nil, 1+n, words)
+	return sharedTubes(base, without, words)
 }
 
 // maskWords returns the number of 64-bit words a world mask over n actors
 // needs: one bit for the base world plus one per actor.
 func maskWords(n int) int { return (1 + n + 63) / 64 }
 
-// expand is the masked expansion behind ComputeCounterfactuals and
-// ComputeCounterfactualsWarm, with world masks `words` words wide (callers
-// pass maskWords; the differential tests force wider masks). Only the
-// candidate stage depends on ws:
+// sharedTubes packs a counterfactual expansion's base tube and per-world
+// volumes into the exported result.
+func sharedTubes(base Tube, without []float64, words int) SharedTubes {
+	return SharedTubes{
+		BaseVolume:    base.Volume,
+		WithoutVolume: without,
+		Represented:   len(without),
+		MaskWords:     words,
+		States:        base.States,
+	}
+}
+
+// expand is Algorithm 1: the one reach expansion behind every tube. It
+// expands numWorlds worlds over obs at once, with world masks `words`
+// words wide. numWorlds is 1 for a single-world tube (Compute,
+// ComputeScratch: the base world alone, T^∅ when obs is empty), or
+// 1+NumActors to add the counterfactual worlds /i (ComputeCounterfactuals
+// and ComputeCounterfactualsWarm; callers pass maskWords, the
+// differential tests force wider masks). It returns the base world's tube
+// — Volume, Blocked, and for the whole masked frontier States,
+// SliceStates and Points — plus |T^{/i}| for each counterfactual world
+// carried. Only the candidate stage depends on ws:
 //
 //   - cold (ws == nil): each parent's control fan is integrated in one
 //     pass (integrateFan) and each candidate swept with an early exit once
@@ -293,33 +312,36 @@ func maskWords(n int) int { return (1 + n + 63) / 64 }
 // Every other decision — root check, broad phase, dedup claims, MaxStates
 // cap replay, grid marks, per-world tallies — is made by this one loop for
 // both, so the warm result is bitwise the cold one.
-func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch, ws *WarmState, words int) SharedTubes {
-	n := obs.NumActors()
-	numWorlds := 1 + n
-	res := SharedTubes{
-		WithoutVolume: make([]float64, n),
-		Represented:   n,
-		MaskWords:     words,
-	}
+func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch, ws *WarmState, numWorlds, words int) (Tube, []float64) {
+	numSlices, maxStates := cfg.NumSlices(), cfg.MaxStates
+	tube := Tube{SliceStates: make([]int, numSlices)}
 	if scr == nil {
 		scr = NewScratch()
 	}
-	telSharedComputes.Inc()
-	telSharedWorlds.Observe(float64(numWorlds))
+	single := numWorlds == 1
+	if single {
+		telComputes.Inc()
+	} else {
+		telSharedComputes.Inc()
+		telSharedWorlds.Observe(float64(numWorlds))
+	}
 
-	scr.resetShared(cfg.CellSize, numWorlds, words)
+	scr.reset(cfg.CellSize, numWorlds, words)
 	grid, claimed := scr.mgrid, scr.claimed
 	volCount, sliceCount := scr.wvol, scr.wslice
 	possible, capMask, newBits := scr.poss, scr.capMask, scr.newBits
-	numSlices, maxStates := cfg.NumSlices(), cfg.MaxStates
 	pm, _ := m.(roadmap.PreparedMap)
-	states, propagations, pruned := 0, 0, 0
+	propagations, pruned := 0, 0
 
 	// Root: each world checks the ego's starting footprint on its own
-	// obstacle set (legacy: drivability, then one collide at slice 0).
+	// obstacle set (drivability, then one collision test at slice 0).
 	egoPb := cfg.Params.Footprint(ego).Prepare()
 	fullMask(possible, numWorlds)
-	if drivable(m, pm, &egoPb) && obs.maskHits(&egoPb, 0, possible) {
+	rootLive := false
+	if drivable(m, pm, &egoPb) {
+		tube.Blocked, rootLive = obs.maskHits(&egoPb, 0, possible)
+	}
+	if rootLive {
 		fan := scr.fan(&cfg)
 		stride := cfg.SubSteps
 		if ws != nil {
@@ -337,43 +359,18 @@ func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *S
 		if ws != nil {
 			fsrc, nsrc = append(ws.fsrc[:0], -1), ws.nsrc[:0]
 		}
-		act := scr.mactive
+		act := scr.mactive[:0]
 
 		for slice := 0; slice < numSlices && len(fstates) > 0; slice++ {
 			claimed.reset(words)
 			clear(sliceCount)
 			// capMask accumulates worlds whose per-slice expansion hit
-			// MaxStates: legacy breaks out of the slice, so every later
-			// candidate is invisible to those worlds.
+			// MaxStates: a lone world breaks out of the slice there, so every
+			// later candidate is invisible to those worlds.
 			clear(capMask)
-			// Broad phase: every footprint swept this slice stays within the
-			// frontier's AABB grown by the worst-case travel (speed is clamped
-			// to [0, MaxSpeed] and gains at most MaxAccel·SliceDt) plus the ego
-			// footprint's bounding radius. Actors outside that window cannot
-			// change any verdict, so the per-candidate scan skips them.
-			fmin, fmax := fstates[0].Pos, fstates[0].Pos
-			vmax := fstates[0].Speed
-			for _, f := range fstates[1:] {
-				if f.Pos.X < fmin.X {
-					fmin.X = f.Pos.X
-				}
-				if f.Pos.Y < fmin.Y {
-					fmin.Y = f.Pos.Y
-				}
-				if f.Pos.X > fmax.X {
-					fmax.X = f.Pos.X
-				}
-				if f.Pos.Y > fmax.Y {
-					fmax.Y = f.Pos.Y
-				}
-				if f.Speed > vmax {
-					vmax = f.Speed
-				}
+			if len(obs.boxes) > 0 {
+				act = obs.broadPhase(act[:0], fstates, &cfg, egoPb.Radius, slice)
 			}
-			travel := math.Min(vmax+cfg.Params.MaxAccel*cfg.SliceDt, cfg.Params.MaxSpeed) * cfg.SliceDt
-			margin := travel + egoPb.Radius + 1e-6
-			act = obs.activeInto(act[:0],
-				geom.V(fmin.X-margin, fmin.Y-margin), geom.V(fmax.X+margin, fmax.Y+margin), slice)
 			sw.act, sw.slice = act, slice
 			sw.s0, sw.s1 = obs.slicePair(slice)
 			nstates, nmasks = nstates[:0], nmasks[:0]
@@ -410,7 +407,7 @@ func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *S
 						s2, k = me.s2, me.skey
 					}
 					propagations++
-					// possible = worlds whose legacy expansion reaches this
+					// possible = worlds whose own expansion reaches this
 					// candidate and has not already ε-visited its key. Dedup
 					// and caps come before the sweep: a duplicate is discarded
 					// identically whether or not its path would have been
@@ -449,6 +446,9 @@ func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *S
 							}
 						}
 					}
+					if cfg.RecordPoints {
+						tube.Points = append(tube.Points, s2.Pos)
+					}
 					nstates = append(nstates, s2)
 					if words == 1 {
 						nmasks = append(nmasks, possible[0])
@@ -458,13 +458,20 @@ func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *S
 					if ws != nil {
 						nsrc = append(nsrc, ci)
 					}
-					states++
+					if single && capMask[0] != 0 {
+						// A lone world's slice ends at its cap: the rest of
+						// the fan is neither examined nor counted.
+						break
+					}
 				}
 			}
+			tube.SliceStates[slice] = len(nstates)
+			tube.States += len(nstates)
 			fstates, nstates = nstates, fstates[:0]
 			fmasks, nmasks = nmasks, fmasks[:0]
 			fsrc, nsrc = nsrc, fsrc[:0]
 		}
+		tube.Blocked = tube.Blocked || sw.blocked
 		// Hand the (possibly re-grown) slices back for the next reuse.
 		scr.frontier, scr.fmasks, scr.next, scr.nmasks, scr.mactive = fstates, fmasks, nstates, nmasks, act
 		if ws != nil {
@@ -473,30 +480,37 @@ func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *S
 	}
 
 	cs := cfg.CellSize
-	// Same expression OccupancyGrid.Area evaluates, so per-world volumes are
-	// bitwise what the legacy tubes report.
-	res.BaseVolume = float64(volCount[0]) * cs * cs
-	for i := 0; i < n; i++ {
-		res.WithoutVolume[i] = float64(volCount[1+i]) * cs * cs
+	// Same expression OccupancyGrid.Area evaluates, so every volume is
+	// bitwise what the single-world reference's grid reports.
+	tube.Volume = float64(volCount[0]) * cs * cs
+	without := make([]float64, numWorlds-1)
+	for i := range without {
+		without[i] = float64(volCount[1+i]) * cs * cs
 	}
-	res.States = states
-	telSharedStates.Add(int64(states))
+	if single {
+		telStates.Add(int64(tube.States))
+		telTubeVolume.Observe(tube.Volume)
+	} else {
+		telSharedStates.Add(int64(tube.States))
+	}
 	telPropagations.Add(int64(propagations))
 	telPruned.Add(int64(pruned))
-	return res
+	return tube, without
 }
 
 // sweeper holds what every path sweep of one slice shares: the map, the
 // obstacles, the reusable prepared ego footprint, the slice's broad-phase
-// survivors and the obstacle slice pair they are tested at.
+// survivors and the obstacle slice pair they are tested at. blocked
+// records whether any sweep of the expansion hit an actor.
 type sweeper struct {
-	m      roadmap.Map
-	pm     roadmap.PreparedMap
-	obs    *Obstacles
-	pb     geom.PreparedBox
-	act    []int32
-	slice  int
-	s0, s1 int
+	m       roadmap.Map
+	pm      roadmap.PreparedMap
+	obs     *Obstacles
+	pb      geom.PreparedBox
+	act     []int32
+	slice   int
+	s0, s1  int
+	blocked bool
 }
 
 // sweep is the cold candidate stage: it moves the footprint along the
@@ -518,11 +532,12 @@ func (sw *sweeper) sweep(path []pathState, possible []uint64) bool {
 		if !drivable(sw.m, sw.pm, pb) {
 			return false
 		}
-		for rest := sw.act; ; {
+		for rest := sw.act; len(rest) > 0; {
 			h := sw.obs.firstHit(pb, sw.s0, sw.s1, rest)
 			if h < 0 {
 				break
 			}
+			sw.blocked = true
 			if i := rest[h]; i != only {
 				if only >= 0 || !hasBit(possible, 1+int(i)) {
 					return false

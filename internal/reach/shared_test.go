@@ -33,22 +33,6 @@ func randomScene(rng *rand.Rand, n int) (vehicle.State, []*actor.Actor) {
 	return ego, actors
 }
 
-// CollideWithout returns a CollisionFunc for the counterfactual world with
-// actor index skip removed (the paper's X^{/i}): the per-world oracle the
-// differential suites expand on its own and compare the masked expansion
-// against.
-func (o *Obstacles) CollideWithout(skip int) CollisionFunc {
-	return func(b *geom.PreparedBox, slice int) bool {
-		slice = min(slice, o.numSlices)
-		for i := range o.boxes {
-			if i != skip && b.Intersects(&o.boxes[i][slice]) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
 // requireSharedMatchesLegacy checks every volume ComputeCounterfactuals
 // reports against the legacy per-world tubes, bit for bit, plus the result
 // metadata: every actor is represented and the mask width matches the
@@ -61,8 +45,8 @@ func requireSharedMatchesLegacy(t *testing.T, tag string, m roadmap.Map, ego veh
 }
 
 // requireTubesMatchLegacy checks sh, a counterfactual expansion over obs,
-// against the legacy oracle: one per-world ComputeScratch tube with
-// Collide (the base world) and with CollideWithout(i) (each world /i).
+// against the legacy oracle: one per-world reference tube with Collide
+// (the base world) and with CollideWithout(i) (each world /i).
 func requireTubesMatchLegacy(t *testing.T, tag string, m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, sh SharedTubes) {
 	t.Helper()
 	n := obs.NumActors()
@@ -72,12 +56,12 @@ func requireTubesMatchLegacy(t *testing.T, tag string, m roadmap.Map, obs *Obsta
 	if want := (1 + n + 63) / 64; sh.MaskWords != want {
 		t.Errorf("%s: mask words %d, want %d", tag, sh.MaskWords, want)
 	}
-	base := Compute(m, obs.Collide(), ego, cfg)
+	base, _ := referenceTube(m, obs.Collide(), ego, cfg)
 	if sh.BaseVolume != base.Volume {
 		t.Errorf("%s: base volume %v, legacy %v", tag, sh.BaseVolume, base.Volume)
 	}
 	for i := 0; i < n; i++ {
-		wo := Compute(m, obs.CollideWithout(i), ego, cfg)
+		wo, _ := referenceTube(m, obs.CollideWithout(i), ego, cfg)
 		if sh.WithoutVolume[i] != wo.Volume {
 			t.Errorf("%s: world /%d volume %v, legacy %v", tag, i, sh.WithoutVolume[i], wo.Volume)
 		}
@@ -209,7 +193,8 @@ func TestSharedSegmentedForcedWords(t *testing.T) {
 			t.Fatalf("iter %d: small scene took %d words", iter, want.MaskWords)
 		}
 		for _, words := range []int{2, 3} {
-			got := expand(road, obs, ego, cfg, scr, nil, words)
+			base, without := expand(road, obs, ego, cfg, scr, nil, 1+n, words)
+			got := sharedTubes(base, without, words)
 			requireSame(fmt.Sprintf("iter %d words %d", iter, words), want, got)
 		}
 	}

@@ -596,7 +596,8 @@ func (ws *WarmState) compute(m roadmap.Map, obs *Obstacles, ego vehicle.State, c
 	}
 
 	ws.stats = WarmStats{Hit: warm}
-	res := expand(m, obs, ego, cfg, scr, ws, words)
+	base, without := expand(m, obs, ego, cfg, scr, ws, 1+n, words)
+	res := sharedTubes(base, without, words)
 
 	ws.prevEgo, ws.prevCfg, ws.prevRoad = ego, cfg, rk
 	ws.prevObs = obs

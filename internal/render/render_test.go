@@ -27,7 +27,7 @@ func testScene(t *testing.T) Scene {
 	cfg.RecordPoints = true
 	trajs := actor.PredictAll(actors, cfg.NumSlices(), cfg.SliceDt)
 	obs := reach.BuildObstacles(actors, trajs, cfg)
-	tube := reach.Compute(road, obs.Collide(), ego, cfg)
+	tube := reach.Compute(road, obs, ego, cfg)
 
 	return Scene{
 		Map:    road,

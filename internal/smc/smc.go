@@ -229,15 +229,6 @@ type SMC struct {
 	policy *rl.Policy
 	eval   *sti.Evaluator
 
-	// warm retains the previous decision's shared-expansion state so that
-	// re-scoring a scene whose ego root has not moved (a braked ego riding
-	// out a hazard) reuses the prior tick's path-sweep verdicts. One state
-	// per controller instance: CloneForRun hands every concurrent episode
-	// its own.
-	warm    *sti.WarmState
-	prevEgo vehicle.State
-	hasPrev bool
-
 	stepsSinceDecision int
 	lastAction         Action
 }
@@ -249,36 +240,27 @@ func New(cfg Config, policy *rl.Policy) (*SMC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// The warm start serves decisions whose ego root is stationary between
-	// steps; the common moving-ego decision still takes the two-tube
-	// EvaluateCombined fast path.
-	eval, err := sti.NewEvaluatorOptions(cfg.Reach, sti.Options{WarmStart: true})
+	eval, err := sti.NewEvaluator(cfg.Reach)
 	if err != nil {
 		return nil, err
 	}
-	return &SMC{cfg: cfg, policy: policy, eval: eval, warm: sti.NewWarmState()}, nil
+	return &SMC{cfg: cfg, policy: policy, eval: eval}, nil
 }
 
 // Config returns the controller's configuration.
 func (s *SMC) Config() Config { return s.cfg }
 
 // CloneForRun returns a controller sharing this one's (read-only) policy
-// and STI evaluator cache but with independent per-episode state (including
-// a private warm-start state), so suites can be evaluated concurrently.
+// and STI evaluator cache but with independent per-episode state, so suites
+// can be evaluated concurrently.
 func (s *SMC) CloneForRun() *SMC {
-	return &SMC{cfg: s.cfg, policy: s.policy, eval: s.eval, warm: sti.NewWarmState()}
+	return &SMC{cfg: s.cfg, policy: s.policy, eval: s.eval}
 }
 
 // Reset implements sim.Mitigator.
 func (s *SMC) Reset() {
 	s.stepsSinceDecision = 0
 	s.lastAction = NoOp
-	s.hasPrev = false
-	if s.warm != nil && !s.warm.TryReset() {
-		// An evaluation still owns the state (a racing clone misuse);
-		// abandon it rather than corrupt the in-flight tick.
-		s.warm = sti.NewWarmState()
-	}
 }
 
 // Mitigate implements sim.Mitigator: every DecisionStride steps it
@@ -301,22 +283,5 @@ func (s *SMC) Mitigate(obs sim.Observation, ads vehicle.Control) (vehicle.Contro
 func (s *SMC) LastAction() Action { return s.lastAction }
 
 func (s *SMC) currentSTI(obs sim.Observation) float64 {
-	visible := nearestActors(obs, s.cfg)
-	// A reach warm start can only validate when the ego root is bitwise
-	// unchanged since the previous decision (a stopped ego riding out a
-	// hazard) — any ego motion is a guaranteed cold re-expansion, where the
-	// two-tube EvaluateCombined fast path is strictly cheaper than the
-	// shared per-actor engine. Gate the warm path on exactly the states
-	// that can hit. Both paths return bitwise-identical combined STI (the
-	// shared-vs-legacy and warm-vs-cold differential suites), so the gate
-	// trades only compute.
-	warmable := s.warm != nil && s.hasPrev && len(visible) > 1 && obs.Ego == s.prevEgo
-	s.prevEgo = obs.Ego
-	s.hasPrev = true
-	if warmable {
-		trajs := actor.PredictAll(visible, s.cfg.Reach.NumSlices(), s.cfg.Reach.SliceDt)
-		res, _ := s.eval.EvaluateWarm(obs.Map, obs.Ego, visible, trajs, s.warm)
-		return res.Combined
-	}
-	return s.eval.CombinedWithPrediction(obs.Map, obs.Ego, visible)
+	return s.eval.CombinedWithPrediction(obs.Map, obs.Ego, nearestActors(obs, s.cfg))
 }

@@ -450,7 +450,7 @@ func (r *trainRun) parallel(ctx context.Context, makeDriver func() sim.Driver, r
 
 // worker runs episodes from the job channel: pure simulation + STI scoring
 // against the job's frozen snapshot, no shared mutable state. Each worker
-// owns a driver and an SMC clone (private warm-start state; the evaluator
+// owns a driver and an SMC clone with its own decision state (the evaluator
 // itself is concurrency-safe).
 func (r *trainRun) worker(id int, makeDriver func() sim.Driver, base *SMC, jobs <-chan episodeJob) {
 	driver := makeDriver()

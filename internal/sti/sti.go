@@ -193,12 +193,11 @@ func (e *Evaluator) evaluateSingle(rec *trace.Recorder, m roadmap.Map, ego vehic
 	emptyVol, cacheState := e.emptyVolumeState(m, ego, scr)
 	sp.Annotate("cache_state", cacheState).End()
 	prov.CacheState = cacheState
-	// The base tube records whether the actor ever blocked a candidate
-	// footprint. If it never did, the deterministic expansion without it is
+	// The base tube reports whether the actor ever blocked a footprint it
+	// tested. If it never did, the deterministic expansion without it is
 	// identical: T^{/0} = T exactly, whatever the cached |T^∅| says.
-	marks := make([]bool, 1)
 	sp = rec.StartSpan("reach.base_tube")
-	base := reach.ComputeScratch(m, obs.CollideRecording(marks), ego, e.cfg, scr)
+	base := reach.ComputeScratch(m, obs, ego, e.cfg, scr)
 	sp.End()
 
 	res := Result{
@@ -215,7 +214,7 @@ func (e *Evaluator) evaluateSingle(rec *trace.Recorder, m roadmap.Map, ego vehic
 	res.Combined = snap(clamp01((emptyVol - base.Volume) / emptyVol))
 	telElided.Inc()
 	prov.ElidedActors = 1
-	if res.Combined == 0 || !marks[0] {
+	if res.Combined == 0 || !base.Blocked {
 		// Dead-band certificate (see evaluateShared) or a never-blocking
 		// actor: report |T| as the without-volume, STI zero.
 		res.WithoutVolume[0] = base.Volume
@@ -243,16 +242,27 @@ func (e *Evaluator) evaluateShared(rec *trace.Recorder, m roadmap.Map, ego vehic
 	emptyVol, cacheState := e.emptyVolumeState(m, ego, scr)
 	sp.Annotate("cache_state", cacheState).End()
 	prov.CacheState = cacheState
-	var sh reach.SharedTubes
+	// The span carries the expansion's shape, plus the warm-start outcome
+	// on warm calls; perfbench's ledger and iprism-risktrace read it by
+	// name. A nil ws is the cold expansion.
+	sp = rec.StartSpan("reach.shared_expansion")
+	sh, stats := reach.ComputeCounterfactualsWarm(m, obs, ego, e.cfg, scr, ws)
+	if sp != nil {
+		sp.Annotate("states", sh.States).
+			Annotate("represented", sh.Represented).
+			Annotate("mask_words", sh.MaskWords)
+		if ws != nil {
+			sp.Annotate("warm_hit", stats.Hit).
+				Annotate("warm_reused", stats.Reused).
+				Annotate("warm_invalidated", stats.Invalidated)
+		}
+		sp.End()
+	}
 	if ws != nil {
-		var stats reach.WarmStats
-		sh, stats = reach.ComputeCounterfactualsWarmTraced(rec, m, obs, ego, e.cfg, scr, ws)
 		prov.WarmHit = stats.Hit
 		prov.WarmReused = stats.Reused
 		prov.WarmInvalidated = stats.Invalidated
 		noteWarmOutcome(stats.Hit)
-	} else {
-		sh = reach.ComputeCounterfactualsTraced(rec, m, obs, ego, e.cfg, scr)
 	}
 	telSharedMaskWidth.Observe(float64(sh.Represented))
 	telSharedMaskWords.Observe(float64(sh.MaskWords))
@@ -305,8 +315,9 @@ func snap(v float64) float64 {
 }
 
 // EvaluateCombined computes only STI^(combined), skipping the per-actor
-// counterfactuals. This is the fast path used inside the SMC reward loop,
-// costing two reach-tube computations instead of N+2.
+// counterfactuals. This is the fast path used inside the SMC reward loop:
+// one single-world expansion of the base tube, with no world bit per
+// actor, plus the empty tube, which the cache usually serves.
 func (e *Evaluator) EvaluateCombined(m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory) float64 {
 	defer telCombinedSeconds.Start().Stop()
 	telEvaluations.Inc()
@@ -321,7 +332,7 @@ func (e *Evaluator) EvaluateCombined(m roadmap.Map, ego vehicle.State, actors []
 	if emptyVol <= 0 {
 		return 0
 	}
-	base := reach.ComputeScratch(m, obs.Collide(), ego, e.cfg, scr)
+	base := reach.ComputeScratch(m, obs, ego, e.cfg, scr)
 	return snap(clamp01((emptyVol - base.Volume) / emptyVol))
 }
 

@@ -16,8 +16,12 @@ go build ./...
 # 1-CPU container, past go test's default 10 min per-package timeout.
 go test -race -timeout 45m ./...
 
-# Differential suite: the shared-expansion counterfactual engine must match
-# the per-actor oracle (test code) bit-for-bit — including the 64-130-actor
+# Differential suite: single-world reach.expand (every |T^∅|, one-actor base
+# tube and EvaluateCombined tube) must match the single-world reference
+# loop (test code) bit-for-bit, its Blocked report and the
+# FuzzSingleWorldVsReference seed corpus included; the shared-expansion
+# counterfactual engine must match the per-actor oracle (test code)
+# bit-for-bit — including the 64-130-actor
 # segmented-mask scenes, the benchmark's input classes and the
 # FuzzSharedVsLegacy seed corpus — and the warm-started session engine must
 # match the cold path bit-for-bit across recorded session traces and the
@@ -31,14 +35,15 @@ go test -race -timeout 45m ./...
 # silently, so list the matches first: every package must match at least
 # one test or fuzz target, and the cornerstone differential tests must all
 # be present.
-diff_run='Shared|MaskGrid|Warm|FuzzSharedVsLegacy|FuzzWarmVsCold|IntegrateFan|GoldenDigest'
+diff_run='SingleWorld|Shared|MaskGrid|Warm|FuzzSharedVsLegacy|FuzzWarmVsCold|IntegrateFan|GoldenDigest'
 diff_pkgs=(./internal/reach ./internal/sti ./internal/geom ./internal/server)
 diff_list="$(go test -list "$diff_run" "${diff_pkgs[@]}")"
 echo "$diff_list" | awk '
   /^(Test|Fuzz)/ { n++ }
   /^(ok|\?) / { if (n == 0) { print "verify: " $2 " matches no differential test" > "/dev/stderr"; bad = 1 } n = 0 }
   END { exit bad }'
-for t in TestSharedMatchesLegacySegmented TestSharedSegmentedForcedWords \
+for t in TestSingleWorldMatchesReference FuzzSingleWorldVsReference \
+  TestSharedMatchesLegacySegmented TestSharedSegmentedForcedWords \
   TestSharedExpansionMatchesLegacyScenes \
   TestWarmMatchesColdSessionTraces FuzzSharedVsLegacy FuzzWarmVsCold \
   TestIntegrateFanMatchesPerControl TestEvaluateGoldenDigest; do
