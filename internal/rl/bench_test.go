@@ -1,27 +1,28 @@
 package rl
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // BenchmarkDDQNTrainStep measures one Observe (replay push + batch
-// gradient step) at the SMC's network size.
+// gradient step) at the SMC's network size. The replay ring is pre-filled
+// with distinct seeded transitions and stays at a fixed size, so the cost
+// per op does not depend on b.N.
 func BenchmarkDDQNTrainStep(b *testing.B) {
+	const dim, actions, ring = 24, 3, 2048
 	cfg := DefaultDDQNConfig()
-	cfg.WarmUp = 1
-	d, err := NewDDQN(24, 3, cfg)
+	cfg.WarmUp = ring
+	cfg.ReplayCap = ring
+	d, err := NewDDQN(dim, actions, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	state := make([]float64, 24)
-	for i := range state {
-		state[i] = rng.Float64()
+	stream := synthTransitions(1, 2*ring, dim)
+	for _, tr := range stream[:ring] {
+		d.Observe(tr)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Observe(Transition{State: state, Action: i % 3, Reward: 1, Next: state, Done: i%7 == 0})
+		d.Observe(stream[ring+i%ring])
 	}
 }
 
@@ -32,6 +33,7 @@ func BenchmarkMLPForward(b *testing.B) {
 	for i := range x {
 		x[i] = float64(i) / 24
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Forward(x)

@@ -51,6 +51,21 @@ type DDQN struct {
 
 	envSteps   int
 	trainSteps int
+
+	// Training scratch, owned by the learner and reused by every step.
+	// All but fwd are allocated by the first step.
+	train   *trainBuf
+	fwd     []float64 // one forward pass's activations
+	inputs  [][]float64
+	acted   []int
+	targets []float64
+
+	// tq memoises target.Forward(Next) of replay slot s in
+	// tq[s*actions:(s+1)*actions], valid while tqOK[s]. Overwriting the
+	// slot and syncing the target network invalidate it. It is derived
+	// state: checkpoints omit it and a restored learner starts it empty.
+	tq   []float64
+	tqOK []bool
 }
 
 // countedSource wraps the learner's seeded source and counts every draw, so
@@ -85,15 +100,23 @@ func NewDDQN(stateDim, actions int, cfg DDQNConfig) (*DDQN, error) {
 		return nil, err
 	}
 	src := &countedSource{src: rand.NewSource(cfg.Seed)}
+	return newDDQN(cfg, online, online.Clone(), NewReplay(cfg.ReplayCap), src, actions), nil
+}
+
+// newDDQN assembles a learner. Its training scratch and target-Q memo are
+// allocated by the first training step, so a learner that never trains
+// (a run cancelled before its warm-up ends) pays nothing for them.
+func newDDQN(cfg DDQNConfig, online, target *MLP, replay *Replay, src *countedSource, actions int) *DDQN {
 	return &DDQN{
 		cfg:     cfg,
 		online:  online,
-		target:  online.Clone(),
-		replay:  NewReplay(cfg.ReplayCap),
+		target:  target,
+		replay:  replay,
 		rng:     rand.New(src),
 		src:     src,
 		actions: actions,
-	}, nil
+		fwd:     make([]float64, online.actLen()),
+	}
 }
 
 // Epsilon returns the current exploration rate.
@@ -114,16 +137,19 @@ func (d *DDQN) SelectAction(state []float64, explore bool) int {
 	if explore && d.rng.Float64() < d.Epsilon() {
 		return d.rng.Intn(d.actions)
 	}
-	return argmax(d.online.Forward(state))
+	return argmax(d.online.forward(state, d.fwd))
 }
 
 // Q returns the online network's Q-values for a state.
 func (d *DDQN) Q(state []float64) []float64 { return d.online.Forward(state) }
 
 // Observe records a transition and runs one training step once warm.
-// It returns the training loss (0 when no step ran).
+// It returns the training loss (0 when no step ran). The replay keeps t's
+// slices, so the caller must not modify them afterwards.
 func (d *DDQN) Observe(t Transition) float64 {
-	d.replay.Add(t)
+	if slot := d.replay.Add(t); slot < len(d.tqOK) {
+		d.tqOK[slot] = false
+	}
 	d.envSteps++
 	if d.replay.Len() < d.cfg.WarmUp {
 		return 0
@@ -131,28 +157,47 @@ func (d *DDQN) Observe(t Transition) float64 {
 	return d.trainStep()
 }
 
+// trainStep draws a batch uniformly with replacement (one rng.Intn per
+// sample), builds its Double-DQN targets and takes one Adam step.
 func (d *DDQN) trainStep() float64 {
-	batch := d.replay.Sample(d.rng, d.cfg.BatchSize)
-	inputs := make([][]float64, len(batch))
-	actions := make([]int, len(batch))
-	targets := make([]float64, len(batch))
-	for i, tr := range batch {
-		inputs[i] = tr.State
-		actions[i] = tr.Action
+	if d.train == nil {
+		batch, slots := max(d.cfg.BatchSize, 0), d.replay.size
+		d.train = newTrainBuf(d.online)
+		d.inputs, d.acted, d.targets = make([][]float64, batch), make([]int, batch), make([]float64, batch)
+		d.tq, d.tqOK = make([]float64, slots*d.actions), make([]bool, slots)
+	}
+	for i := range d.inputs {
+		slot := d.rng.Intn(d.replay.Len())
+		tr := &d.replay.buf[slot]
+		d.inputs[i] = tr.State
+		d.acted[i] = tr.Action
 		y := tr.Reward
 		if !tr.Done {
 			// Double-DQN target: online net selects, target net evaluates.
-			best := argmax(d.online.Forward(tr.Next))
-			y += d.cfg.Gamma * d.target.Forward(tr.Next)[best]
+			best := argmax(d.online.forward(tr.Next, d.fwd))
+			y += d.cfg.Gamma * d.targetQ(slot)[best]
 		}
-		targets[i] = y
+		d.targets[i] = y
 	}
-	loss := d.online.TrainTargets(inputs, actions, targets, d.cfg.LR)
+	loss := d.online.trainTargets(d.train, d.inputs, d.acted, d.targets, d.cfg.LR)
 	d.trainSteps++
 	if d.cfg.TargetSync > 0 && d.trainSteps%d.cfg.TargetSync == 0 {
 		d.target.CopyWeightsFrom(d.online)
+		clear(d.tqOK)
 	}
 	return loss
+}
+
+// targetQ returns the target network's Q-values of replay slot's Next
+// state, from the memo when the slot and the target are unchanged since
+// they were computed.
+func (d *DDQN) targetQ(slot int) []float64 {
+	q := d.tq[slot*d.actions:][:d.actions]
+	if !d.tqOK[slot] {
+		copy(q, d.target.forward(d.replay.buf[slot].Next, d.fwd))
+		d.tqOK[slot] = true
+	}
+	return q
 }
 
 // Policy freezes the current online network into an inference-only policy.

@@ -82,99 +82,230 @@ func (m *MLP) InputDim() int { return m.sizes[0] }
 // OutputDim returns the output dimension.
 func (m *MLP) OutputDim() int { return m.sizes[len(m.sizes)-1] }
 
-// Forward runs inference, returning a freshly allocated output vector.
+// Forward runs inference, returning a freshly allocated output vector. It
+// is safe for concurrent callers: all scratch lives in one per-call buffer.
 func (m *MLP) Forward(x []float64) []float64 {
-	acts := m.forwardActs(x)
-	out := acts[len(acts)-1]
-	cp := make([]float64, len(out))
-	copy(cp, out)
-	return cp
+	return m.forward(x, make([]float64, m.actLen()))
 }
 
-// forwardActs returns the activation of every layer (input included).
-func (m *MLP) forwardActs(x []float64) [][]float64 {
-	acts := make([][]float64, len(m.sizes))
-	acts[0] = x
-	for l := 0; l < len(m.weights); l++ {
-		in, out := m.sizes[l], m.sizes[l+1]
-		a := make([]float64, out)
-		w := m.weights[l]
-		prev := acts[l]
-		for j := 0; j < out; j++ {
-			sum := m.biases[l][j]
-			row := w[j*in : (j+1)*in]
-			for i, v := range prev {
-				sum += row[i] * v
-			}
-			if l < len(m.weights)-1 && sum < 0 {
-				sum = 0 // ReLU on hidden layers
-			}
-			a[j] = sum
-		}
-		acts[l+1] = a
+// actLen is the length of every non-input layer's activations laid end to
+// end, the buffer forward fills.
+func (m *MLP) actLen() int {
+	n := 0
+	for _, s := range m.sizes[1:] {
+		n += s
 	}
-	return acts
+	return n
+}
+
+// forward runs inference into acts (length actLen): layer l's activation
+// occupies the sizes[l+1] entries after the previous layers'. It returns
+// the output layer's slice of acts.
+func (m *MLP) forward(x, acts []float64) []float64 {
+	last := len(m.weights) - 1
+	prev := x
+	for l, w := range m.weights {
+		out := acts[:m.sizes[l+1]]
+		acts = acts[len(out):]
+		layerForward(w, m.biases[l], prev, out, l < last)
+		prev = out
+	}
+	return prev
+}
+
+// layerForward computes out[j] = b[j] + Σ_i w[j*len(prev)+i]·prev[i], with
+// ReLU when relu is set. Four output units share each pass over prev, each
+// with its own accumulator that adds the bias first and then the inputs in
+// index order, so every unit sees exactly the additions, in exactly the
+// order, of one scalar loop per unit: the result is bitwise the same.
+func layerForward(w, b, prev, out []float64, relu bool) {
+	in := len(prev)
+	j := 0
+	for ; j+4 <= len(out); j += 4 {
+		r0 := w[j*in:][:in]
+		r1 := w[(j+1)*in:][:in]
+		r2 := w[(j+2)*in:][:in]
+		r3 := w[(j+3)*in:][:in]
+		s0, s1, s2, s3 := b[j], b[j+1], b[j+2], b[j+3]
+		for i, v := range prev {
+			s0 += r0[i] * v
+			s1 += r1[i] * v
+			s2 += r2[i] * v
+			s3 += r3[i] * v
+		}
+		if relu {
+			s0, s1, s2, s3 = reluOf(s0), reluOf(s1), reluOf(s2), reluOf(s3)
+		}
+		out[j], out[j+1], out[j+2], out[j+3] = s0, s1, s2, s3
+	}
+	for ; j < len(out); j++ {
+		r := w[j*in:][:in]
+		s := b[j]
+		for i, v := range prev {
+			s += r[i] * v
+		}
+		if relu {
+			s = reluOf(s)
+		}
+		out[j] = s
+	}
+}
+
+// reluOf clamps negatives to +0 and passes everything else (−0 and NaN
+// included) through unchanged. It selects on the bits so the compiler can
+// use a conditional move: a hidden unit's sign is a coin flip, and a
+// mispredicted branch per unit costs more than the unit's dot product.
+func reluOf(s float64) float64 {
+	b := math.Float64bits(s)
+	if s < 0 {
+		b = 0
+	}
+	return math.Float64frombits(b)
+}
+
+// trainBuf is the scratch of one TrainTargets call, reused across calls by
+// the learner that owns it: the gradient accumulators, one sample's
+// activations, the deltas of two adjacent layers and the indices of the
+// nonzero deltas.
+type trainBuf struct {
+	gradW, gradB [][]float64
+	acts         []float64
+	delta, next  []float64
+	nz           []int
+}
+
+func newTrainBuf(m *MLP) *trainBuf {
+	widest := 0
+	for _, s := range m.sizes {
+		widest = max(widest, s)
+	}
+	tb := &trainBuf{
+		gradW: make([][]float64, len(m.weights)),
+		gradB: make([][]float64, len(m.biases)),
+		acts:  make([]float64, m.actLen()),
+		delta: make([]float64, widest),
+		next:  make([]float64, widest),
+		nz:    make([]int, widest),
+	}
+	for l := range m.weights {
+		tb.gradW[l] = make([]float64, len(m.weights[l]))
+		tb.gradB[l] = make([]float64, len(m.biases[l]))
+	}
+	return tb
 }
 
 // TrainTargets performs one Adam step of semi-gradient regression: for each
 // sample, only the output unit actions[s] is regressed towards targets[s]
 // (the DQN loss). It returns the mean squared error over the batch.
 func (m *MLP) TrainTargets(inputs [][]float64, actions []int, targets []float64, lr float64) float64 {
+	return m.trainTargets(newTrainBuf(m), inputs, actions, targets, lr)
+}
+
+// trainTargets is TrainTargets over the caller's scratch. Per sample it
+// runs the forward pass, then walks the layers backwards: only units with a
+// nonzero delta contribute (a zero delta is skipped, not added: with an
+// infinite input 0·Inf would be NaN), each adds d to its bias gradient
+// and d·prev[i] to its weight gradients, and the previous layer's delta
+// starts at +0 and accumulates d·w[j][i] over those units in ascending j.
+// Gradients accumulate in sample order. These are the additions, in the
+// order, of the scalar per-unit loop, so the step is bitwise the same.
+func (m *MLP) trainTargets(tb *trainBuf, inputs [][]float64, actions []int, targets []float64, lr float64) float64 {
 	if len(inputs) == 0 {
 		return 0
 	}
-	n := len(m.weights)
-	gradW := make([][]float64, n)
-	gradB := make([][]float64, n)
-	for l := 0; l < n; l++ {
-		gradW[l] = make([]float64, len(m.weights[l]))
-		gradB[l] = make([]float64, len(m.biases[l]))
+	for l := range tb.gradW {
+		clear(tb.gradW[l])
+		clear(tb.gradB[l])
 	}
+	n := len(m.weights)
 	loss := 0.0
 	for s, x := range inputs {
-		acts := m.forwardActs(x)
-		out := acts[len(acts)-1]
+		out := m.forward(x, tb.acts)
 		a := actions[s]
 		err := out[a] - targets[s]
 		loss += err * err
 		// Output-layer delta: only the selected unit has gradient.
-		delta := make([]float64, m.OutputDim())
+		delta, spare := tb.delta[:len(out)], tb.next
+		clear(delta)
 		delta[a] = 2 * err / float64(len(inputs))
+		hidden := tb.acts[:len(tb.acts)-len(out)]
 		for l := n - 1; l >= 0; l-- {
 			in := m.sizes[l]
-			prev := acts[l]
-			var nextDelta []float64
+			prev := x
 			if l > 0 {
-				nextDelta = make([]float64, in)
+				prev = hidden[len(hidden)-in:]
+				hidden = hidden[:len(hidden)-in]
 			}
-			w := m.weights[l]
+			// Collect the nonzero deltas without a branch: every index
+			// is written, only a nonzero one (NaN included) advances k.
+			nz, k := tb.nz[:len(delta)], 0
 			for j, d := range delta {
-				if d == 0 {
-					continue
+				nz[k] = j
+				if d != 0 {
+					k++
 				}
-				gradB[l][j] += d
-				row := w[j*in : (j+1)*in]
-				grow := gradW[l][j*in : (j+1)*in]
+			}
+			nz = nz[:k]
+			gw, gb := tb.gradW[l], tb.gradB[l]
+			for _, j := range nz {
+				d := delta[j]
+				gb[j] += d
+				grow := gw[j*in:][:len(prev)]
 				for i, v := range prev {
 					grow[i] += d * v
-					if l > 0 {
-						nextDelta[i] += d * row[i]
-					}
 				}
 			}
-			if l > 0 {
-				// ReLU derivative of the hidden activation.
-				for i, v := range acts[l] {
-					if v <= 0 {
-						nextDelta[i] = 0
-					}
-				}
-				delta = nextDelta
+			if l == 0 {
+				break
 			}
+			next := spare[:in]
+			backprop(m.weights[l], delta, nz, next)
+			// ReLU derivative of the hidden activation, selected on the
+			// bits like reluOf.
+			for i, v := range prev {
+				b := math.Float64bits(next[i])
+				if v <= 0 {
+					b = 0
+				}
+				next[i] = math.Float64frombits(b)
+			}
+			delta, spare = next, delta
 		}
 	}
-	m.adamStep(gradW, gradB, lr)
+	m.adamStep(tb.gradW, tb.gradB, lr)
 	return loss / float64(len(inputs))
+}
+
+// backprop sets next[i] = Σ_{j∈nz} delta[j]·w[j*len(next)+i], summed from
+// +0 in the order of nz. Four units share each pass over next, their
+// products added to one register in that order.
+func backprop(w, delta []float64, nz []int, next []float64) {
+	in := len(next)
+	clear(next)
+	k := 0
+	for ; k+4 <= len(nz); k += 4 {
+		j0, j1, j2, j3 := nz[k], nz[k+1], nz[k+2], nz[k+3]
+		d0, d1, d2, d3 := delta[j0], delta[j1], delta[j2], delta[j3]
+		r0 := w[j0*in:][:in]
+		r1 := w[j1*in:][:in]
+		r2 := w[j2*in:][:in]
+		r3 := w[j3*in:][:in]
+		for i, s := range next {
+			s += d0 * r0[i]
+			s += d1 * r1[i]
+			s += d2 * r2[i]
+			s += d3 * r3[i]
+			next[i] = s
+		}
+	}
+	for ; k < len(nz); k++ {
+		j := nz[k]
+		d := delta[j]
+		r := w[j*in:][:in]
+		for i := range next {
+			next[i] += d * r[i]
+		}
+	}
 }
 
 const (

@@ -1,7 +1,5 @@
 package rl
 
-import "math/rand"
-
 // Transition is one experience tuple (S_t, a_t, r_t, S_{t+1}, done).
 type Transition struct {
 	State  []float64
@@ -11,44 +9,36 @@ type Transition struct {
 	Done   bool
 }
 
-// Replay is a fixed-capacity ring buffer of transitions with uniform
-// sampling.
+// Replay is a fixed-capacity ring buffer of transitions; the learner
+// samples it uniformly with replacement.
 type Replay struct {
-	buf  []Transition
+	buf  []Transition // grows to size, then wraps
+	size int
 	next int
 	full bool
 }
 
-// NewReplay creates a buffer holding up to capacity transitions.
+// NewReplay creates a buffer holding up to capacity transitions. Storage
+// grows as transitions arrive, so a short run does not pay for the whole
+// ring.
 func NewReplay(capacity int) *Replay {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Replay{buf: make([]Transition, 0, capacity)}
+	return &Replay{size: max(capacity, 1)}
 }
 
-// Add appends a transition, evicting the oldest when full.
-func (r *Replay) Add(t Transition) {
-	if len(r.buf) < cap(r.buf) {
+// Add stores a transition, evicting the oldest when full, and returns the
+// slot it wrote. The buffer keeps t's slices, so the caller must not modify
+// them afterwards.
+func (r *Replay) Add(t Transition) int {
+	if len(r.buf) < r.size {
 		r.buf = append(r.buf, t)
-		return
+		return len(r.buf) - 1
 	}
 	r.full = true
-	r.buf[r.next] = t
-	r.next = (r.next + 1) % cap(r.buf)
+	slot := r.next
+	r.buf[slot] = t
+	r.next = (r.next + 1) % r.size
+	return slot
 }
 
 // Len returns the number of stored transitions.
 func (r *Replay) Len() int { return len(r.buf) }
-
-// Sample draws n transitions uniformly with replacement.
-func (r *Replay) Sample(rng *rand.Rand, n int) []Transition {
-	if len(r.buf) == 0 {
-		return nil
-	}
-	out := make([]Transition, n)
-	for i := range out {
-		out[i] = r.buf[rng.Intn(len(r.buf))]
-	}
-	return out
-}

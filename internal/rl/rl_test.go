@@ -141,24 +141,6 @@ func TestReplayRingBuffer(t *testing.T) {
 	}
 }
 
-func TestReplaySample(t *testing.T) {
-	r := NewReplay(10)
-	rng := rand.New(rand.NewSource(1))
-	if got := r.Sample(rng, 4); got != nil {
-		t.Errorf("sampling empty buffer = %v", got)
-	}
-	r.Add(Transition{Action: 7})
-	s := r.Sample(rng, 4)
-	if len(s) != 4 {
-		t.Fatalf("sample size = %d", len(s))
-	}
-	for _, tr := range s {
-		if tr.Action != 7 {
-			t.Error("sample returned foreign transition")
-		}
-	}
-}
-
 func TestReplayCapacityFloor(t *testing.T) {
 	r := NewReplay(0)
 	r.Add(Transition{})

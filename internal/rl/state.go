@@ -82,7 +82,7 @@ type ReplayState struct {
 // State captures the buffer for checkpointing.
 func (r *Replay) State() ReplayState {
 	return ReplayState{
-		Cap:  cap(r.buf),
+		Cap:  r.size,
 		Buf:  append([]Transition(nil), r.buf...),
 		Next: r.next,
 		Full: r.full,
@@ -94,9 +94,7 @@ func RestoreReplay(st ReplayState) (*Replay, error) {
 	if st.Cap < 1 || len(st.Buf) > st.Cap || st.Next < 0 || st.Next >= st.Cap {
 		return nil, fmt.Errorf("rl: invalid replay state cap=%d len=%d next=%d", st.Cap, len(st.Buf), st.Next)
 	}
-	r := &Replay{buf: make([]Transition, len(st.Buf), st.Cap), next: st.Next, full: st.Full}
-	copy(r.buf, st.Buf)
-	return r, nil
+	return &Replay{buf: append([]Transition(nil), st.Buf...), size: st.Cap, next: st.Next, full: st.Full}, nil
 }
 
 // DDQNState is the complete serialisable state of a learner mid-training:
@@ -152,15 +150,7 @@ func RestoreDDQN(actions int, cfg DDQNConfig, st DDQNState) (*DDQN, error) {
 	for src.draws < st.RNGDraws {
 		src.Int63()
 	}
-	return &DDQN{
-		cfg:        cfg,
-		online:     online,
-		target:     target,
-		replay:     replay,
-		rng:        rand.New(src),
-		src:        src,
-		actions:    actions,
-		envSteps:   st.EnvSteps,
-		trainSteps: st.TrainSteps,
-	}, nil
+	d := newDDQN(cfg, online, target, replay, src, actions)
+	d.envSteps, d.trainSteps = st.EnvSteps, st.TrainSteps
+	return d, nil
 }

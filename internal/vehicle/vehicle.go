@@ -198,8 +198,8 @@ func SincosSmall(x float64) (sin, cos float64) {
 		return math.Sincos(x)
 	}
 	x2 := x * x
-	sin = x * (1 + x2*(-1.0/6 + x2*(1.0/120 + x2*(-1.0/5040 + x2*(1.0/362880 + x2*(-1.0/39916800))))))
-	cos = 1 + x2*(-1.0/2 + x2*(1.0/24 + x2*(-1.0/720 + x2*(1.0/40320 + x2*(-1.0/3628800 + x2*(1.0/479001600))))))
+	sin = x * (1 + x2*(-1.0/6+x2*(1.0/120+x2*(-1.0/5040+x2*(1.0/362880+x2*(-1.0/39916800))))))
+	cos = 1 + x2*(-1.0/2+x2*(1.0/24+x2*(-1.0/720+x2*(1.0/40320+x2*(-1.0/3628800+x2*(1.0/479001600))))))
 	return sin, cos
 }
 

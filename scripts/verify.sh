@@ -8,6 +8,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 go vet ./...
+test -z "$(gofmt -l .)" || { echo "verify: gofmt needed:" >&2; gofmt -l . >&2; exit 1; }
 go build ./...
 # perfbench/ is a nested module, so ./... above skips it; compile it here so
 # an API change it depends on fails tier-1, not only the bench pipeline.
@@ -28,15 +29,20 @@ go test -race -timeout 45m ./...
 # FuzzWarmVsCold perturbation corpus; the control-fan integration kernel
 # must match the per-control StepPath oracle bit for bit, and Evaluate
 # must still produce the committed golden digest (the differential
-# oracles share the integration, so only the digest sees it drift)
+# oracles share the integration, so only the digest sees it drift); the
+# D-DQN learner's blocked kernels and target-Q memo must match the scalar
+# reference learner (test code) bit for bit after every Observe, and a
+# seeded DefaultConfig training must still produce its committed golden
+# digest, serial and with two episode workers (the trainer's own oracle
+# shares the rl package, so only the digest sees the learner drift)
 # (already part of ./... above, but run explicitly so a perf-motivated
 # edit cannot silently drop any of these proofs).
 # A rename could leave a package matching no test, which go test passes
 # silently, so list the matches first: every package must match at least
 # one test or fuzz target, and the cornerstone differential tests must all
 # be present.
-diff_run='SingleWorld|Shared|MaskGrid|Warm|FuzzSharedVsLegacy|FuzzWarmVsCold|IntegrateFan|GoldenDigest'
-diff_pkgs=(./internal/reach ./internal/sti ./internal/geom ./internal/server)
+diff_run='SingleWorld|Shared|MaskGrid|Warm|FuzzSharedVsLegacy|FuzzWarmVsCold|IntegrateFan|GoldenDigest|Learner|TrainGoldenDigest'
+diff_pkgs=(./internal/reach ./internal/sti ./internal/geom ./internal/server ./internal/rl ./internal/smc)
 diff_list="$(go test -list "$diff_run" "${diff_pkgs[@]}")"
 echo "$diff_list" | awk '
   /^(Test|Fuzz)/ { n++ }
@@ -46,7 +52,8 @@ for t in TestSingleWorldMatchesReference FuzzSingleWorldVsReference \
   TestSharedMatchesLegacySegmented TestSharedSegmentedForcedWords \
   TestSharedExpansionMatchesLegacyScenes \
   TestWarmMatchesColdSessionTraces FuzzSharedVsLegacy FuzzWarmVsCold \
-  TestIntegrateFanMatchesPerControl TestEvaluateGoldenDigest; do
+  TestIntegrateFanMatchesPerControl TestEvaluateGoldenDigest \
+  TestLearnerMatchesReference FuzzLearnerVsReference TestTrainGoldenDigest; do
   echo "$diff_list" | grep -qx "$t" \
     || { echo "verify: differential test $t is missing" >&2; exit 1; }
 done
