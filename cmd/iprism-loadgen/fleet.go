@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/scene"
-	"repro/internal/server"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
@@ -290,7 +289,7 @@ func fleetCreateSession(client *http.Client, base string) (id, backend string, e
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return "", "", fmt.Errorf("session create: status %d: %s", resp.StatusCode, body)
 	}
-	var created server.SessionCreateResponse
+	var created scene.SessionCreateResponse
 	if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
 		return "", "", err
 	}

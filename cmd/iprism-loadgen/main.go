@@ -350,7 +350,7 @@ func encodeBodies(fixtures []scene.Scene, batch int) (bodies [][]byte, perReq in
 	}
 	// As many distinct batches as fixtures, each a rotation of the pool.
 	for off := 0; off < len(fixtures); off++ {
-		req := server.BatchRequest{Scenes: make([]scene.Scene, batch)}
+		req := scene.BatchRequest{Scenes: make([]scene.Scene, batch)}
 		for j := 0; j < batch; j++ {
 			req.Scenes[j] = fixtures[(off+j)%len(fixtures)]
 		}

@@ -53,7 +53,7 @@ var (
 	telHedgeWins    = telemetry.NewCounter("gateway.proxy.hedge_wins")
 	telProxyErrors  = telemetry.NewCounter("gateway.proxy.errors")
 	telBadGateway   = telemetry.NewCounter("gateway.proxy.bad_gateway")
-	telEjections    = telemetry.NewCounter("gateway.backend.ejections_total_all")
+	telEjections    = telemetry.NewCounter("gateway.backend.ejections")
 	telReadmissions = telemetry.NewCounter("gateway.backend.readmissions")
 	telHealthyGauge = telemetry.NewGauge("gateway.backends.healthy")
 	telRingGauge    = telemetry.NewGauge("gateway.ring.points")
@@ -338,7 +338,7 @@ func (g *Gateway) routes() {
 	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
 	g.mux.Handle("GET /metrics", telemetry.Default().MetricsHandler())
 	g.mux.Handle("GET /debug/telemetry", telemetry.Default().SnapshotHandler())
-	g.mux.HandleFunc("GET /debug/requests", g.traced("/debug/requests", false, g.handleDebugRequests))
+	g.mux.HandleFunc("GET /debug/requests", g.traced("/debug/requests", false, g.flight.ServeHTTP))
 	g.mux.HandleFunc("GET /debug/backends", g.traced("/debug/backends", false, g.handleDebugBackends))
 }
 

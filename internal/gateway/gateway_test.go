@@ -340,7 +340,7 @@ func TestSessionAffinity(t *testing.T) {
 	if w.Code != http.StatusCreated {
 		t.Fatalf("create: status %d, body %s", w.Code, w.Body.String())
 	}
-	var created server.SessionCreateResponse
+	var created scene.SessionCreateResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &created); err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestSessionFailoverResurrection(t *testing.T) {
 	if w.Code != http.StatusCreated {
 		t.Fatalf("create: status %d", w.Code)
 	}
-	var created server.SessionCreateResponse
+	var created scene.SessionCreateResponse
 	json.Unmarshal(w.Body.Bytes(), &created)
 	owner := w.Header().Get("X-Backend")
 	if w := doGateway(t, g, http.MethodPost, "/v1/sessions/"+created.ID+"/observe", fleetScene(0)); w.Code != http.StatusOK {
@@ -420,7 +420,7 @@ func TestStreamProxyWithResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var created server.SessionCreateResponse
+	var created scene.SessionCreateResponse
 	json.NewDecoder(resp.Body).Decode(&created)
 	resp.Body.Close()
 	for i := 0; i < 5; i++ {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/scene"
-	"repro/internal/server"
 	"repro/internal/telemetry"
 )
 
@@ -112,12 +111,12 @@ func (t *jobTable) get(id string) (*job, bool) {
 func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxJobBytes))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("read body: %v", err)})
+		writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: fmt.Sprintf("read body: %v", err)})
 		return
 	}
 	req, err := scene.DecodeJobRequest(body, g.cfg.MaxJobScenes)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: err.Error()})
 		return
 	}
 	j := &job{
@@ -128,7 +127,7 @@ func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := g.jobs.add(j); err != nil {
 		w.Header().Set("Retry-After", "5")
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusTooManyRequests, scene.ErrorResponse{Error: err.Error()})
 		return
 	}
 	telJobsAccepted.Inc()
@@ -140,7 +139,7 @@ func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	j, ok := g.jobs.get(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job"})
+		writeJSON(w, http.StatusNotFound, scene.ErrorResponse{Error: "unknown job"})
 		return
 	}
 	writeJSON(w, http.StatusOK, j.status())
@@ -151,7 +150,7 @@ func (g *Gateway) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleJobResults(w http.ResponseWriter, r *http.Request) {
 	j, ok := g.jobs.get(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job"})
+		writeJSON(w, http.StatusNotFound, scene.ErrorResponse{Error: "unknown job"})
 		return
 	}
 	if !j.finished() {
@@ -258,7 +257,7 @@ func (g *Gateway) scoreJobScene(j *job, idx int, sc scene.Scene) {
 		}
 		switch resp.StatusCode {
 		case http.StatusOK:
-			var sr server.ScoreResponse
+			var sr scene.ScoreResponse
 			err := json.NewDecoder(resp.Body).Decode(&sr)
 			resp.Body.Close()
 			cancel()
@@ -291,7 +290,7 @@ func (g *Gateway) scoreJobScene(j *job, idx int, sc scene.Scene) {
 				return
 			}
 		default:
-			var e errorResponse
+			var e scene.ErrorResponse
 			json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&e)
 			drain(resp)
 			resp.Body.Close()

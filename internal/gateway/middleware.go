@@ -4,62 +4,27 @@ import (
 	"encoding/json"
 	"net/http"
 	"sort"
-	"strconv"
-	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-// statusWriter captures the proxied status for wide events, forwarding
-// Flush so the SSE proxy can stream through the envelope.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// traced wraps a gateway endpoint with the same observability envelope as
-// the backends: X-Trace-Id ingested (or minted) and echoed, a Recorder in
-// the context, the proxy latency histogram with the trace ID as exemplar,
-// and — when wide is set — one wide event in the flight recorder. The same
-// trace ID is forwarded to the chosen backend on every proxied hop, so a
-// gateway /debug/requests entry and the backend's entry for the same
-// request share an ID and can be joined end to end.
+// traced wraps a gateway endpoint in the same observability envelope as
+// the backends (trace.Handle: X-Trace-Id ingested or minted and echoed, a
+// Recorder in the context), observes the proxy latency histogram with the
+// trace ID as exemplar, and — when wide is set — retains one wide event in
+// the flight recorder. The same trace ID is forwarded to the chosen backend
+// on every proxied hop, so a gateway /debug/requests entry and the
+// backend's entry for the same request share an ID and can be joined end
+// to end.
 func (g *Gateway) traced(route string, wide bool, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		telRequests.Inc()
-		id, honoured := trace.ParseOrNew(r.Header.Get("X-Trace-Id"))
-		rec := trace.NewRecorder(id)
-		reqID := rec.RootSpanID().String()
-		w.Header().Set("X-Trace-Id", id.String())
-		w.Header().Set("X-Request-Id", reqID)
-		if honoured {
-			rec.Annotate("trace_id_source", "caller")
-		}
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r.WithContext(trace.NewContext(r.Context(), rec)))
-		d := time.Since(start)
-		telProxySecs.ObserveExemplar(d.Seconds(), id.String())
+		ev, d := trace.Handle(route, w, r, h)
+		telProxySecs.ObserveExemplar(d.Seconds(), ev.TraceID)
 		if !wide {
 			return
 		}
-		ev := rec.WideEvent(route, reqID, sw.status, d)
 		g.flight.Add(ev)
 		telemetry.Emit("wide_event", ev.Fields())
 	}
@@ -69,40 +34,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
-}
-
-// DebugRequestsResponse answers /debug/requests, mirroring the backend's
-// endpoint of the same name (shared tooling works against either tier).
-type DebugRequestsResponse struct {
-	Retained int               `json:"retained"`
-	Requests []trace.WideEvent `json:"requests"`
-}
-
-func (g *Gateway) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
-	resp := DebugRequestsResponse{Retained: g.flight.Len()}
-	if tid := r.URL.Query().Get("trace_id"); tid != "" {
-		resp.Requests = g.flight.Find(tid)
-		if len(resp.Requests) == 0 {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: "trace_id not in flight recorder (evicted or never seen)"})
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	limit := 32
-	if q := r.URL.Query().Get("limit"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "limit must be a positive integer"})
-			return
-		}
-		limit = v
-	}
-	resp.Requests = g.flight.Recent(limit)
-	if resp.Requests == nil {
-		resp.Requests = []trace.WideEvent{}
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // DebugBackendsResponse answers /debug/backends: the live fleet view.

@@ -11,7 +11,7 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/server"
+	"repro/internal/scene"
 	"repro/internal/telemetry/trace"
 )
 
@@ -200,14 +200,14 @@ func (g *Gateway) badGateway(w http.ResponseWriter, r *http.Request, err error) 
 	telProxyErrors.Inc()
 	telBadGateway.Inc()
 	trace.FromContext(r.Context()).Annotate("proxy_error", err.Error())
-	writeJSON(w, http.StatusBadGateway, errorResponse{Error: fmt.Sprintf("no backend could serve the request: %v", err)})
+	writeJSON(w, http.StatusBadGateway, scene.ErrorResponse{Error: fmt.Sprintf("no backend could serve the request: %v", err)})
 }
 
 // readBody slurps a bounded request body, answering 400/413 itself.
 func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("read body: %v", err)})
+		writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: fmt.Sprintf("read body: %v", err)})
 		return nil, false
 	}
 	return body, true
@@ -251,10 +251,10 @@ func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req server.SessionCreateRequest
+	var req scene.SessionCreateRequest
 	if len(body) > 0 {
 		if err := json.Unmarshal(body, &req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("decode session request: %v", err)})
+			writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: fmt.Sprintf("decode session request: %v", err)})
 			return
 		}
 	}
@@ -263,7 +263,7 @@ func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	fwd, err := json.Marshal(req)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: err.Error()})
 		return
 	}
 	r.Header.Set("Content-Type", "application/json")
@@ -335,7 +335,7 @@ func (g *Gateway) handleSessionProxy(w http.ResponseWriter, r *http.Request) {
 // Both 201 (created) and 409 (another request resurrected it first) count
 // as success.
 func (g *Gateway) resurrect(ctx context.Context, b *backend, id string, hdr http.Header) bool {
-	body, err := json.Marshal(server.SessionCreateRequest{ID: id})
+	body, err := json.Marshal(scene.SessionCreateRequest{ID: id})
 	if err != nil {
 		return false
 	}
@@ -368,7 +368,7 @@ func (g *Gateway) resurrect(ctx context.Context, b *backend, id string, hdr http
 func (g *Gateway) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "streaming unsupported"})
+		writeJSON(w, http.StatusInternalServerError, scene.ErrorResponse{Error: "streaming unsupported"})
 		return
 	}
 	id := r.PathValue("id")

@@ -1,10 +1,9 @@
 // Package monitor implements the online risk assessor of the paper's
 // §V-A/V-B: a passive recorder of STI / TTC / Dist. CIPA over an episode.
-// It backs both the iprism.RiskMonitor facade (wrapping a sim.Driver in a
-// closed-loop episode) and the scoring service's session API
-// (internal/server), where observations arrive over HTTP instead of from a
-// simulator loop — hence the mutex: a Monitor may be observed and queried
-// concurrently.
+// It backs both the iprism.RiskMonitor facade (which adapts it to a
+// simulator driver in a closed-loop episode) and the scoring service's
+// session API (internal/server), where observations arrive over HTTP —
+// hence the mutex: a Monitor may be observed and queried concurrently.
 package monitor
 
 import (
@@ -16,7 +15,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/reach"
 	"repro/internal/roadmap"
-	"repro/internal/sim"
 	"repro/internal/sti"
 	"repro/internal/telemetry"
 	"repro/internal/vehicle"
@@ -39,8 +37,7 @@ type Sample struct {
 // Monitor records risk samples over a rolling episode. It never modifies
 // the control of the system it observes and is safe for concurrent use.
 type Monitor struct {
-	eval   *sti.Evaluator
-	stride int
+	eval *sti.Evaluator
 	// warm, when set, carries this monitor's session stream state for the
 	// evaluator's temporal-coherence warm start. The WarmState's own CAS
 	// gate serialises concurrent observes (losers score cold), so the
@@ -51,28 +48,21 @@ type Monitor struct {
 	samples []Sample
 }
 
-// New builds a monitor with its own evaluator that samples every stride
-// simulator steps (minimum 1).
-func New(cfg reach.Config, stride int) (*Monitor, error) {
+// New builds a monitor with its own evaluator.
+func New(cfg reach.Config) (*Monitor, error) {
 	eval, err := sti.NewEvaluator(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return NewWithEvaluator(eval, stride), nil
+	return NewWithEvaluator(eval), nil
 }
 
 // NewWithEvaluator builds a monitor on an existing evaluator — the scoring
 // service shares its evaluator pool across many sessions this way. eval
 // must be non-nil.
-func NewWithEvaluator(eval *sti.Evaluator, stride int) *Monitor {
-	if stride < 1 {
-		stride = 1
-	}
-	return &Monitor{eval: eval, stride: stride}
+func NewWithEvaluator(eval *sti.Evaluator) *Monitor {
+	return &Monitor{eval: eval}
 }
-
-// Stride returns the sampling stride in simulator steps.
-func (m *Monitor) Stride() int { return m.stride }
 
 // SetWarmState attaches a warm-start state for this monitor's observation
 // stream (one per session; never share across monitors). Call before the
@@ -125,71 +115,27 @@ func (m *Monitor) Telemetry() telemetry.Snapshot {
 	return telemetry.Default().Snapshot()
 }
 
-// Wrap returns a Driver that delegates to inner while recording risk.
-func (m *Monitor) Wrap(inner sim.Driver) sim.Driver {
-	return &monitoredDriver{inner: inner, monitor: m}
-}
-
-type monitoredDriver struct {
-	inner   sim.Driver
-	monitor *Monitor
-	steps   int
-}
-
-func (d *monitoredDriver) Reset() {
-	d.inner.Reset()
-	d.steps = 0
-}
-
-func (d *monitoredDriver) Act(obs sim.Observation) vehicle.Control {
-	if d.steps%d.monitor.stride == 0 {
-		d.monitor.record(obs)
-	}
-	d.steps++
-	return d.inner.Act(obs)
-}
-
-// Observe records one externally supplied scene at time t — the streaming
-// entry point used by the scoring service's session API. Unlike Wrap it is
-// not strided: every observation the caller chose to send is recorded. It
-// returns the recorded sample.
-func (m *Monitor) Observe(rm roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory, t float64) Sample {
-	s, _ := m.ObserveProv(context.Background(), rm, ego, actors, trajs, t)
-	return s
-}
-
-// ObserveProv is Observe with request-scoped tracing (spans land on the
-// trace.Recorder carried by ctx, if any) and the evaluation's risk
-// provenance — the variant the scoring service uses for its wide events
-// and ?explain=1 responses.
-func (m *Monitor) ObserveProv(ctx context.Context, rm roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory, t float64) (Sample, sti.Provenance) {
-	return m.observe(ctx, sim.Observation{Map: rm, Ego: ego, EgoParams: vehicle.DefaultParams(), Actors: actors, Time: t}, trajs)
-}
-
-func (m *Monitor) record(obs sim.Observation) Sample {
-	s, _ := m.observe(context.Background(), obs, nil)
-	return s
-}
-
-// observe scores one observation and appends the sample. When trajs is nil
-// every actor's trajectory is CVTR-predicted (the paper's online
-// configuration); explicit trajectories take precedence.
-func (m *Monitor) observe(ctx context.Context, obs sim.Observation, trajs []actor.Trajectory) (Sample, sti.Provenance) {
+// Observe scores one scene at time t and records the sample: every
+// observation the caller sends is recorded. When trajs is nil every
+// actor's trajectory is CVTR-predicted (the paper's online configuration);
+// explicit trajectories take precedence. Spans land on the trace.Recorder
+// carried by ctx, if any. It returns the recorded sample and the
+// evaluation's risk provenance.
+func (m *Monitor) Observe(ctx context.Context, rm roadmap.Map, ego vehicle.State, egoParams vehicle.Params, actors []*actor.Actor, trajs []actor.Trajectory, t float64) (Sample, sti.Provenance) {
 	defer telRecordSeconds.Start().Stop()
 	cfg := m.eval.Config()
-	steps := cfg.NumSlices()
 	if trajs == nil {
-		trajs = actor.PredictAll(obs.Actors, steps, cfg.SliceDt)
+		trajs = actor.PredictAll(actors, cfg.NumSlices(), cfg.SliceDt)
 	}
 	// EvaluateWarmTraced degrades to a plain evaluation when m.warm is nil
 	// or the evaluator was built without WarmStart, so this is the one call
 	// site for both configurations.
-	res, prov := m.eval.EvaluateWarmTraced(ctx, obs.Map, obs.Ego, obs.Actors, trajs, m.warm)
+	res, prov := m.eval.EvaluateWarmTraced(ctx, rm, ego, actors, trajs, m.warm)
 	scene := metrics.Scene{
-		Map:       obs.Map,
-		Ego:       obs.Ego,
-		EgoParams: obs.EgoParams,
-		Actors:    obs.Actors,
+		Map:       rm,
+		Ego:       ego,
+		EgoParams: egoParams,
+		Actors:    actors,
 		Trajs:     trajs,
 		Horizon:   cfg.Horizon,
 		Dt:        cfg.SliceDt,
@@ -197,10 +143,10 @@ func (m *Monitor) observe(ctx context.Context, obs sim.Observation, trajs []acto
 	idx, _ := res.MostThreatening()
 	id := -1
 	if idx >= 0 {
-		id = obs.Actors[idx].ID
+		id = actors[idx].ID
 	}
 	s := Sample{
-		Time:            obs.Time,
+		Time:            t,
 		STI:             res.Combined,
 		TTC:             metrics.TTC(scene),
 		DistCIPA:        metrics.DistCIPA(scene),

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -13,12 +14,9 @@ import (
 )
 
 func TestReset(t *testing.T) {
-	mon, err := New(reach.DefaultConfig(), 0) // stride floors to 1
+	mon, err := New(reach.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if mon.Stride() != 1 {
-		t.Errorf("stride = %d, want 1", mon.Stride())
 	}
 	mon.samples = []Sample{{Time: 1}}
 	mon.Reset()
@@ -90,7 +88,7 @@ func TestRiskyIntervals(t *testing.T) {
 // service uses: many goroutines observing and querying one monitor. Run
 // under -race this validates the locking.
 func TestObserveConcurrent(t *testing.T) {
-	mon, err := New(reach.DefaultConfig(), 1)
+	mon, err := New(reach.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +104,7 @@ func TestObserveConcurrent(t *testing.T) {
 				actors := []*actor.Actor{
 					actor.NewVehicle(1, vehicle.State{Pos: geom.V(14, 1.75), Speed: 3}),
 				}
-				mon.Observe(road, ego, actors, nil, float64(g*perG+i))
+				mon.Observe(context.Background(), road, ego, vehicle.DefaultParams(), actors, nil, float64(g*perG+i))
 				mon.PeakSTI()
 				mon.RiskyIntervals(0.3)
 			}

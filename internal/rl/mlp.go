@@ -41,6 +41,19 @@ func NewMLP(sizes []int, seed int64) (*MLP, error) {
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
+	m := zeroMLP(sizes)
+	for l, w := range m.weights {
+		scale := math.Sqrt(2.0 / float64(sizes[l]))
+		for i := range w {
+			w[i] = rng.NormFloat64() * scale
+		}
+	}
+	return m, nil
+}
+
+// zeroMLP allocates a network of the given layer sizes with every weight,
+// bias and Adam moment zero.
+func zeroMLP(sizes []int) *MLP {
 	n := len(sizes) - 1
 	m := &MLP{
 		sizes:   append([]int(nil), sizes...),
@@ -59,12 +72,8 @@ func NewMLP(sizes []int, seed int64) (*MLP, error) {
 		m.vW[l] = make([]float64, in*out)
 		m.mB[l] = make([]float64, out)
 		m.vB[l] = make([]float64, out)
-		scale := math.Sqrt(2.0 / float64(in))
-		for i := range m.weights[l] {
-			m.weights[l][i] = rng.NormFloat64() * scale
-		}
 	}
-	return m, nil
+	return m
 }
 
 // MustNewMLP is NewMLP for known-good layer specifications.
@@ -335,7 +344,7 @@ func (m *MLP) adamStep(gradW, gradB [][]float64, lr float64) {
 // Clone returns a deep copy of the network (weights only; fresh optimiser
 // state), used for the D-DQN target network.
 func (m *MLP) Clone() *MLP {
-	c := MustNewMLP(m.sizes, 0)
+	c := zeroMLP(m.sizes)
 	c.CopyWeightsFrom(m)
 	return c
 }

@@ -1,9 +1,13 @@
-// Package scene defines the versioned JSON wire format for risk-scoring
-// scenes: the ego vehicle state, the surrounding actors with optional
-// predicted trajectories, and the road geometry. It is the request codec
-// shared by the scoring service (internal/server), the load generator
-// (cmd/iprism-loadgen) and future dataset tooling; the iprism facade
-// re-exports it for library users.
+// Package scene defines the versioned JSON wire format of the scoring API:
+// the scene request (the ego vehicle state, the surrounding actors with
+// optional predicted trajectories, and the road geometry), the scoring and
+// session responses with their error body (score.go), the ?explain=1
+// provenance block (provenance.go) and the corpus-job documents (jobs.go).
+// It is the one owner of that contract: the scoring service
+// (internal/server) answers in it, the gateway (internal/gateway) and the
+// load generator (cmd/iprism-loadgen) speak it without linking the
+// engine, and the iprism facade re-exports the scene codec for library
+// users.
 //
 // The format is versioned so stored corpora survive schema evolution: every
 // document carries `"version": "iprism.scene/v1"` and decoding rejects

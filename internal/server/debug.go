@@ -2,56 +2,14 @@ package server
 
 import (
 	"net/http"
-	"strconv"
 
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/trace"
 )
-
-// DebugRequestsResponse answers /debug/requests: recent wide events from
-// the in-memory flight recorder, newest first.
-type DebugRequestsResponse struct {
-	// Retained is how many events the ring currently holds (its capacity is
-	// Config.FlightRecorderSize).
-	Retained int               `json:"retained"`
-	Requests []trace.WideEvent `json:"requests"`
-}
 
 // DebugSLOResponse answers /debug/slo: the live multi-window burn-rate
 // status of every declared objective.
 type DebugSLOResponse struct {
 	SLOs []telemetry.SLOStatus `json:"slos"`
-}
-
-// handleDebugRequests serves the flight recorder. ?trace_id=<32 hex>
-// resolves one trace (every retained request that carried it, e.g. a
-// session's observe stream); ?limit=N bounds the unfiltered listing
-// (default 32).
-func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
-	resp := DebugRequestsResponse{Retained: s.flight.Len()}
-	if tid := r.URL.Query().Get("trace_id"); tid != "" {
-		resp.Requests = s.flight.Find(tid)
-		if len(resp.Requests) == 0 {
-			s.writeJSON(w, http.StatusNotFound, errorResponse{Error: "trace_id not in flight recorder (evicted or never seen)"})
-			return
-		}
-		s.writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	limit := 32
-	if q := r.URL.Query().Get("limit"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 {
-			s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "limit must be a positive integer"})
-			return
-		}
-		limit = v
-	}
-	resp.Requests = s.flight.Recent(limit)
-	if resp.Requests == nil {
-		resp.Requests = []trace.WideEvent{}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleDebugSLO serves the burn-rate view of the serving objectives.

@@ -16,50 +16,17 @@ import (
 	"repro/internal/telemetry/trace"
 )
 
-// ScoreVersion tags scoring responses, mirroring the request codec's
-// scene.Version.
-const ScoreVersion = "iprism.score/v1"
-
-// ScoreResponse is the JSON answer to one scored scene.
-type ScoreResponse struct {
-	Version  string  `json:"version"`
-	Combined float64 `json:"combined_sti"`
-	// MostThreatening is the ID of the highest-STI actor, or -1.
-	MostThreatening int          `json:"most_threatening"`
-	Actors          []ActorScore `json:"actors,omitempty"`
-	BaseVolume      float64      `json:"base_volume"`
-	EmptyVolume     float64      `json:"empty_volume"`
-	// Provenance explains how the score was derived; present only when the
-	// client asked with ?explain=1.
-	Provenance *scene.Provenance `json:"provenance,omitempty"`
-	// Error is set instead of scores on per-scene failures inside batch
-	// responses.
-	Error string `json:"error,omitempty"`
-}
-
-// ActorScore is one actor's STI and backing counterfactual volume.
-type ActorScore struct {
-	ID            int     `json:"id"`
-	STI           float64 `json:"sti"`
-	WithoutVolume float64 `json:"without_volume"`
-}
-
-// BatchRequest scores many scenes in one round-trip; the scenes fan out
-// over the evaluator pool as independent jobs.
-type BatchRequest struct {
-	Scenes []scene.Scene `json:"scenes"`
-}
-
-// BatchResponse answers a BatchRequest, results index-aligned with the
-// request's scenes.
-type BatchResponse struct {
-	Version string          `json:"version"`
-	Results []ScoreResponse `json:"results"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
+// The benchmark module (perfbench/) compiles against these five wire
+// types under their server.* names and changes only with a benchmark
+// revision, so they stay here as aliases of their scene.* owners. All other
+// code uses scene.* directly.
+type (
+	BatchRequest           = scene.BatchRequest
+	BatchResponse          = scene.BatchResponse
+	ScoreResponse          = scene.ScoreResponse
+	SessionCreateResponse  = scene.SessionCreateResponse
+	SessionObserveResponse = scene.SessionObserveResponse
+)
 
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
@@ -81,11 +48,11 @@ func (s *Server) routes() {
 	}))
 	s.mux.Handle("GET /metrics", telemetry.Default().MetricsHandler())
 	s.mux.Handle("GET /debug/telemetry", telemetry.Default().SnapshotHandler())
-	s.mux.HandleFunc("GET /debug/requests", s.traced("/debug/requests", false, s.handleDebugRequests))
+	s.mux.HandleFunc("GET /debug/requests", s.traced("/debug/requests", false, s.flight.ServeHTTP))
 	s.mux.HandleFunc("GET /debug/slo", s.traced("/debug/slo", false, s.handleDebugSLO))
 }
 
-// handleScore scores one scene: 200 with a ScoreResponse, 400 on malformed
+// handleScore scores one scene: 200 with a scene.ScoreResponse, 400 on malformed
 // input, 429 under backpressure, 504 past the request deadline. ?explain=1
 // adds the risk-provenance block to the response.
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
@@ -108,31 +75,31 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		telRejectedBad.Inc()
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("read body: %v", err)})
+		s.writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: fmt.Sprintf("read body: %v", err)})
 		return
 	}
-	var req BatchRequest
+	var req scene.BatchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		telRejectedBad.Inc()
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("decode batch: %v", err)})
+		s.writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: fmt.Sprintf("decode batch: %v", err)})
 		return
 	}
 	if len(req.Scenes) == 0 {
 		telRejectedBad.Inc()
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "batch has no scenes"})
+		s.writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: "batch has no scenes"})
 		return
 	}
 	for i := range req.Scenes {
 		if err := req.Scenes[i].Validate(); err != nil {
 			telRejectedBad.Inc()
-			s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("scene %d: %v", i, err)})
+			s.writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: fmt.Sprintf("scene %d: %v", i, err)})
 			return
 		}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	// Fan the scenes out over the pool as independent jobs and gather.
-	resp := BatchResponse{Version: ScoreVersion, Results: make([]ScoreResponse, len(req.Scenes))}
+	resp := scene.BatchResponse{Version: scene.ScoreVersion, Results: make([]scene.ScoreResponse, len(req.Scenes))}
 	statuses := make([]int, len(req.Scenes))
 	var wg sync.WaitGroup
 	for i := range req.Scenes {
@@ -147,40 +114,40 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 	for _, st := range statuses {
 		switch st {
 		case http.StatusGatewayTimeout:
-			s.writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "batch deadline exceeded"})
+			s.writeJSON(w, http.StatusGatewayTimeout, scene.ErrorResponse{Error: "batch deadline exceeded"})
 			return
 		case http.StatusTooManyRequests:
 			saturated++
 		}
 	}
 	if saturated == len(req.Scenes) {
-		s.writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "scoring queue full"})
+		s.writeJSON(w, http.StatusTooManyRequests, scene.ErrorResponse{Error: "scoring queue full"})
 		return
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // scoreScene runs one validated scene through the pool, mapping failures
-// onto HTTP statuses. The ScoreResponse always carries a usable body: a
+// onto HTTP statuses. The scene.ScoreResponse always carries a usable body: a
 // result on 200, an Error field otherwise (for batch embedding). explain
 // attaches the provenance block (per-actor contributions, engine path,
 // span waterfall) to successful responses.
-func (s *Server) scoreScene(ctx context.Context, sc scene.Scene, explain bool) (ScoreResponse, int) {
+func (s *Server) scoreScene(ctx context.Context, sc scene.Scene, explain bool) (scene.ScoreResponse, int) {
 	m, ego, actors, trajs, hasTrajs, err := sc.Materialize()
 	if err != nil {
 		telRejectedBad.Inc()
-		return ScoreResponse{Version: ScoreVersion, Error: err.Error()}, http.StatusBadRequest
+		return scene.ScoreResponse{Version: scene.ScoreVersion, Error: err.Error()}, http.StatusBadRequest
 	}
 	res, prov, err := s.score(ctx, m, ego, actors, completeTrajs(s.cfg.Reach, actors, trajs, hasTrajs))
 	switch {
 	case errors.Is(err, errSaturated):
 		telRejectedFull.Inc()
-		return ScoreResponse{Version: ScoreVersion, Error: "scoring queue full"}, http.StatusTooManyRequests
+		return scene.ScoreResponse{Version: scene.ScoreVersion, Error: "scoring queue full"}, http.StatusTooManyRequests
 	case err != nil:
-		return ScoreResponse{Version: ScoreVersion, Error: "deadline exceeded"}, http.StatusGatewayTimeout
+		return scene.ScoreResponse{Version: scene.ScoreVersion, Error: "deadline exceeded"}, http.StatusGatewayTimeout
 	}
-	out := ScoreResponse{
-		Version:         ScoreVersion,
+	out := scene.ScoreResponse{
+		Version:         scene.ScoreVersion,
 		Combined:        res.Combined,
 		MostThreatening: -1,
 		BaseVolume:      res.BaseVolume,
@@ -189,9 +156,9 @@ func (s *Server) scoreScene(ctx context.Context, sc scene.Scene, explain bool) (
 	if idx, _ := res.MostThreatening(); idx >= 0 {
 		out.MostThreatening = actors[idx].ID
 	}
-	out.Actors = make([]ActorScore, len(actors))
+	out.Actors = make([]scene.ActorScore, len(actors))
 	for i, a := range actors {
-		out.Actors[i] = ActorScore{ID: a.ID, STI: res.PerActor[i], WithoutVolume: res.WithoutVolume[i]}
+		out.Actors[i] = scene.ActorScore{ID: a.ID, STI: res.PerActor[i], WithoutVolume: res.WithoutVolume[i]}
 	}
 	if explain {
 		p := wireProvenance(ctx, prov)
@@ -232,13 +199,13 @@ func (s *Server) readScene(w http.ResponseWriter, r *http.Request) (scene.Scene,
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		telRejectedBad.Inc()
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("read body: %v", err)})
+		s.writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: fmt.Sprintf("read body: %v", err)})
 		return scene.Scene{}, false
 	}
 	sc, err := scene.Decode(body)
 	if err != nil {
 		telRejectedBad.Inc()
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		s.writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: err.Error()})
 		return scene.Scene{}, false
 	}
 	return sc, true

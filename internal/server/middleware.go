@@ -9,63 +9,27 @@ import (
 	"repro/internal/telemetry/trace"
 )
 
-// statusWriter captures the response status code for wide events and SLO
-// accounting. A handler that never calls WriteHeader answered 200.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the wrapped writer so SSE handlers can stream through
-// the tracing envelope (a no-op when the connection cannot flush).
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// traced wraps an endpoint with the request-observability envelope:
-//
-//   - ingest X-Trace-Id (or mint one) and propagate it on the response —
-//     headers are set before the handler runs, so every path including
-//     400/429/504 carries X-Trace-Id and X-Request-Id;
-//   - carry a trace.Recorder in the request context for the evaluator
-//     layers to annotate;
-//   - observe the request latency with the trace ID as exemplar, so a p99
-//     histogram bucket resolves to a replayable request;
-//   - when wide is set (the scoring/session API, not the debug surface):
-//     record the request against both SLOs, append one wide event to the
-//     flight recorder, and journal it as event "wide_event".
+// traced wraps an endpoint with the request-observability envelope
+// (trace.Handle: X-Trace-Id ingested or minted and echoed with
+// X-Request-Id on every answer, a trace.Recorder in the context for the
+// evaluator layers to annotate) and observes the request latency with the
+// trace ID as exemplar, so a p99 histogram bucket resolves to a replayable
+// request. When wide is set (the scoring/session API, not the debug
+// surface) it also records the request against both SLOs, appends its wide
+// event to the flight recorder, and journals it as event "wide_event".
 func (s *Server) traced(route string, wide bool, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		telRequests.Inc()
-		id, honoured := trace.ParseOrNew(r.Header.Get("X-Trace-Id"))
-		rec := trace.NewRecorder(id)
-		reqID := rec.RootSpanID().String()
-		w.Header().Set("X-Trace-Id", id.String())
-		w.Header().Set("X-Request-Id", reqID)
-		if honoured {
-			rec.Annotate("trace_id_source", "caller")
-		}
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r.WithContext(trace.NewContext(r.Context(), rec)))
-		d := time.Since(start)
-		telRequestSecs.ObserveExemplar(d.Seconds(), id.String())
+		ev, d := trace.Handle(route, w, r, h)
+		telRequestSecs.ObserveExemplar(d.Seconds(), ev.TraceID)
 		if !wide {
 			return
 		}
 		// Availability counts deliberate backpressure (429) as good — the
 		// service answered as designed; only 5xx burns that budget. Latency
 		// is judged against the configured target.
-		s.sloAvailability.Record(sw.status < http.StatusInternalServerError)
+		s.sloAvailability.Record(ev.Status < http.StatusInternalServerError)
 		s.sloLatency.Record(d <= s.cfg.SLOLatencyTarget)
-		ev := rec.WideEvent(route, reqID, sw.status, d)
 		s.flight.Add(ev)
 		telemetry.Emit("wide_event", ev.Fields())
 	}

@@ -96,11 +96,11 @@ func TestScoreHappyPath(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
-	var out ScoreResponse
+	var out scene.ScoreResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Version != ScoreVersion {
+	if out.Version != scene.ScoreVersion {
 		t.Errorf("version = %q", out.Version)
 	}
 	if len(out.Actors) != 2 {
@@ -141,7 +141,7 @@ func TestScoreSharedExpansionIdentical(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d, body %s", name, resp.StatusCode, raw)
 		}
-		var got ScoreResponse
+		var got scene.ScoreResponse
 		if err := json.Unmarshal(raw, &got); err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestScoreMalformedJSON(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Errorf("status = %d, want 400 (body %s)", resp.StatusCode, body)
 			}
-			var e errorResponse
+			var e scene.ErrorResponse
 			if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 				t.Errorf("400 body not a JSON error: %s", body)
 			}
@@ -232,13 +232,13 @@ func TestScoreTimeout(t *testing.T) {
 
 func TestBatchScoring(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
-	req := BatchRequest{Scenes: []scene.Scene{testScene(), testScene(), testScene()}}
+	req := scene.BatchRequest{Scenes: []scene.Scene{testScene(), testScene(), testScene()}}
 	raw, _ := json.Marshal(req)
 	resp, body := postJSON(t, ts.URL+"/v1/score/batch", raw)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
-	var out BatchResponse
+	var out scene.BatchResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create status = %d, body %s", resp.StatusCode, body)
 	}
-	var created SessionCreateResponse
+	var created scene.SessionCreateResponse
 	if err := json.Unmarshal(body, &created); err != nil || created.ID == "" {
 		t.Fatalf("create body %s: %v", body, err)
 	}
@@ -281,7 +281,7 @@ func TestSessionLifecycle(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("observe %d status = %d, body %s", i, resp.StatusCode, body)
 		}
-		var obs SessionObserveResponse
+		var obs scene.SessionObserveResponse
 		if err := json.Unmarshal(body, &obs); err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var risk SessionRiskResponse
+	var risk scene.SessionRiskResponse
 	if err := json.NewDecoder(r.Body).Decode(&risk); err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/scene"
 	"repro/internal/sti"
 	"repro/internal/telemetry/trace"
+	"repro/internal/vehicle"
 )
 
 // A session wraps one internal/monitor.Monitor — the paper's §V-A/V-B
@@ -135,67 +136,22 @@ func (t *sessionTable) closeAll() {
 	}
 }
 
-// SessionCreateRequest opens a session. All fields are optional.
-type SessionCreateRequest struct {
-	// Stride is accepted for parity with the in-process monitor but the
-	// HTTP session records every observation the client sends (the client
-	// already chose what to send); it must be >= 0.
-	Stride int `json:"stride,omitempty"`
-	// ID is a client-assigned session identifier ([A-Za-z0-9_.-], at most
-	// 64 bytes). The gateway tier assigns IDs so a session's owner backend
-	// is derivable from the ID alone by consistent hashing; an ID already
-	// in use answers 409. Empty lets the server mint one.
-	ID string `json:"id,omitempty"`
-}
-
-// SessionCreateResponse returns the new session's handle.
-type SessionCreateResponse struct {
-	ID string `json:"id"`
-}
-
-// SessionObserveResponse echoes the recorded sample. The same document is
-// the `data:` payload of the session's SSE risk stream, where Seq is also
-// the SSE event ID (the Last-Event-ID resume cursor).
-type SessionObserveResponse struct {
-	Version         string  `json:"version"`
-	Seq             uint64  `json:"seq,omitempty"`
-	Time            float64 `json:"time"`
-	STI             float64 `json:"sti"`
-	TTC             float64 `json:"ttc"`
-	DistCIPA        float64 `json:"dist_cipa"`
-	MostThreatening int     `json:"most_threatening"`
-	// Provenance explains how the tick was scored (engine, cache, warm-start
-	// outcome); present only when the client asked with ?explain=1, and only
-	// on the HTTP response — SSE risk events never carry it (it is attached
-	// after the event is published).
-	Provenance *scene.Provenance `json:"provenance,omitempty"`
-}
-
-// SessionRiskResponse summarises the episode so far.
-type SessionRiskResponse struct {
-	Version        string       `json:"version"`
-	Samples        int          `json:"samples"`
-	PeakSTI        float64      `json:"peak_sti"`
-	Threshold      float64      `json:"threshold"`
-	RiskyIntervals [][2]float64 `json:"risky_intervals"`
-}
-
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	var req SessionCreateRequest
+	var req scene.SessionCreateRequest
 	// An empty body opens a default session; a malformed one is a 400.
 	if err := decodeJSONBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
 		telRejectedBad.Inc()
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		s.writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: err.Error()})
 		return
 	}
 	if req.Stride < 0 {
 		telRejectedBad.Inc()
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "stride must be >= 0"})
+		s.writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: "stride must be >= 0"})
 		return
 	}
 	if err := validSessionID(req.ID); err != nil {
 		telRejectedBad.Inc()
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		s.writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: err.Error()})
 		return
 	}
 	// Sessions share the pool's evaluators: observations are scored by
@@ -203,7 +159,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	// evaluator for its reach configuration. The warm-start state, by
 	// contrast, is strictly per-session — it is attached to this session's
 	// monitor alone and returned to the pool when the session closes.
-	mon := monitor.NewWithEvaluator(s.pool[0], max(req.Stride, 1))
+	mon := monitor.NewWithEvaluator(s.pool[0])
 	warm := s.takeWarm()
 	if warm != nil {
 		mon.SetWarmState(warm)
@@ -214,13 +170,13 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case errors.Is(err, errSessionExists):
-		s.writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
+		s.writeJSON(w, http.StatusConflict, scene.ErrorResponse{Error: err.Error()})
 		return
 	case err != nil:
-		s.writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
+		s.writeJSON(w, http.StatusTooManyRequests, scene.ErrorResponse{Error: err.Error()})
 		return
 	}
-	s.writeJSON(w, http.StatusCreated, SessionCreateResponse{ID: sess.ID})
+	s.writeJSON(w, http.StatusCreated, scene.SessionCreateResponse{ID: sess.ID})
 }
 
 // validSessionID bounds client-assigned session IDs to a path- and
@@ -244,7 +200,7 @@ func validSessionID(id string) error {
 func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.sessions.get(r.PathValue("id"))
 	if !ok {
-		s.writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown session"})
+		s.writeJSON(w, http.StatusNotFound, scene.ErrorResponse{Error: "unknown session"})
 		return
 	}
 	sc, ok := s.readScene(w, r)
@@ -254,12 +210,12 @@ func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
 	m, ego, actors, trajs, hasTrajs, err := sc.Materialize()
 	if err != nil {
 		telRejectedBad.Inc()
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		s.writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: err.Error()})
 		return
 	}
 	if err := sess.admitTime(sc.Time); err != nil {
 		telRejectedBad.Inc()
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		s.writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: err.Error()})
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
@@ -273,7 +229,7 @@ func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
 		t := telScoreSecs.Start()
 		start := time.Now()
 		sp := rec.StartSpan("server.observe")
-		sample, prov = sess.mon.ObserveProv(ctx, m, ego, actors, completeTrajs(s.cfg.Reach, actors, trajs, hasTrajs), sc.Time)
+		sample, prov = sess.mon.Observe(ctx, m, ego, vehicle.DefaultParams(), actors, completeTrajs(s.cfg.Reach, actors, trajs, hasTrajs), sc.Time)
 		sp.End()
 		t.Stop()
 		s.noteScore(time.Since(start))
@@ -281,25 +237,25 @@ func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		telRejectedFull.Inc()
-		s.writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "scoring queue full"})
+		s.writeJSON(w, http.StatusTooManyRequests, scene.ErrorResponse{Error: "scoring queue full"})
 		return
 	}
 	select {
 	case <-j.done:
 	case <-ctx.Done():
 		telTimeouts.Inc()
-		s.writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "deadline exceeded"})
+		s.writeJSON(w, http.StatusGatewayTimeout, scene.ErrorResponse{Error: "deadline exceeded"})
 		return
 	}
-	resp := SessionObserveResponse{
-		Version:         ScoreVersion,
+	resp := scene.SessionObserveResponse{
+		Version:         scene.ScoreVersion,
 		Time:            sample.Time,
 		STI:             sample.STI,
 		TTC:             sample.TTC,
 		DistCIPA:        sample.DistCIPA,
 		MostThreatening: sample.MostThreatening,
 	}
-	resp.sanitizeNonFinite()
+	sanitizeNonFinite(&resp)
 	resp.Seq = sess.publish(resp)
 	// The provenance block rides only the HTTP response: attaching it after
 	// publish keeps SSE risk events lean for every subscriber.
@@ -334,21 +290,21 @@ func (sess *session) admitTime(t float64) error {
 func (s *Server) handleSessionRisk(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.sessions.get(r.PathValue("id"))
 	if !ok {
-		s.writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown session"})
+		s.writeJSON(w, http.StatusNotFound, scene.ErrorResponse{Error: "unknown session"})
 		return
 	}
 	threshold, err := queryThreshold(r)
 	if err != nil {
 		telRejectedBad.Inc()
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		s.writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: err.Error()})
 		return
 	}
 	intervals := sess.mon.RiskyIntervals(threshold)
 	if intervals == nil {
 		intervals = [][2]float64{}
 	}
-	s.writeJSON(w, http.StatusOK, SessionRiskResponse{
-		Version:        ScoreVersion,
+	s.writeJSON(w, http.StatusOK, scene.SessionRiskResponse{
+		Version:        scene.ScoreVersion,
 		Samples:        sess.mon.Len(),
 		PeakSTI:        sess.mon.PeakSTI(),
 		Threshold:      threshold,
@@ -358,7 +314,7 @@ func (s *Server) handleSessionRisk(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	if !s.sessions.remove(r.PathValue("id")) {
-		s.writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown session"})
+		s.writeJSON(w, http.StatusNotFound, scene.ErrorResponse{Error: "unknown session"})
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

@@ -51,7 +51,7 @@ func benchmarkSessionObserve(b *testing.B, warm bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var out SessionCreateResponse
+		var out scene.SessionCreateResponse
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			b.Fatal(err)
 		}

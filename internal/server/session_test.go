@@ -39,7 +39,7 @@ func TestSessionObserveRejectsNonMonotonicTime(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			id := createSession(t, ts.URL, SessionCreateRequest{})
+			id := createSession(t, ts.URL, scene.SessionCreateRequest{})
 			for i, at := range tc.times {
 				resp, body := postJSON(t, ts.URL+"/v1/sessions/"+id+"/observe", observeBody(t, at))
 				if resp.StatusCode != tc.want[i] {
@@ -56,8 +56,8 @@ func TestSessionObserveRejectsNonMonotonicTime(t *testing.T) {
 func TestSessionObserveWarmMatchesCold(t *testing.T) {
 	_, coldTS := newTestServer(t, Config{Workers: 1})
 	_, warmTS := newTestServer(t, Config{Workers: 1, WarmStart: true})
-	coldID := createSession(t, coldTS.URL, SessionCreateRequest{})
-	warmID := createSession(t, warmTS.URL, SessionCreateRequest{})
+	coldID := createSession(t, coldTS.URL, scene.SessionCreateRequest{})
+	warmID := createSession(t, warmTS.URL, scene.SessionCreateRequest{})
 
 	warmHits := 0
 	for i := 0; i < 5; i++ {
@@ -67,7 +67,7 @@ func TestSessionObserveWarmMatchesCold(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("warm observe %d: status %d, body %s", i, resp.StatusCode, warmRaw)
 		}
-		var cold, warm SessionObserveResponse
+		var cold, warm scene.SessionObserveResponse
 		if err := json.Unmarshal(coldRaw, &cold); err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestSessionObserveWarmMatchesCold(t *testing.T) {
 // first tick cold.
 func TestSessionWarmStateRecycledCold(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, WarmStart: true})
-	id := createSession(t, ts.URL, SessionCreateRequest{})
+	id := createSession(t, ts.URL, scene.SessionCreateRequest{})
 	for i := 0; i < 3; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/sessions/"+id+"/observe", observeBody(t, float64(i)*0.1))
 		if resp.StatusCode != http.StatusOK {
@@ -119,12 +119,12 @@ func TestSessionWarmStateRecycledCold(t *testing.T) {
 
 	// Same scene stream on a fresh session: tick 0 must be a cold miss even
 	// though the pooled state just scored the identical scene.
-	id2 := createSession(t, ts.URL, SessionCreateRequest{})
+	id2 := createSession(t, ts.URL, scene.SessionCreateRequest{})
 	r2, raw := postJSON(t, ts.URL+"/v1/sessions/"+id2+"/observe?explain=1", observeBody(t, 0))
 	if r2.StatusCode != http.StatusOK {
 		t.Fatalf("fresh observe: status %d, body %s", r2.StatusCode, raw)
 	}
-	var obs SessionObserveResponse
+	var obs scene.SessionObserveResponse
 	if err := json.Unmarshal(raw, &obs); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestSessionWarmStateRecycledCold(t *testing.T) {
 // encoding before writing.
 func TestSessionObserveNonFiniteMetricsWire(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	id := createSession(t, ts.URL, SessionCreateRequest{})
+	id := createSession(t, ts.URL, scene.SessionCreateRequest{})
 	sc := testScene()
 	sc.Actors = []scene.Actor{
 		// Behind the ego and falling back: never in path, TTC and
@@ -161,7 +161,7 @@ func TestSessionObserveNonFiniteMetricsWire(t *testing.T) {
 	if len(body) == 0 {
 		t.Fatal("observe: empty response body (non-finite metric broke the encoder)")
 	}
-	var obs SessionObserveResponse
+	var obs scene.SessionObserveResponse
 	if err := json.Unmarshal(body, &obs); err != nil {
 		t.Fatalf("observe: body does not parse: %v (%s)", err, body)
 	}

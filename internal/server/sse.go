@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/scene"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
@@ -17,7 +18,7 @@ import (
 // /v1/sessions/{id}/risk. Wire contract:
 //
 //   - every event is `event: risk` with `id: <seq>` and a
-//     SessionObserveResponse JSON `data:` payload (Seq matches the id
+//     scene.SessionObserveResponse JSON `data:` payload (Seq matches the id
 //     line; non-finite TTC/DistCIPA are encoded as -1, meaning "no
 //     in-path actor", since JSON has no Inf);
 //   - a client reconnecting with `Last-Event-ID: <seq>` (or
@@ -58,7 +59,7 @@ type streamSub struct {
 // would truncate the response to an empty body. -1 is the documented "no
 // in-path actor" wire encoding on both the observe response and the SSE
 // stream.
-func (r *SessionObserveResponse) sanitizeNonFinite() {
+func sanitizeNonFinite(r *scene.SessionObserveResponse) {
 	if math.IsInf(r.TTC, 0) || math.IsNaN(r.TTC) {
 		r.TTC = -1
 	}
@@ -70,8 +71,8 @@ func (r *SessionObserveResponse) sanitizeNonFinite() {
 // publish assigns the next sequence number, stores the event in the resume
 // ring, and fans it out to subscribers. Subscribers whose buffer is full
 // are disconnected rather than waited on. Returns the assigned seq.
-func (sess *session) publish(resp SessionObserveResponse) uint64 {
-	resp.sanitizeNonFinite()
+func (sess *session) publish(resp scene.SessionObserveResponse) uint64 {
+	sanitizeNonFinite(&resp)
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.closed {
@@ -159,23 +160,23 @@ func (sess *session) close() {
 func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.sessions.get(r.PathValue("id"))
 	if !ok {
-		s.writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown session"})
+		s.writeJSON(w, http.StatusNotFound, scene.ErrorResponse{Error: "unknown session"})
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		s.writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "streaming unsupported by connection"})
+		s.writeJSON(w, http.StatusInternalServerError, scene.ErrorResponse{Error: "streaming unsupported by connection"})
 		return
 	}
 	after, err := lastEventID(r)
 	if err != nil {
 		telRejectedBad.Inc()
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		s.writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: err.Error()})
 		return
 	}
 	sub, replay, gapped, live := sess.subscribe(after, s.cfg.SSEBuffer)
 	if !live {
-		s.writeJSON(w, http.StatusNotFound, errorResponse{Error: "session closed"})
+		s.writeJSON(w, http.StatusNotFound, scene.ErrorResponse{Error: "session closed"})
 		return
 	}
 	defer sess.unsubscribe(sub)

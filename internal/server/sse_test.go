@@ -104,21 +104,21 @@ func openStream(t *testing.T, url, lastEventID string) (*http.Response, *streamR
 	return resp, newStreamReader(bufio.NewReader(resp.Body))
 }
 
-func createSession(t *testing.T, base string, req SessionCreateRequest) string {
+func createSession(t *testing.T, base string, req scene.SessionCreateRequest) string {
 	t.Helper()
 	raw, _ := json.Marshal(req)
 	resp, body := postJSON(t, base+"/v1/sessions", raw)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create status = %d body %s", resp.StatusCode, body)
 	}
-	var created SessionCreateResponse
+	var created scene.SessionCreateResponse
 	if err := json.Unmarshal(body, &created); err != nil {
 		t.Fatal(err)
 	}
 	return created.ID
 }
 
-func observeAt(t *testing.T, base, id string, at float64) SessionObserveResponse {
+func observeAt(t *testing.T, base, id string, at float64) scene.SessionObserveResponse {
 	t.Helper()
 	sc := testScene()
 	sc.Time = at
@@ -127,7 +127,7 @@ func observeAt(t *testing.T, base, id string, at float64) SessionObserveResponse
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("observe status = %d body %s", resp.StatusCode, body)
 	}
-	var obs SessionObserveResponse
+	var obs scene.SessionObserveResponse
 	if err := json.Unmarshal(body, &obs); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func observeAt(t *testing.T, base, id string, at float64) SessionObserveResponse
 // responses' seq.
 func TestSessionStreamLiveEvents(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	id := createSession(t, ts.URL, SessionCreateRequest{})
+	id := createSession(t, ts.URL, scene.SessionCreateRequest{})
 	resp, r := openStream(t, ts.URL+"/v1/sessions/"+id+"/stream", "")
 	defer resp.Body.Close()
 
@@ -156,7 +156,7 @@ func TestSessionStreamLiveEvents(t *testing.T) {
 		if ev.ID != seqs[i] {
 			t.Errorf("event %d id = %d, want %d", i, ev.ID, seqs[i])
 		}
-		var obs SessionObserveResponse
+		var obs scene.SessionObserveResponse
 		if err := json.Unmarshal([]byte(ev.Data), &obs); err != nil {
 			t.Fatalf("event %d data %q: %v", i, ev.Data, err)
 		}
@@ -173,7 +173,7 @@ func TestSessionStreamLiveEvents(t *testing.T) {
 // exactly the events it missed.
 func TestSessionStreamResume(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	id := createSession(t, ts.URL, SessionCreateRequest{})
+	id := createSession(t, ts.URL, scene.SessionCreateRequest{})
 	for i := 0; i < 4; i++ {
 		observeAt(t, ts.URL, id, float64(i))
 	}
@@ -203,7 +203,7 @@ func TestSessionStreamResume(t *testing.T) {
 // replays from the oldest retained event instead of failing.
 func TestSessionStreamHistoryGap(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, SSEHistory: 2})
-	id := createSession(t, ts.URL, SessionCreateRequest{})
+	id := createSession(t, ts.URL, scene.SessionCreateRequest{})
 	for i := 0; i < 5; i++ {
 		observeAt(t, ts.URL, id, float64(i))
 	}
@@ -226,7 +226,7 @@ func TestSlowSubscriberKicked(t *testing.T) {
 	}
 	healthy, _, _, _ := sess.subscribe(0, 16)
 	for i := 0; i < 3; i++ {
-		sess.publish(SessionObserveResponse{Time: float64(i)})
+		sess.publish(scene.SessionObserveResponse{Time: float64(i)})
 	}
 	select {
 	case <-slow.drop:
@@ -255,7 +255,7 @@ func TestSlowSubscriberKicked(t *testing.T) {
 // streams promptly.
 func TestSessionStreamEndsOnDelete(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	id := createSession(t, ts.URL, SessionCreateRequest{})
+	id := createSession(t, ts.URL, scene.SessionCreateRequest{})
 	resp, r := openStream(t, ts.URL+"/v1/sessions/"+id+"/stream", "")
 	defer resp.Body.Close()
 	del, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+id, nil)
@@ -280,17 +280,17 @@ func TestSessionStreamEndsOnDelete(t *testing.T) {
 // conflict on reuse, and charset validation.
 func TestSessionCreateWithID(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	id := createSession(t, ts.URL, SessionCreateRequest{ID: "gw-abc_1.2"})
+	id := createSession(t, ts.URL, scene.SessionCreateRequest{ID: "gw-abc_1.2"})
 	if id != "gw-abc_1.2" {
 		t.Fatalf("created id = %q, want the requested one", id)
 	}
-	raw, _ := json.Marshal(SessionCreateRequest{ID: "gw-abc_1.2"})
+	raw, _ := json.Marshal(scene.SessionCreateRequest{ID: "gw-abc_1.2"})
 	resp, _ := postJSON(t, ts.URL+"/v1/sessions", raw)
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("duplicate id status = %d, want 409", resp.StatusCode)
 	}
 	for _, bad := range []string{"has space", "slash/y", strings.Repeat("x", 65)} {
-		raw, _ := json.Marshal(SessionCreateRequest{ID: bad})
+		raw, _ := json.Marshal(scene.SessionCreateRequest{ID: bad})
 		resp, _ := postJSON(t, ts.URL+"/v1/sessions", raw)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("id %q status = %d, want 400", bad, resp.StatusCode)

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/scene"
 	"repro/internal/sti"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
@@ -104,7 +105,7 @@ func TestExplainProvenance(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
-	var out ScoreResponse
+	var out scene.ScoreResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestExplainProvenance(t *testing.T) {
 
 	// Without the opt-in the block is absent.
 	_, body = postTraced(t, ts.URL+"/v1/score", "", sceneBody(t))
-	out = ScoreResponse{}
+	out = scene.ScoreResponse{}
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestDebugRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/debug/requests status = %d", resp.StatusCode)
 	}
-	var dbg DebugRequestsResponse
+	var dbg trace.DebugRequestsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&dbg); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestDebugRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	dbg = DebugRequestsResponse{}
+	dbg = trace.DebugRequestsResponse{}
 	if err := json.NewDecoder(resp2.Body).Decode(&dbg); err != nil {
 		t.Fatal(err)
 	}

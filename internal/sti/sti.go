@@ -34,13 +34,11 @@ var (
 	// their own expansion: the sole actor of a one-actor scene, and every
 	// actor covered by the dead-band certificate.
 	telElided = telemetry.NewCounter("sti.counterfactuals.elided")
-	// Shared-expansion engine (every scene of two or more actors): latency,
-	// how many actors each evaluation carried as explicit world-mask bits,
+	// Shared-expansion engine (every scene of two or more actors): latency
 	// and how many 64-bit mask words the expansion needed (one bit per
-	// actor plus the base world).
+	// actor plus the base world). Its call count is reach.shared.computes
+	// and its world count reach.shared.worlds.
 	telSharedSeconds   = telemetry.NewHistogram("sti.shared_expansion.seconds", telemetry.LatencyBuckets())
-	telSharedEvals     = telemetry.NewCounter("sti.shared_expansion.evals")
-	telSharedMaskWidth = telemetry.NewHistogram("sti.shared_expansion.mask_width", telemetry.LinearBuckets(0, 8, 18))
 	telSharedMaskWords = telemetry.NewHistogram("sti.shared_expansion.mask_words", telemetry.LinearBuckets(0, 1, 5))
 	// Warm-start path (Options.WarmStart): the fraction of warm-capable
 	// evaluations whose previous-tick expansion state was actually usable
@@ -235,7 +233,6 @@ func (e *Evaluator) evaluateSingle(rec *trace.Recorder, m roadmap.Map, ego vehic
 // |T| for the without-volumes it skips.
 func (e *Evaluator) evaluateShared(rec *trace.Recorder, m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory, scr *reach.Scratch, ws *reach.WarmState) (Result, Provenance) {
 	defer telSharedSeconds.Start().Stop()
-	telSharedEvals.Inc()
 	prov := Provenance{Engine: EngineShared}
 	obs := reach.BuildObstacles(actors, trajs, e.cfg)
 	sp := rec.StartSpan("reach.empty_tube")
@@ -264,7 +261,6 @@ func (e *Evaluator) evaluateShared(rec *trace.Recorder, m roadmap.Map, ego vehic
 		prov.WarmInvalidated = stats.Invalidated
 		noteWarmOutcome(stats.Hit)
 	}
-	telSharedMaskWidth.Observe(float64(sh.Represented))
 	telSharedMaskWords.Observe(float64(sh.MaskWords))
 	prov.MaskWidth = sh.Represented
 	prov.MaskWords = sh.MaskWords

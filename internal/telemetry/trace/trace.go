@@ -1,8 +1,8 @@
 // Package trace is the request-scoped tracing layer of the observability
 // stack: W3C-style trace/span identifiers propagated through context, a
-// per-request span recorder feeding one "wide event" per scored scene, and
-// a ring-buffer flight recorder the serving tier exposes at
-// /debug/requests.
+// per-request span recorder feeding one "wide event" per scored scene, a
+// ring-buffer flight recorder, and the HTTP side both serving tiers share:
+// the request envelope (Handle) and the /debug/requests handler.
 //
 // Design constraints mirror internal/telemetry:
 //

@@ -13,6 +13,16 @@ go build ./...
 # perfbench/ is a nested module, so ./... above skips it; compile it here so
 # an API change it depends on fails tier-1, not only the bench pipeline.
 (cd perfbench && go vet ./... && go build -o /dev/null ./...)
+# Serving binaries link only what they run: the gateway proxies the wire
+# types and must link no engine package, and the scoring server must not
+# link the simulator. A binary exports the metric series of every package
+# it links, so a stray import shows up as dead families on /metrics.
+if go list -deps ./cmd/iprism-gateway | grep -E '^repro/internal/(server|sti|reach|sim|monitor)$'; then
+  echo "verify: iprism-gateway links the engine packages listed above" >&2; exit 1
+fi
+if go list -deps ./cmd/iprism-serve | grep -x 'repro/internal/sim'; then
+  echo "verify: iprism-serve links internal/sim" >&2; exit 1
+fi
 # The race detector is ~10x; internal/experiments alone runs ~20 min on a
 # 1-CPU container, past go test's default 10 min per-package timeout.
 go test -race -timeout 45m ./...
@@ -102,6 +112,10 @@ curl -sSf "$serve_url/debug/slo" | grep -q '"availability"' \
   || { echo "verify: /debug/slo missing availability objective" >&2; exit 1; }
 "$smoke_dir/iprism-promlint" -url "$serve_url/metrics"
 "$smoke_dir/iprism-promlint" -url "$serve_url/metrics" -openmetrics
+curl -sSf -o "$smoke_dir/serve.metrics" "$serve_url/metrics"
+if grep -E '^# TYPE iprism_sim_' "$smoke_dir/serve.metrics"; then
+  echo "verify: iprism-serve exports simulator families (above)" >&2; exit 1
+fi
 
 kill -TERM "$serve_pid"
 wait "$serve_pid"
@@ -173,6 +187,10 @@ curl -sSf "$gw_url/debug/requests" | grep -q '"route"' \
   || { echo "verify: gateway flight recorder is empty" >&2; exit 1; }
 "$smoke_dir/iprism-promlint" -url "$gw_url/metrics"
 "$smoke_dir/iprism-promlint" -url "$gw_url/metrics" -openmetrics
+curl -sSf -o "$smoke_dir/gw.metrics" "$gw_url/metrics"
+if grep -E '^# TYPE iprism_(server|sti|reach|sim|monitor)_' "$smoke_dir/gw.metrics"; then
+  echo "verify: iprism-gateway exports engine families (above)" >&2; exit 1
+fi
 
 kill -TERM "$gw_pid"
 wait "$gw_pid"
