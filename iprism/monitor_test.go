@@ -57,6 +57,29 @@ func TestRiskMonitorRecordsTrace(t *testing.T) {
 	}
 }
 
+// A stride below 1 floors to 1: every simulator step is recorded.
+func TestRiskMonitorStrideFloor(t *testing.T) {
+	scn := GenerateScenarios(LeadSlowdown, 10, 5)[0]
+	for _, stride := range []int{0, -3} {
+		w, err := scn.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mon, err := NewRiskMonitor(DefaultReachConfig(), stride)
+		if err != nil {
+			t.Fatal(err)
+		}
+		driver := mon.Wrap(agent.NewLBC(agent.DefaultLBCConfig()))
+		out := sim.Run(w, driver, nil, sim.RunConfig{MaxSteps: 12})
+		if out.Steps == 0 {
+			t.Fatalf("stride %d: episode ran no steps", stride)
+		}
+		if got := len(mon.Samples()); got != out.Steps {
+			t.Errorf("stride %d: samples = %d, want %d (every step)", stride, got, out.Steps)
+		}
+	}
+}
+
 func TestRiskMonitorTelemetrySnapshot(t *testing.T) {
 	EnableTelemetry()
 	t.Cleanup(DisableTelemetry)
