@@ -239,11 +239,11 @@ func run() error {
 	}
 
 	// Workload 1e: the canonical stop-and-go session replay (mirrors
-	// BenchmarkEvaluateSession12*): one evaluator scores the recorded
-	// 12-actor trace tick by tick holding a session WarmState, then a cold
-	// evaluator scores the identical stream. The warm per-tick distribution
-	// is the gated serving-path metric; the cold one rides along so every
-	// snapshot carries its own A/B.
+	// BenchmarkEvaluateSession/stopgo12): one evaluator scores the recorded
+	// 12-actor trace tick by tick holding a session WarmState, then scores
+	// the identical stream cold with a nil state. The warm per-tick
+	// distribution is the gated serving-path metric; the cold one rides
+	// along so every snapshot carries its own A/B.
 	var (
 		histSession12     = telemetry.NewHistogram("bench.sti_evaluate_session12.seconds", telemetry.LatencyBuckets())
 		histSession12Cold = telemetry.NewHistogram("bench.sti_evaluate_session12_cold.seconds", telemetry.LatencyBuckets())
@@ -266,7 +266,7 @@ func run() error {
 		{"sti_evaluate_session12", true, histSession12},
 		{"sti_evaluate_session12_cold", false, histSession12Cold},
 	} {
-		sessEval, err := sti.NewEvaluatorOptions(sessCfg, sti.Options{WarmStart: wl.warm})
+		sessEval, err := sti.NewEvaluator(sessCfg)
 		if err != nil {
 			return err
 		}

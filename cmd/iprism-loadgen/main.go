@@ -83,10 +83,6 @@ type report struct {
 	// outcomes); nil for standalone kind-"serve" runs.
 	Fleet *fleetResults `json:"fleet,omitempty"`
 
-	// Replay carries the -session-replay extras (session/tick shape and
-	// whether the server warm-started); nil for other kinds.
-	Replay *replayResults `json:"replay,omitempty"`
-
 	Telemetry telemetry.Snapshot `json:"telemetry"`
 }
 
@@ -105,12 +101,7 @@ func run() error {
 		minRate     = flag.Float64("min-rate", 0, "fail if scored scenes/sec falls below this (0 = off)")
 		timeout     = flag.Duration("timeout", 10*time.Second, "per-request client timeout")
 		topSlow     = flag.Int("slowest", 5, "slowest requests to report with their trace IDs (0 = off)")
-		warm        = flag.Bool("warm", true, "self-serve server warm-starts session scoring across ticks (stateless scoring is unaffected)")
 		outDir      = flag.String("o", "", "directory for a BENCH_serve_<date>.json snapshot (empty = skip)")
-
-		sessionReplay = flag.Bool("session-replay", false, "replay recorded stop-and-go session traces tick by tick through /v1/sessions observe instead of stateless scoring")
-		replayTicks   = flag.Int("replay-ticks", 60, "session-replay: ticks per replayed session")
-		replayActors  = flag.Int("replay-actors", 12, "session-replay: actors in the replayed trace (min 12)")
 
 		gatewayMode = flag.Bool("gateway", false, "fleet mode: -target is an iprism-gateway; drives sticky sessions plus stateless scoring and writes kind-\"fleet\" snapshots")
 		sessWorkers = flag.Int("session-workers", 0, "fleet mode: workers each driving one sticky session via observe (0 = half of -concurrency, -1 = none)")
@@ -125,9 +116,6 @@ func run() error {
 	}
 	if *gatewayMode && *selfServe {
 		return fmt.Errorf("-gateway needs a -target gateway, not -self-serve")
-	}
-	if *sessionReplay && *gatewayMode {
-		return fmt.Errorf("-session-replay and -gateway are mutually exclusive")
 	}
 	telemetry.Enable()
 
@@ -170,7 +158,7 @@ func run() error {
 
 	base := *target
 	if *selfServe {
-		srv, err := server.New(server.Config{RequestTimeout: *timeout, WarmStart: *warm})
+		srv, err := server.New(server.Config{RequestTimeout: *timeout})
 		if err != nil {
 			return err
 		}
@@ -186,25 +174,6 @@ func run() error {
 		fmt.Printf("loadgen: self-serving on %s\n", base)
 	}
 
-	if *sessionReplay {
-		replay, err := replayBodies(*replayActors, *replayTicks)
-		if err != nil {
-			return err
-		}
-		return runSessionReplay(replayOpts{
-			base:        base,
-			bodies:      replay,
-			actors:      *replayActors,
-			concurrency: *concurrency,
-			observes:    int64(*requests),
-			duration:    *duration,
-			timeout:     *timeout,
-			minRate:     *minRate,
-			warm:        *selfServe && *warm,
-			selfServe:   *selfServe,
-			outDir:      *outDir,
-		})
-	}
 	url := base + endpoint
 
 	client := &http.Client{

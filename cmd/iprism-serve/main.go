@@ -33,12 +33,10 @@ func main() {
 		workers    = flag.Int("workers", 0, "scoring workers / pooled evaluators (0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", 0, "queued jobs beyond in-flight before 429 (0 = 16x workers)")
 		timeout    = flag.Duration("timeout", 2*time.Second, "per-request scoring deadline")
-		batchMax   = flag.Int("batch-max", 0, "max queued jobs one worker drains per wake-up (0 = 8, 1 = off)")
 		sessions   = flag.Int("max-sessions", 0, "max concurrently open sessions (0 = 1024)")
 		journal    = flag.String("journal", "", "append JSONL telemetry events (including per-request wide events) to this file")
 		journalMax = flag.Int64("journal-max-bytes", 64<<20, "rotate the journal to <path>.1 past this size (0 = unbounded)")
 		drain      = flag.Duration("drain", 30*time.Second, "graceful shutdown budget before connections are force-closed")
-		warm       = flag.Bool("warm", true, "warm-start session scoring from the previous tick's expansion")
 		sloAvail   = flag.Float64("slo-availability", 0.999, "availability objective: fraction of requests answered without server error")
 		sloLat     = flag.Float64("slo-latency", 0.99, "latency objective: fraction of requests answered within -slo-latency-target")
 		sloLatTgt  = flag.Duration("slo-latency-target", 250*time.Millisecond, "latency threshold backing the latency SLO")
@@ -64,9 +62,7 @@ func main() {
 		Workers:            *workers,
 		QueueDepth:         *queue,
 		RequestTimeout:     *timeout,
-		BatchMax:           *batchMax,
 		MaxSessions:        *sessions,
-		WarmStart:          *warm,
 		SLOAvailability:    *sloAvail,
 		SLOLatency:         *sloLat,
 		SLOLatencyTarget:   *sloLatTgt,

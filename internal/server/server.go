@@ -15,13 +15,15 @@
 //   - per-request deadlines via context: a scene that cannot be scored in
 //     time answers 504 and its queued job is skipped, not computed;
 //   - opportunistic micro-batching: a worker waking up drains up to
-//     BatchMax queued jobs in one go, amortising scheduler wake-ups at
+//     batchMax queued jobs in one go, amortising scheduler wake-ups at
 //     high load while adding no latency at low load;
 //   - graceful shutdown: the listener closes first, every accepted request
 //     completes (zero dropped in-flight work), then the workers exit;
 //   - sessions: a rolling internal/monitor.Monitor per client episode so
 //     observations streamed over HTTP can be queried for PeakSTI and
-//     RiskyIntervals, the §V-A/V-B online assessor as a service.
+//     RiskyIntervals, the §V-A/V-B online assessor as a service. Each
+//     session warm-starts its ticks from the previous tick's expansion
+//     (sti.WarmState), bitwise-identical to stateless scoring.
 package server
 
 import (
@@ -67,21 +69,12 @@ type Config struct {
 	// Workers is the number of scoring workers (and pooled evaluators).
 	// 0 resolves to runtime.GOMAXPROCS(0).
 	Workers int
-	// WarmStart gives each session a temporal-coherence warm-start state
-	// (sti.WarmState): consecutive /observe ticks of one session reuse the
-	// previous tick's reach-expansion verdicts where provably unchanged,
-	// with bitwise-identical results (see DESIGN.md "Temporal coherence").
-	// Stateless /v1/score requests are unaffected.
-	WarmStart bool
 	// QueueDepth bounds the jobs waiting for a worker beyond those being
 	// scored; enqueues past it answer 429. 0 resolves to 16×Workers.
 	QueueDepth int
 	// RequestTimeout bounds queue wait plus scoring per request; exceeding
 	// it answers 504. 0 resolves to 2s.
 	RequestTimeout time.Duration
-	// BatchMax is the most queued jobs one worker drains per wake-up
-	// (opportunistic micro-batching). 0 resolves to 8; 1 disables batching.
-	BatchMax int
 	// MaxSessions caps concurrently open sessions. 0 resolves to 1024.
 	MaxSessions int
 	// MaxBodyBytes caps request body size. 0 resolves to 1 MiB.
@@ -126,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 2 * time.Second
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 8
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 1024
@@ -220,7 +210,7 @@ func New(cfg Config) (*Server, error) {
 		closing: make(chan struct{}),
 	}
 	for i := range s.pool {
-		ev, err := sti.NewEvaluatorOptions(cfg.Reach, sti.Options{WarmStart: cfg.WarmStart})
+		ev, err := sti.NewEvaluator(cfg.Reach)
 		if err != nil {
 			return nil, fmt.Errorf("server: evaluator %d: %w", i, err)
 		}
@@ -303,7 +293,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// worker scores jobs until quit. Each wake-up drains up to BatchMax queued
+// batchMax is the most queued jobs one worker drains per wake-up
+// (opportunistic micro-batching). Batching changes no output; it only
+// saves scheduler round-trips when the queue is deep.
+const batchMax = 8
+
+// worker scores jobs until quit. Each wake-up drains up to batchMax queued
 // jobs (micro-batching); after quit it finishes whatever is still queued so
 // graceful shutdown never strands an accepted request.
 func (s *Server) worker(ev *sti.Evaluator) {
@@ -316,9 +311,9 @@ func (s *Server) worker(ev *sti.Evaluator) {
 			// Opportunistic drain: score queued siblings without another
 			// scheduler round-trip. The histogram records how many jobs this
 			// wake-up actually drained, which is capped by — but on an empty
-			// queue smaller than — BatchMax.
+			// queue smaller than — batchMax.
 		drain:
-			for drained < s.cfg.BatchMax {
+			for drained < batchMax {
 				select {
 				case j := <-s.jobs:
 					s.runJob(j, ev)
@@ -349,15 +344,6 @@ func (s *Server) runJob(j *job, ev *sti.Evaluator) {
 		return // requester gave up (timeout/disconnect); don't burn the pool
 	}
 	j.run(ev)
-}
-
-// takeWarm hands out a warm-start state for a new session, or nil when the
-// configuration doesn't warm.
-func (s *Server) takeWarm() *sti.WarmState {
-	if !s.cfg.WarmStart {
-		return nil
-	}
-	return s.warmPool.Get().(*sti.WarmState)
 }
 
 // putWarm returns a session's warm-start state to the pool, dropping its

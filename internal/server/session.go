@@ -32,11 +32,10 @@ import (
 type session struct {
 	ID  string
 	mon *monitor.Monitor
-	// warm is this session's temporal-coherence state (nil when the server
-	// doesn't warm-start); warmPut returns it to the server's pool exactly
-	// once, on close. The monitor holds the same pointer and threads it
-	// into every evaluation; the WarmState's own CAS gate keeps concurrent
-	// observes of one session safe.
+	// warm is this session's temporal-coherence state; warmPut returns it
+	// to the server's pool exactly once, on close. The monitor holds the
+	// same pointer and threads it into every evaluation; the WarmState's
+	// own CAS gate keeps concurrent observes of one session safe.
 	warm    *sti.WarmState
 	warmPut func(*sti.WarmState)
 
@@ -160,12 +159,10 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	// contrast, is strictly per-session — it is attached to this session's
 	// monitor alone and returned to the pool when the session closes.
 	mon := monitor.NewWithEvaluator(s.pool[0])
-	warm := s.takeWarm()
-	if warm != nil {
-		mon.SetWarmState(warm)
-	}
+	warm := s.warmPool.Get().(*sti.WarmState)
+	mon.SetWarmState(warm)
 	sess, err := s.sessions.create(mon, req.ID, s.cfg.SSEHistory, warm, s.putWarm)
-	if err != nil && warm != nil {
+	if err != nil {
 		s.putWarm(warm)
 	}
 	switch {

@@ -14,15 +14,15 @@ import (
 	"repro/internal/scene"
 )
 
-// benchmarkSessionObserve measures the full HTTP session-observe path —
-// decode, monotonic-clock admission, evaluator queue, warm or cold shared
+// BenchmarkSessionObserve measures the full HTTP session-observe path —
+// decode, monotonic-clock admission, evaluator queue, warm-started shared
 // expansion, SSE publish, encode — on the canonical stop-and-go replay.
 // Sessions are recycled through the warm pool exactly the way a replaying
-// client drives production. Compare:
+// client drives production:
 //
 //	GOMAXPROCS=1 go test -bench SessionObserve -run - ./internal/server
-func benchmarkSessionObserve(b *testing.B, warm bool) {
-	s, err := New(Config{Workers: 1, WarmStart: warm})
+func BenchmarkSessionObserve(b *testing.B) {
+	s, err := New(Config{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -88,6 +88,3 @@ func benchmarkSessionObserve(b *testing.B, warm bool) {
 		}
 	}
 }
-
-func BenchmarkSessionObserveCold(b *testing.B) { benchmarkSessionObserve(b, false) }
-func BenchmarkSessionObserveWarm(b *testing.B) { benchmarkSessionObserve(b, true) }

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"testing"
 
+	"repro/internal/roadmap"
+	"repro/internal/scenario"
 	"repro/internal/scene"
 )
 
@@ -50,48 +52,79 @@ func TestSessionObserveRejectsNonMonotonicTime(t *testing.T) {
 	}
 }
 
-// A warm-started server session must answer every observe with exactly the
-// risk numbers a cold server answers for the same tick stream, and its
-// ?explain=1 provenance must report the warm outcome.
-func TestSessionObserveWarmMatchesCold(t *testing.T) {
-	_, coldTS := newTestServer(t, Config{Workers: 1})
-	_, warmTS := newTestServer(t, Config{Workers: 1, WarmStart: true})
-	coldID := createSession(t, coldTS.URL, scene.SessionCreateRequest{})
-	warmID := createSession(t, warmTS.URL, scene.SessionCreateRequest{})
-
-	warmHits := 0
-	for i := 0; i < 5; i++ {
-		body := observeBody(t, float64(i)*0.1)
-		_, coldRaw := postJSON(t, coldTS.URL+"/v1/sessions/"+coldID+"/observe", body)
-		resp, warmRaw := postJSON(t, warmTS.URL+"/v1/sessions/"+warmID+"/observe?explain=1", body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("warm observe %d: status %d, body %s", i, resp.StatusCode, warmRaw)
-		}
-		var cold, warm scene.SessionObserveResponse
-		if err := json.Unmarshal(coldRaw, &cold); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(warmRaw, &warm); err != nil {
-			t.Fatal(err)
-		}
-		if warm.STI != cold.STI || warm.TTC != cold.TTC || warm.DistCIPA != cold.DistCIPA ||
-			warm.MostThreatening != cold.MostThreatening {
-			t.Errorf("tick %d: warm response %+v, cold %+v", i, warm, cold)
-		}
-		if warm.Provenance == nil {
-			t.Fatalf("tick %d: ?explain=1 returned no provenance", i)
-		}
-		if warm.Provenance.WarmHit {
-			warmHits++
-		}
-		if cold.Provenance != nil {
-			t.Errorf("tick %d: provenance leaked without ?explain=1", i)
-		}
+// A session tick must score exactly what stateless /v1/score scores for
+// the same bytes: sessions warm-start from the previous tick, stateless
+// requests never do, and the warm start is bitwise-identical to cold. The
+// recorded traces include the stop-and-go queue's creep pulses and a ring
+// platoon that moves every tick, both of which invalidate memoised
+// verdicts. Even ticks ask for ?explain=1, which must show the warm start
+// engaging; odd ticks must carry no provenance.
+func TestSessionTickMatchesStatelessScore(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	traces := []struct {
+		name  string
+		trace func() (roadmap.Map, []scenario.SessionTick)
+	}{
+		{"stop-and-go", func() (roadmap.Map, []scenario.SessionTick) { return scenario.StopAndGoSession(12, 12) }},
+		{"ring", func() (roadmap.Map, []scenario.SessionTick) { return scenario.RingSession(8, 6) }},
 	}
-	// The test scene holds the ego bitwise-static across ticks, so every
-	// tick after the first must warm-hit.
-	if warmHits != 4 {
-		t.Errorf("warm hits = %d across 5 ticks, want 4", warmHits)
+	for _, tc := range traces {
+		m, trace := tc.trace()
+		id := createSession(t, ts.URL, scene.SessionCreateRequest{})
+		hits := 0
+		for i, tick := range trace {
+			sc, err := scene.FromParts(m, tick.Ego, tick.Actors, float64(i)*0.1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := scene.Encode(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			url := ts.URL + "/v1/sessions/" + id + "/observe"
+			explain := i%2 == 0
+			if explain {
+				url += "?explain=1"
+			}
+			resp, raw := postJSON(t, url, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s tick %d: observe status %d, body %s", tc.name, i, resp.StatusCode, raw)
+			}
+			var obs scene.SessionObserveResponse
+			if err := json.Unmarshal(raw, &obs); err != nil {
+				t.Fatal(err)
+			}
+			resp, raw = postJSON(t, ts.URL+"/v1/score", body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s tick %d: score status %d, body %s", tc.name, i, resp.StatusCode, raw)
+			}
+			var score scene.ScoreResponse
+			if err := json.Unmarshal(raw, &score); err != nil {
+				t.Fatal(err)
+			}
+			if obs.STI != score.Combined || obs.MostThreatening != score.MostThreatening {
+				t.Errorf("%s tick %d: session sti %v most_threatening %d, /v1/score combined_sti %v most_threatening %d",
+					tc.name, i, obs.STI, obs.MostThreatening, score.Combined, score.MostThreatening)
+			}
+			if !explain {
+				if obs.Provenance != nil {
+					t.Errorf("%s tick %d: provenance present without ?explain=1", tc.name, i)
+				}
+				continue
+			}
+			if obs.Provenance == nil {
+				t.Fatalf("%s tick %d: ?explain=1 returned no provenance", tc.name, i)
+			}
+			if obs.Provenance.WarmHit {
+				if i == 0 {
+					t.Errorf("%s: a fresh session warm-hit its first tick", tc.name)
+				}
+				hits++
+			}
+		}
+		if hits == 0 {
+			t.Errorf("%s: no explained tick warm-hit across %d ticks", tc.name, len(trace))
+		}
 	}
 }
 
@@ -99,7 +132,7 @@ func TestSessionObserveWarmMatchesCold(t *testing.T) {
 // state across sessions: the recycled WarmState scores the new session's
 // first tick cold.
 func TestSessionWarmStateRecycledCold(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, WarmStart: true})
+	_, ts := newTestServer(t, Config{Workers: 1})
 	id := createSession(t, ts.URL, scene.SessionCreateRequest{})
 	for i := 0; i < 3; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/sessions/"+id+"/observe", observeBody(t, float64(i)*0.1))

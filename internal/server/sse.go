@@ -150,10 +150,7 @@ func (sess *session) close() {
 		delete(sess.subs, sub)
 		close(sub.drop)
 	}
-	if sess.warm != nil && sess.warmPut != nil {
-		sess.warmPut(sess.warm)
-		sess.warm = nil
-	}
+	sess.warmPut(sess.warm)
 }
 
 // handleSessionStream serves the SSE risk stream for one session.

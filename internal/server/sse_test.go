@@ -300,11 +300,11 @@ func TestSessionCreateWithID(t *testing.T) {
 
 // TestBatchSizeObservedNotCap pins the satellite bugfix: at low load a
 // worker wake-up drains one job, and the server.batch.size histogram must
-// record 1, not BatchMax.
+// record 1, not the batchMax cap.
 func TestBatchSizeObservedNotCap(t *testing.T) {
 	telemetry.Enable()
 	telBatchSize.Reset()
-	_, ts := newTestServer(t, Config{Workers: 1, BatchMax: 16})
+	_, ts := newTestServer(t, Config{Workers: 1})
 	for i := 1; i <= 3; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/score", sceneBody(t))
 		if resp.StatusCode != http.StatusOK {
@@ -329,7 +329,7 @@ func TestBatchSizeObservedNotCap(t *testing.T) {
 		t.Fatal("no batch size observed")
 	}
 	if snap.Max > 1 {
-		t.Fatalf("batch size max = %v after sequential low-load requests, want 1 (BatchMax leak)", snap.Max)
+		t.Fatalf("batch size max = %v after sequential low-load requests, want 1 (batchMax leak)", snap.Max)
 	}
 }
 

@@ -1,11 +1,13 @@
 package sti
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/actor"
 	"repro/internal/geom"
 	"repro/internal/reach"
+	"repro/internal/roadmap"
 	"repro/internal/scenario"
 	"repro/internal/vehicle"
 )
@@ -69,33 +71,78 @@ func BenchmarkEvaluateDense12Shared(b *testing.B) {
 	}
 }
 
-// benchmarkSession12 replays the canonical 12-actor stop-and-go session
-// trace through one evaluator, measuring the per-tick cost of session
-// scoring. Warm keeps one WarmState across the whole replay (ticks after
-// the first revalidate the previous expansion); cold recomputes every tick.
-// Compare:
+// BenchmarkEvaluateSession replays recorded session traces tick by tick
+// through one evaluator, measuring the per-tick cost of session scoring.
+// Warm keeps one WarmState across the replay (ticks after the first
+// revalidate the previous expansion); cold passes a nil state and
+// recomputes every tick. The traces span the warm engine's regimes: the
+// stop-and-go queue holds the ego bitwise-static and moves a few actors in
+// pulses, the ring platoon moves every actor every tick, and the 64-actor
+// UrbanCrush crawl runs on segmented masks. Warm rows also report warm-B,
+// the heap one WarmState retains after a full replay. Compare:
 //
-//	go test -bench 'EvaluateSession12' -run - ./internal/sti
-func benchmarkSession12(b *testing.B, warm bool) {
-	e, err := NewEvaluatorOptions(reach.DefaultConfig(), Options{WarmStart: warm})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, trace := scenario.StopAndGoSession(12, 40)
-	var ws *WarmState
-	if warm {
-		ws = NewWarmState()
-	}
-	trajs := make([][]actor.Trajectory, len(trace))
-	for t, tick := range trace {
-		trajs[t] = actor.PredictAll(tick.Actors, e.cfg.NumSlices(), e.cfg.SliceDt)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tick := trace[i%len(trace)]
-		e.EvaluateWarm(m, tick.Ego, tick.Actors, trajs[i%len(trace)], ws)
+//	go test -bench 'EvaluateSession' -run - ./internal/sti
+func BenchmarkEvaluateSession(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		trace func() (roadmap.Map, []scenario.SessionTick)
+	}{
+		{"stopgo12", func() (roadmap.Map, []scenario.SessionTick) { return scenario.StopAndGoSession(12, 40) }},
+		{"ring8", func() (roadmap.Map, []scenario.SessionTick) { return scenario.RingSession(8, 40) }},
+		{"crush64", func() (roadmap.Map, []scenario.SessionTick) { return scenario.UrbanCrushSession(64, 40) }},
+	} {
+		e := MustNewEvaluator(reach.DefaultConfig())
+		m, trace := tc.trace()
+		trajs := make([][]actor.Trajectory, len(trace))
+		for t, tick := range trace {
+			trajs[t] = actor.PredictAll(tick.Actors, e.cfg.NumSlices(), e.cfg.SliceDt)
+		}
+		for _, warm := range []bool{false, true} {
+			mode := "cold"
+			if warm {
+				mode = "warm"
+			}
+			b.Run(tc.name+"/"+mode, func(b *testing.B) {
+				var ws *WarmState
+				held := 0.0
+				if warm {
+					held = retainedBytes(e, m, trace, trajs)
+					ws = NewWarmState()
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					t := i % len(trace)
+					e.EvaluateWarm(m, trace[t].Ego, trace[t].Actors, trajs[t], ws)
+				}
+				if warm {
+					// After the loop: ResetTimer drops reported metrics.
+					b.ReportMetric(held, "warm-B")
+				}
+			})
+		}
 	}
 }
 
-func BenchmarkEvaluateSession12Cold(b *testing.B) { benchmarkSession12(b, false) }
-func BenchmarkEvaluateSession12Warm(b *testing.B) { benchmarkSession12(b, true) }
+// retainedBytes replays trace once on a fresh WarmState and returns the
+// live heap that state holds afterwards: the heap in use while it is
+// reachable minus the heap once it is dropped.
+func retainedBytes(e *Evaluator, m roadmap.Map, trace []scenario.SessionTick, trajs [][]actor.Trajectory) float64 {
+	ws := NewWarmState()
+	for t, tick := range trace {
+		e.EvaluateWarm(m, tick.Ego, tick.Actors, trajs[t], ws)
+	}
+	held := liveHeap()
+	runtime.KeepAlive(ws)
+	return float64(held - liveHeap())
+}
+
+// liveHeap returns the bytes of reachable heap objects. Two collections
+// empty the evaluator's scratch sync.Pool (its victim cache survives one),
+// so pooled scratch memory counts on neither side of a difference.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}

@@ -40,7 +40,7 @@ var (
 	// and its world count reach.shared.worlds.
 	telSharedSeconds   = telemetry.NewHistogram("sti.shared_expansion.seconds", telemetry.LatencyBuckets())
 	telSharedMaskWords = telemetry.NewHistogram("sti.shared_expansion.mask_words", telemetry.LinearBuckets(0, 1, 5))
-	// Warm-start path (Options.WarmStart): the fraction of warm-capable
+	// Warm-start path (EvaluateWarm): the fraction of warm-capable
 	// evaluations whose previous-tick expansion state was actually usable
 	// (ego root bitwise-stable, same config/map/actor count).
 	telWarmHitRatio = telemetry.NewGauge("sti.warm.hit_ratio")
@@ -72,7 +72,10 @@ func (r Result) MostThreatening() (int, float64) {
 	return best, bestV
 }
 
-// Options tunes evaluator behaviour beyond the reach-tube configuration.
+// Options once tuned evaluator behaviour beyond the reach-tube
+// configuration. Every field is now ignored.
+//
+// Deprecated: use NewEvaluator. Kept only because perfbench/ sets it.
 type Options struct {
 	// Deprecated: ignored; kept only because perfbench/ sets it.
 	Workers int
@@ -80,13 +83,7 @@ type Options struct {
 	// Deprecated: ignored; kept only because perfbench/ sets it.
 	SharedExpansion bool
 
-	// WarmStart arms the temporal-coherence warm start: EvaluateWarm calls
-	// holding a *WarmState reuse the previous tick's path-sweep verdicts
-	// where provably unchanged (reach.ComputeCounterfactualsWarm), with
-	// results bitwise-identical to the cold path. It only affects
-	// EvaluateWarm/EvaluateWarmTraced — the stateless Evaluate entry points
-	// have no previous tick to warm from — and empty and single-actor
-	// scenes always score cold.
+	// Deprecated: ignored; kept only because perfbench/ sets it.
 	WarmStart bool
 }
 
@@ -101,7 +98,6 @@ type Options struct {
 // shortcuts with nothing to share.
 type Evaluator struct {
 	cfg   reach.Config
-	warm  bool
 	cache *emptyCache
 	// scratch pools *reach.Scratch so concurrent evaluations reuse
 	// frontier slices, dedup maps and occupancy grids instead of churning
@@ -109,20 +105,21 @@ type Evaluator struct {
 	scratch sync.Pool
 }
 
-// NewEvaluator returns an evaluator with the given reach-tube configuration
-// and default Options.
+// NewEvaluator returns an evaluator with the given reach-tube configuration.
 func NewEvaluator(cfg reach.Config) (*Evaluator, error) {
-	return NewEvaluatorOptions(cfg, Options{})
-}
-
-// NewEvaluatorOptions returns an evaluator with explicit options.
-func NewEvaluatorOptions(cfg reach.Config, opts Options) (*Evaluator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Evaluator{cfg: cfg, warm: opts.WarmStart, cache: newEmptyCache()}
+	e := &Evaluator{cfg: cfg, cache: newEmptyCache()}
 	e.scratch.New = func() any { return reach.NewScratch() }
 	return e, nil
+}
+
+// NewEvaluatorOptions is NewEvaluator; every Options field is ignored.
+//
+// Deprecated: use NewEvaluator. Kept only because perfbench/ calls it.
+func NewEvaluatorOptions(cfg reach.Config, _ Options) (*Evaluator, error) {
+	return NewEvaluator(cfg)
 }
 
 // MustNewEvaluator is NewEvaluator for known-good configurations.
@@ -136,10 +133,6 @@ func MustNewEvaluator(cfg reach.Config) *Evaluator {
 
 // Config returns the evaluator's reach configuration.
 func (e *Evaluator) Config() reach.Config { return e.cfg }
-
-// WarmStart reports whether EvaluateWarm calls may warm-start the shared
-// expansion from a caller-held WarmState.
-func (e *Evaluator) WarmStart() bool { return e.warm }
 
 // Evaluate computes per-actor and combined STI for the ego at state ego on
 // map m, given each actor's (predicted or ground-truth) trajectory.

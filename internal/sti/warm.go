@@ -66,9 +66,8 @@ func noteWarmOutcome(hit bool) {
 // changed since that tick are reused instead of recomputed. The Result is
 // bitwise-identical to Evaluate on the same scene — warm start substitutes
 // memoised values only where exact revalidation proves them unchanged
-// (see reach.ComputeCounterfactualsWarm). ws may be nil, and the evaluator
-// may have been built without Options.WarmStart; both degrade to a plain
-// cold evaluation.
+// (see reach.ComputeCounterfactualsWarm). A nil ws, or a scene of fewer
+// than two actors, degrades to a plain cold evaluation.
 func (e *Evaluator) EvaluateWarm(m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory, ws *WarmState) (Result, Provenance) {
 	return e.evaluateWarm(nil, m, ego, actors, trajs, ws)
 }
@@ -80,9 +79,9 @@ func (e *Evaluator) EvaluateWarmTraced(ctx context.Context, m roadmap.Map, ego v
 }
 
 func (e *Evaluator) evaluateWarm(rec *trace.Recorder, m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory, ws *WarmState) (Result, Provenance) {
-	// Warm start only exists for the shared engine on multi-actor scenes
-	// (see Options.WarmStart); everything else is a plain evaluation.
-	if ws == nil || !e.warm || len(actors) <= 1 {
+	// Warm start only exists for the shared engine on multi-actor scenes;
+	// everything else is a plain evaluation.
+	if ws == nil || len(actors) <= 1 {
 		return e.evaluate(rec, m, ego, actors, trajs)
 	}
 	// Single-owner gate: a WarmState must never be mutated by two

@@ -9,24 +9,12 @@ import (
 	"repro/internal/scenario"
 )
 
-func warmEvaluator(t testing.TB) *Evaluator {
-	t.Helper()
-	e, err := NewEvaluatorOptions(reach.DefaultConfig(), Options{WarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !e.WarmStart() {
-		t.Fatal("WarmStart option not reflected by evaluator")
-	}
-	return e
-}
-
 // End-to-end warm contract: replaying a session trace through EvaluateWarm
 // with one WarmState yields Results bitwise-identical to the stateless
 // Evaluate at every tick, with provenance reporting a hit (and real verdict
 // reuse) from tick 1 on.
 func TestEvaluateWarmMatchesColdSessionTraces(t *testing.T) {
-	e := warmEvaluator(t)
+	e := MustNewEvaluator(reach.DefaultConfig())
 	type traceCase struct {
 		tag   string
 		ticks int
@@ -66,7 +54,7 @@ func TestEvaluateWarmSegmented(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64-actor warm replay")
 	}
-	e := warmEvaluator(t)
+	e := MustNewEvaluator(reach.DefaultConfig())
 	m, tr := scenario.UrbanCrushSession(64, 6)
 	ws := NewWarmState()
 	for tick, tk := range tr {
@@ -81,33 +69,26 @@ func TestEvaluateWarmSegmented(t *testing.T) {
 }
 
 // Degradation ladder: EvaluateWarm must behave exactly like Evaluate when
-// warm start cannot apply — nil state, evaluator without the option, or a
-// scene outside the shared gate (0/1 actors).
+// warm start cannot apply — nil state, or a scene outside the shared gate
+// (0/1 actors).
 func TestEvaluateWarmDegradesToCold(t *testing.T) {
 	m, tr := scenario.StopAndGoSession(12, 1)
 	tk := tr[0]
 	trajs := actor.PredictAll(tk.Actors, reach.DefaultConfig().NumSlices(), reach.DefaultConfig().SliceDt)
 
-	warm := warmEvaluator(t)
-	want := warm.Evaluate(m, tk.Ego, tk.Actors, trajs)
-	got, prov := warm.EvaluateWarm(m, tk.Ego, tk.Actors, trajs, nil)
+	e := MustNewEvaluator(reach.DefaultConfig())
+	want := e.Evaluate(m, tk.Ego, tk.Actors, trajs)
+	got, prov := e.EvaluateWarm(m, tk.Ego, tk.Actors, trajs, nil)
 	requireIdentical(t, 0, want, got)
 	if prov.WarmHit || prov.WarmReused != 0 {
 		t.Errorf("nil WarmState produced warm provenance %+v", prov)
 	}
 
-	cold := MustNewEvaluator(reach.DefaultConfig())
-	got, prov = cold.EvaluateWarm(m, tk.Ego, tk.Actors, trajs, NewWarmState())
-	requireIdentical(t, 1, want, got)
-	if prov.WarmHit {
-		t.Error("evaluator without WarmStart reported a warm hit")
-	}
-
 	one := tk.Actors[:1]
-	oneTrajs := actor.PredictAll(one, warm.cfg.NumSlices(), warm.cfg.SliceDt)
-	wantOne := warm.Evaluate(m, tk.Ego, one, oneTrajs)
-	gotOne, prov := warm.EvaluateWarm(m, tk.Ego, one, oneTrajs, NewWarmState())
-	requireIdentical(t, 2, wantOne, gotOne)
+	oneTrajs := actor.PredictAll(one, e.cfg.NumSlices(), e.cfg.SliceDt)
+	wantOne := e.Evaluate(m, tk.Ego, one, oneTrajs)
+	gotOne, prov := e.EvaluateWarm(m, tk.Ego, one, oneTrajs, NewWarmState())
+	requireIdentical(t, 1, wantOne, gotOne)
 	if prov.Engine != EngineSingle {
 		t.Errorf("single-actor scene scored on engine %q, want %q", prov.Engine, EngineSingle)
 	}
@@ -117,7 +98,7 @@ func TestEvaluateWarmDegradesToCold(t *testing.T) {
 // the CAS gate admits one owner per tick and every loser scores cold, so
 // all results are bitwise-identical to Evaluate regardless of interleaving.
 func TestEvaluateWarmContention(t *testing.T) {
-	e := warmEvaluator(t)
+	e := MustNewEvaluator(reach.DefaultConfig())
 	m, tr := scenario.StopAndGoSession(12, 8)
 	ws := NewWarmState()
 	want := make([]Result, len(tr))

@@ -110,6 +110,22 @@ curl -sSf "$serve_url/debug/requests?trace_id=$trace_id" | grep -q "$trace_id" \
   || { echo "verify: trace not resolvable via /debug/requests" >&2; exit 1; }
 curl -sSf "$serve_url/debug/slo" | grep -q '"availability"' \
   || { echo "verify: /debug/slo missing availability objective" >&2; exit 1; }
+# Session smoke: every session warm-starts, so observing the same scene
+# twice must warm-hit on the second tick, and that tick's STI must equal
+# the stateless /v1/score combined STI for the same bytes.
+serve_sid=$(curl -sS -X POST -H 'Content-Type: application/json' -d '{}' "$serve_url/v1/sessions" \
+  | grep -o '"id":"[^"]*"' | head -1 | cut -d'"' -f4)
+[ -n "$serve_sid" ] || { echo "verify: session create returned no id" >&2; exit 1; }
+for i in 1 2; do
+  curl -sSf -o "$smoke_dir/observe$i.json" -H 'Content-Type: application/json' \
+    --data-binary @"$smoke_dir/scene.json" "$serve_url/v1/sessions/$serve_sid/observe?explain=1"
+done
+grep -q '"warm_hit":true' "$smoke_dir/observe2.json" \
+  || { echo "verify: second session tick did not warm-hit" >&2; cat "$smoke_dir/observe2.json" >&2; exit 1; }
+session_sti=$(grep -o '"sti":[^,}]*' "$smoke_dir/observe2.json" | head -1 | cut -d: -f2)
+score_sti=$(grep -o '"combined_sti":[^,}]*' "$smoke_dir/score.json" | head -1 | cut -d: -f2)
+[ -n "$session_sti" ] && [ "$session_sti" = "$score_sti" ] \
+  || { echo "verify: session sti '$session_sti' != /v1/score combined_sti '$score_sti'" >&2; exit 1; }
 "$smoke_dir/iprism-promlint" -url "$serve_url/metrics"
 "$smoke_dir/iprism-promlint" -url "$serve_url/metrics" -openmetrics
 curl -sSf -o "$smoke_dir/serve.metrics" "$serve_url/metrics"
