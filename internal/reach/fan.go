@@ -36,7 +36,7 @@ type controlFan struct {
 	tans     []float64  // tan of each control's steering angle
 	groups   []fanGroup // controls grouped by acceleration bits
 	ends     []vehicle.State
-	paths    []pathState // stride SubSteps per control
+	paths    []pathState // room for every control's path at the SubSteps bound
 	sched    []fanStep   // one group's schedule, one entry per sub-step
 	inc      []fanInc    // one lane's yaw increments, one entry per sub-step
 }
@@ -144,11 +144,12 @@ func (c *Config) subSteps(v float64) int {
 }
 
 // integrateFan advances state s one Δt slice under every control of f,
-// writing control i's sub-step states to paths[i*SubSteps:] and its
-// endpoint to f.ends[i], and returns the sub-step count all controls
-// share. Every value is bitwise what one vehicle.Params.StepPath chain per
-// control computes; TestIntegrateFanMatchesPerControl and FuzzIntegrateFan
-// hold it to that.
+// writing control i's sub-step states to paths[i*sub:] and its endpoint
+// to f.ends[i], and returns sub, the sub-step count all controls share
+// (c.subSteps(s.Speed); paths needs len(f.controls)*sub slots). Every
+// value is bitwise what one vehicle.Params.StepPath chain per control
+// computes; TestIntegrateFanMatchesPerControl and FuzzIntegrateFan hold it
+// to that.
 //
 // Each lane runs in two passes: its yaw increments and their sincos
 // first, then the rotation and position chain of the lane's control (and
@@ -158,7 +159,6 @@ func (c *Config) integrateFan(f *controlFan, s vehicle.State, paths []pathState)
 	p := &c.Params
 	sub := c.subSteps(s.Speed)
 	dt := c.SliceDt / float64(sub)
-	stride := c.SubSteps
 	sin0, cos0 := math.Sincos(s.Heading)
 	sched, inc := f.sched[:sub], f.inc[:sub]
 	for gi := range f.groups {
@@ -184,9 +184,9 @@ func (c *Config) integrateFan(f *controlFan, s vehicle.State, paths []pathState)
 				sh, ch := yawSincos(yawRate * dt / 2)
 				inc[j] = fanInc{yawRate: yawRate, sin: sh, cos: ch}
 			}
-			f.ends[l.ctrl] = rollout(paths[l.ctrl*stride:l.ctrl*stride+sub], s, sin0, cos0, dt, sched, inc, false)
+			f.ends[l.ctrl] = rollout(paths[l.ctrl*sub:l.ctrl*sub+sub], s, sin0, cos0, dt, sched, inc, false)
 			if l.mirror >= 0 {
-				f.ends[l.mirror] = rollout(paths[l.mirror*stride:l.mirror*stride+sub], s, sin0, cos0, dt, sched, inc, true)
+				f.ends[l.mirror] = rollout(paths[l.mirror*sub:l.mirror*sub+sub], s, sin0, cos0, dt, sched, inc, true)
 			}
 		}
 	}

@@ -59,9 +59,8 @@ func sameState(a, b vehicle.State) bool {
 func requireFanMatches(t *testing.T, tag string, cfg Config, scr *Scratch, s vehicle.State) {
 	t.Helper()
 	fan := scr.fan(&cfg)
-	stride := cfg.SubSteps
 	nsub := cfg.integrateFan(fan, s, fan.paths)
-	want := make([]pathState, stride)
+	want := make([]pathState, cfg.SubSteps)
 	sin0, cos0 := math.Sincos(s.Heading)
 	for ui, u := range fan.controls {
 		end, n := cfg.integrate(s, sin0, cos0, u, math.Tan(u.Steer), want)
@@ -72,7 +71,7 @@ func requireFanMatches(t *testing.T, tag string, cfg Config, scr *Scratch, s veh
 			t.Fatalf("%s %v control %d: endpoint %v, oracle %v", tag, s, ui, fan.ends[ui], end)
 		}
 		for j, w := range want[:n] {
-			g := fan.paths[ui*stride+j]
+			g := fan.paths[ui*nsub+j]
 			if !sameState(g.st, w.st) || !sameBits(g.sin, w.sin) || !sameBits(g.cos, w.cos) {
 				t.Fatalf("%s %v control %d sub-step %d: %+v, oracle %+v", tag, s, ui, j, g, w)
 			}

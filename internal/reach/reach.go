@@ -198,7 +198,7 @@ func hashKey(k stateKey) uint64 {
 
 // Scratch holds the reusable working memory of reach-tube expansions: the
 // frontier and next state slices with their world masks, the claimed-key
-// set, the mask grid and the control fan. sti.Evaluator pools one per
+// sets and mask grids and the control fan. sti.Evaluator pools one per
 // worker. A Scratch must not be used by two computations concurrently.
 // Construct with NewScratch.
 type Scratch struct {
@@ -208,14 +208,18 @@ type Scratch struct {
 	next     []vehicle.State
 	fmasks   []uint64
 	nmasks   []uint64
-	claimed  *maskedKeySet
-	mgrid    *geom.MaskGrid
-	wvol     []int    // per-world marked-cell counts
-	wslice   []int    // per-world accepted states in the current slice
-	mactive  []int32  // actors surviving the per-slice broad phase
-	poss     []uint64 // per-candidate possible-world mask
-	capMask  []uint64 // per-slice MaxStates cap mask
-	newBits  []uint64 // MaskGrid.Mark newly-set-bits buffer
+	// One claimed-key set and one mask grid per mask width (index
+	// words-1), kept across expansions of other widths: pooled scratches
+	// serve scenes of mixed actor counts, and dropping a table on each
+	// width change would regrow it from its smallest size.
+	keySets []*maskedKeySet
+	grids   []*geom.MaskGrid
+	wvol    []int    // per-world marked-cell counts
+	wslice  []int    // per-world accepted states in the current slice
+	mactive []int32  // actors surviving the per-slice broad phase
+	poss    []uint64 // per-candidate possible-world mask
+	capMask []uint64 // per-slice MaxStates cap mask
+	newBits []uint64 // MaskGrid.Mark newly-set-bits buffer
 
 	cfan controlFan // the control set and integration buffers (fan.go)
 }
@@ -226,18 +230,21 @@ func NewScratch() *Scratch { return &Scratch{} }
 // reset readies the scratch for an expansion of numWorlds worlds packed
 // into `words` 64-bit mask words at the given grid resolution.
 func (s *Scratch) reset(cellSize float64, numWorlds, words int) {
-	if s.claimed == nil {
-		s.claimed = newMaskedKeySet(words)
+	for len(s.keySets) < words {
+		s.keySets = append(s.keySets, nil)
+		s.grids = append(s.grids, nil)
 	}
-	s.claimed.reset(words)
+	if s.keySets[words-1] == nil {
+		s.keySets[words-1] = newMaskedKeySet(words)
+	}
+	if g := s.grids[words-1]; g == nil || g.CellSize() != cellSize {
+		s.grids[words-1] = geom.NewMaskGrid(cellSize, words)
+	} else {
+		g.Reset()
+	}
 	s.poss = sizeU64(s.poss, words)
 	s.capMask = sizeU64(s.capMask, words)
 	s.newBits = sizeU64(s.newBits, words)
-	if s.mgrid == nil || s.mgrid.CellSize() != cellSize || s.mgrid.Words() != words {
-		s.mgrid = geom.NewMaskGrid(cellSize, words)
-	} else {
-		s.mgrid.Reset()
-	}
 	if cap(s.wvol) < numWorlds {
 		s.wvol = make([]int, numWorlds)
 		s.wslice = make([]int, numWorlds)

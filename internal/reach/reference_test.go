@@ -209,7 +209,6 @@ func referenceTube(m roadmap.Map, collide CollisionFunc, ego vehicle.State, cfg 
 	// frontier state under consideration.
 	pb := egoPb
 	fan := NewScratch().fan(&cfg)
-	stride := cfg.SubSteps
 	frontier := []vehicle.State{ego}
 	visited := newKeySet()
 	var next []vehicle.State
@@ -230,7 +229,7 @@ func referenceTube(m roadmap.Map, collide CollisionFunc, ego vehicle.State, cfg 
 			nsub := cfg.integrateFan(fan, s, fan.paths)
 			for ui := range fan.controls {
 				s2 := fan.ends[ui]
-				path := fan.paths[ui*stride : ui*stride+nsub]
+				path := fan.paths[ui*nsub : ui*nsub+nsub]
 				work.propagations++
 				k := cfg.key(s2)
 				if visited.contains(k) {

@@ -57,17 +57,9 @@ type maskedKeySet struct {
 
 func newMaskedKeySet(words int) *maskedKeySet { return &maskedKeySet{words: words, cur: 1} }
 
-// reset readies the set for a new slice with `words`-wide masks. Changing
-// the width drops the table (the stride no longer matches), which only
-// happens when consecutive scenes differ in actor-count word boundaries.
-func (ks *maskedKeySet) reset(words int) {
-	if ks.words != words {
-		ks.words = words
-		ks.keys, ks.masks, ks.gen = nil, nil, nil
-		ks.n = 0
-		ks.cur = 1
-		return
-	}
+// reset empties the set for a new slice, retaining its capacity. The mask
+// width is fixed at construction: a Scratch keeps one set per width.
+func (ks *maskedKeySet) reset() {
 	ks.cur++
 	ks.n = 0
 	if ks.cur == 0 { // stamp wrapped: old entries would look live again
@@ -327,7 +319,7 @@ func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *S
 	}
 
 	scr.reset(cfg.CellSize, numWorlds, words)
-	grid, claimed := scr.mgrid, scr.claimed
+	grid, claimed := scr.grids[words-1], scr.keySets[words-1]
 	volCount, sliceCount := scr.wvol, scr.wslice
 	possible, capMask, newBits := scr.poss, scr.capMask, scr.newBits
 	pm, _ := m.(roadmap.PreparedMap)
@@ -343,9 +335,8 @@ func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *S
 	}
 	if rootLive {
 		fan := scr.fan(&cfg)
-		stride := cfg.SubSteps
 		if ws != nil {
-			ws.memo.ensureControls(len(fan.controls), stride)
+			ws.memo.ensureControls(len(fan.controls))
 		}
 		sw := sweeper{m: m, pm: pm, obs: obs, pb: egoPb}
 		// The frontier is struct-of-arrays: states in fstates, masks in the
@@ -362,7 +353,7 @@ func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *S
 		act := scr.mactive[:0]
 
 		for slice := 0; slice < numSlices && len(fstates) > 0; slice++ {
-			claimed.reset(words)
+			claimed.reset()
 			clear(sliceCount)
 			// capMask accumulates worlds whose per-slice expansion hit
 			// MaxStates: a lone world breaks out of the slice there, so every
@@ -380,7 +371,9 @@ func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *S
 				if !anyUncapped(fmask, capMask) {
 					continue // every world of this parent already capped
 				}
-				var base int32
+				// Control ui's nsub-sub-step path sits at paths[ui*nsub:] of the
+				// fan, or from path slot off+ui*nsub of the memo's block.
+				var base, off int32
 				var nsub int
 				if ws == nil {
 					nsub = cfg.integrateFan(fan, *f, fan.paths)
@@ -389,9 +382,9 @@ func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *S
 					// speed gives, as when they were integrated.
 					nsub = cfg.subSteps(f.Speed)
 					var existed bool
-					base, existed = ws.memo.lookupVia(fsrc[fi], makeWarmKey(*f, int32(slice)))
+					base, off, existed = ws.memo.lookupVia(fsrc[fi], makeWarmKey(*f, int32(slice)), nsub)
 					if !existed {
-						ws.memo.integrate(base, *f, &cfg, fan)
+						ws.memo.integrate(base, off, nsub, *f, &cfg, fan)
 					}
 				}
 				for ui := range fan.controls {
@@ -418,10 +411,10 @@ func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *S
 					}
 					var live bool
 					if me == nil {
-						live = sw.sweep(fan.paths[ui*stride:ui*stride+nsub], possible)
+						live = sw.sweep(fan.paths[ui*nsub:ui*nsub+nsub], possible)
 					} else {
 						if !ws.fresh(me, slice) {
-							ws.resolve(&sw, ci, nsub, me)
+							ws.resolve(&sw, off+int32(ui*nsub), nsub, me)
 						}
 						live = me.apply(possible)
 					}

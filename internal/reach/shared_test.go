@@ -3,6 +3,7 @@ package reach
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/actor"
@@ -251,6 +252,51 @@ func TestSharedScratchReuse(t *testing.T) {
 				t.Fatalf("iter %d (n=%d) world /%d: %v vs %v with reused scratch",
 					iter, n, i, fresh.WithoutVolume[i], reused.WithoutVolume[i])
 			}
+		}
+	}
+}
+
+// One Scratch shared by expansions of different mask widths keeps a
+// claimed-key set and a mask grid per width: 1-, 2- and 3-word expansions
+// run in alternation on one scratch stay bitwise equal to fresh-scratch
+// results, and once every width has run, the alternation allocates no more
+// per call than repeating one width (a scratch that dropped its tables on
+// each width change would regrow them on every call).
+func TestSharedScratchAcrossWidths(t *testing.T) {
+	cfg := DefaultConfig()
+	road := testRoad()
+	ego, actors := randomScene(rand.New(rand.NewSource(5)), 6)
+	obs := BuildObstacles(actors, actor.PredictAll(actors, cfg.NumSlices(), cfg.SliceDt), cfg)
+	widths := []int{1, 2, 3}
+	run := func(scr *Scratch, words int) (Tube, []float64) {
+		return expand(road, obs, ego, cfg, scr, nil, 1+len(actors), words)
+	}
+	wantTube := make([]Tube, len(widths))
+	wantWithout := make([][]float64, len(widths))
+	for i, w := range widths {
+		wantTube[i], wantWithout[i] = run(NewScratch(), w)
+	}
+	scr := NewScratch()
+	for round := 0; round < 3; round++ {
+		for i, w := range widths {
+			tube, without := run(scr, w)
+			if !reflect.DeepEqual(tube, wantTube[i]) || !reflect.DeepEqual(without, wantWithout[i]) {
+				t.Fatalf("round %d words %d: shared scratch diverges from a fresh one\n got %+v %v\nwant %+v %v",
+					round, w, tube, without, wantTube[i], wantWithout[i])
+			}
+		}
+	}
+
+	const runs = 5
+	alternating := testing.AllocsPerRun(runs, func() {
+		for _, w := range widths {
+			run(scr, w)
+		}
+	}) / float64(len(widths))
+	for _, w := range widths {
+		single := testing.AllocsPerRun(runs, func() { run(scr, w) })
+		if alternating > single {
+			t.Errorf("alternating widths allocates %.1f per call, repeating %d words %.1f", alternating, w, single)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package reach
 import (
 	"math"
 	"slices"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/roadmap"
@@ -94,8 +95,9 @@ const warmMaxHits = 3
 // warmMemoMaxParents caps the parent table. A tick that would exceed it
 // resets the table instead — correctness is untouched (the next tick just
 // runs cold-speed) and a runaway session cannot hold unbounded memory
-// (with paths and substep boxes the arenas cost roughly 1.7 KiB per parent
-// at the default six controls and five substeps, ~55 MiB at this cap).
+// (at the default six controls a parent costs about 1.2 KiB at one
+// sub-step, 1.6 KiB at two and 2.7 KiB at the five-sub-step bound, table
+// slot included, so at most ~90 MiB at this cap).
 const warmMemoMaxParents = 1 << 15
 
 // warmPKey identifies a frontier entry: the exact parent state (as raw
@@ -172,20 +174,30 @@ func f32hi(x float64) float32 {
 type warmParent struct {
 	key  warmPKey
 	base int32 // nc consecutive warmCtrl slots in the arena
+	off  int32 // the block's nc×nsub path and substep-box slots start here
+}
+
+// warmBlock is what a control block's index (base/nc) resolves to: the
+// parent key it was inserted under and its path-slot offset.
+type warmBlock struct {
+	key warmPKey
+	off int32
 }
 
 // warmMemo is the candidate table: parents open-addressed with full key
 // equality, generation-stamped so a full reset is O(1); per-control data in
-// a flat arena indexed by parent.base.
+// a flat arena indexed by parent.base. The path and substep-box arenas are
+// dense: a parent integrated with nsub sub-steps (a pure function of its
+// speed, so fixed for its key) owns exactly nc×nsub slots of each from its
+// block offset, control i's nsub at off+i×nsub.
 type warmMemo struct {
 	parents []warmParent
 	gen     []uint32
 	ctrls   []warmCtrl
-	subs    []subBox    // stride slots per ctrl: substep AABBs of the last sweep
-	paths   []pathState // stride slots per ctrl: the integrated path, never re-derived
-	bkeys   []warmPKey  // one per block: the parent key it was inserted under
+	subs    []subBox    // nsub slots per ctrl: substep AABBs of the last sweep
+	paths   []pathState // nsub slots per ctrl: the integrated path, never re-derived
+	blocks  []warmBlock // one per block: its key and path-slot offset
 	nc      int
-	stride  int // cfg.SubSteps at epoch start
 	cur     uint32
 	n       int
 }
@@ -197,30 +209,29 @@ func (m *warmMemo) resetAll() {
 	m.ctrls = m.ctrls[:0]
 	m.subs = m.subs[:0]
 	m.paths = m.paths[:0]
-	m.bkeys = m.bkeys[:0]
+	m.blocks = m.blocks[:0]
 	if m.cur == 0 { // stamp wrapped: old entries would look live again
 		clear(m.gen)
 		m.cur = 1
 	}
 }
 
-// ensureControls pins the per-parent control count and substep stride for
-// this epoch; a mismatch (config change without a full invalidation —
-// defensive, the caller's cfg equality check already forces one) restarts
-// the table.
-func (m *warmMemo) ensureControls(nc, stride int) {
-	if m.nc != nc || m.stride != stride {
+// ensureControls pins the per-parent control count for this epoch; a
+// mismatch (config change without a full invalidation — defensive, the
+// caller's cfg equality check already forces one) restarts the table.
+func (m *warmMemo) ensureControls(nc int) {
+	if m.nc != nc {
 		m.nc = nc
-		m.stride = stride
 		m.resetAll()
 	}
 }
 
-// lookupOrInsert returns the arena base for parent k, inserting a fresh
-// zeroed control block on miss. existed reports whether the block carries
-// memoized integrations. The base is stable for the rest of the tick (the
-// arena only grows at parent insertion, never between controls).
-func (m *warmMemo) lookupOrInsert(k warmPKey) (base int32, existed bool) {
+// lookupOrInsert returns the arena base and path-slot offset for parent k,
+// inserting a fresh zeroed control block with room for nsub sub-steps per
+// control on miss. existed reports whether the block carries memoized
+// integrations. Both are stable for the rest of the tick (the arenas only
+// grow at parent insertion, never between controls).
+func (m *warmMemo) lookupOrInsert(k warmPKey, nsub int) (base, off int32, existed bool) {
 	if 2*(m.n+1) > len(m.parents) {
 		if len(m.parents) >= warmMemoMaxParents {
 			// At capacity: restart the table rather than grow without bound.
@@ -232,15 +243,15 @@ func (m *warmMemo) lookupOrInsert(k warmPKey) (base int32, existed bool) {
 	mask := uint64(len(m.parents) - 1)
 	for i := hashWarmKey(k) & mask; ; i = (i + 1) & mask {
 		if m.gen[i] != m.cur {
-			base = m.newBlock()
-			m.bkeys = append(m.bkeys, k)
-			m.parents[i] = warmParent{key: k, base: base}
+			base, off = m.newBlock(nsub)
+			m.blocks = append(m.blocks, warmBlock{key: k, off: off})
+			m.parents[i] = warmParent{key: k, base: base, off: off}
 			m.gen[i] = m.cur
 			m.n++
-			return base, false
+			return base, off, false
 		}
-		if m.parents[i].key == k {
-			return m.parents[i].base, true
+		if p := &m.parents[i]; p.key == k {
+			return p.base, p.off, true
 		}
 	}
 }
@@ -250,67 +261,69 @@ func (m *warmMemo) lookupOrInsert(k warmPKey) (base int32, existed bool) {
 // means no producer is known (the root frontier entry). The hint is only
 // ever trusted after its block key matches exactly, so a stale or clobbered
 // hint degrades to one hash probe, never to a wrong block.
-func (m *warmMemo) lookupVia(pci int32, k warmPKey) (base int32, existed bool) {
+func (m *warmMemo) lookupVia(pci int32, k warmPKey, nsub int) (base, off int32, existed bool) {
 	if pci >= 0 && int(pci) < len(m.ctrls) {
-		if ch := m.ctrls[pci].child; ch >= 0 && int(ch)+m.nc <= len(m.ctrls) && m.bkeys[int(ch)/m.nc] == k {
-			return ch, true
+		if ch := m.ctrls[pci].child; ch >= 0 && int(ch)+m.nc <= len(m.ctrls) {
+			if b := &m.blocks[int(ch)/m.nc]; b.key == k {
+				return ch, b.off, true
+			}
 		}
-		base, existed = m.lookupOrInsert(k)
+		base, off, existed = m.lookupOrInsert(k, nsub)
 		if int(pci) < len(m.ctrls) { // a mid-tick reset may have shrunk the arena
 			m.ctrls[pci].child = base
 		}
-		return base, existed
+		return base, off, existed
 	}
-	return m.lookupOrInsert(k)
+	return m.lookupOrInsert(k, nsub)
 }
 
-// integrate fills the fresh control block at base with frontier state f's
-// candidates: the block's sub-step paths, integrated straight into the
-// arena in one fan pass, and every control's endpoint and dedup key — pure
-// kinematics that stay valid for the rest of the epoch. The paths span
-// cfg.subSteps(f.Speed) sub-steps; readers recompute that count from the
-// parent rather than store it.
-func (m *warmMemo) integrate(base int32, f vehicle.State, cfg *Config, fan *controlFan) {
-	b := int(base)
-	cfg.integrateFan(fan, f, m.paths[b*m.stride:(b+m.nc)*m.stride])
+// integrate fills the fresh control block at base (path slots from off)
+// with frontier state f's candidates: the block's nsub-sub-step paths,
+// integrated straight into the arena in one fan pass, and every control's
+// endpoint and dedup key — pure kinematics that stay valid for the rest of
+// the epoch. nsub is cfg.subSteps(f.Speed); readers recompute that count
+// from the parent rather than store it.
+func (m *warmMemo) integrate(base, off int32, nsub int, f vehicle.State, cfg *Config, fan *controlFan) {
+	cfg.integrateFan(fan, f, m.paths[off:int(off)+m.nc*nsub])
 	for ui, s2 := range fan.ends {
-		me := &m.ctrls[b+ui]
+		me := &m.ctrls[int(base)+ui]
 		me.s2 = s2
 		me.skey = cfg.key(s2)
 	}
 }
 
-// newBlock extends the control arena by one zeroed nc-slot block (plus the
-// matching substep-AABB and path slots, which need no zeroing: they are
-// only read through a ctrl entry that wrote them — paths at integration,
-// substep AABBs during the sweep).
-func (m *warmMemo) newBlock() int32 {
-	base := len(m.ctrls)
-	if base+m.nc <= cap(m.ctrls) {
-		m.ctrls = m.ctrls[:base+m.nc]
-		clear(m.ctrls[base:])
+// newBlock extends the control arena by one zeroed nc-slot block and the
+// path and substep-box arenas by nc×nsub slots each (those need no
+// zeroing: they are only read through a ctrl entry that wrote them — paths
+// at integration, substep AABBs during the sweep), returning the block's
+// control base and path-slot offset.
+func (m *warmMemo) newBlock(nsub int) (base, off int32) {
+	b := len(m.ctrls)
+	if b+m.nc <= cap(m.ctrls) {
+		m.ctrls = m.ctrls[:b+m.nc]
+		clear(m.ctrls[b:])
 	} else {
 		m.ctrls = append(m.ctrls, make([]warmCtrl, m.nc)...)
 	}
-	want := (base + m.nc) * m.stride
+	o := len(m.paths)
+	want := o + m.nc*nsub
 	if want <= cap(m.subs) {
 		m.subs = m.subs[:want]
 	} else {
-		m.subs = append(m.subs, make([]subBox, want-len(m.subs))...)
+		m.subs = append(m.subs, make([]subBox, want-o)...)
 	}
 	if want <= cap(m.paths) {
 		m.paths = m.paths[:want]
 	} else {
-		m.paths = append(m.paths, make([]pathState, want-len(m.paths))...)
+		m.paths = append(m.paths, make([]pathState, want-o)...)
 	}
-	return int32(base)
+	return int32(b), int32(o)
 }
 
-// ctrlSweep returns control slot ci's integrated path and its substep-AABB
-// slots, both cut to the nsub sub-steps the path was integrated with.
-func (m *warmMemo) ctrlSweep(ci int32, nsub int) ([]pathState, []subBox) {
-	lo := int(ci) * m.stride
-	return m.paths[lo : lo+nsub], m.subs[lo : lo+nsub]
+// ctrlSweep returns the nsub integrated sub-steps at path slot po and
+// their substep-AABB slots.
+func (m *warmMemo) ctrlSweep(po int32, nsub int) ([]pathState, []subBox) {
+	return m.paths[po : int(po)+nsub], m.subs[po : int(po)+nsub]
 }
 
 func (m *warmMemo) grow() {
@@ -412,6 +425,28 @@ func (ws *WarmState) Reset() {
 	for i := range ws.sus {
 		ws.sus[i] = ws.sus[i][:0]
 	}
+}
+
+// Bytes returns the capacity in bytes of ws's memo arenas and tables and
+// its per-tick suspect and frontier lists: the memory it retains between
+// ticks, Reset included (Reset keeps capacity). The previous tick's
+// obstacles, which ws references but does not own, are not counted.
+func (ws *WarmState) Bytes() int64 {
+	m := &ws.memo
+	n := capBytes(m.parents) + capBytes(m.gen) + capBytes(m.ctrls) +
+		capBytes(m.subs) + capBytes(m.paths) + capBytes(m.blocks) +
+		capBytes(ws.sus) + capBytes(ws.susU) + capBytes(ws.scand) +
+		capBytes(ws.sids) + capBytes(ws.fsrc) + capBytes(ws.nsrc)
+	for _, l := range ws.sus[:cap(ws.sus)] {
+		n += capBytes(l)
+	}
+	return n
+}
+
+// capBytes is the size in bytes of s's backing array.
+func capBytes[T any](s []T) int64 {
+	var z T
+	return int64(cap(s)) * int64(unsafe.Sizeof(z))
 }
 
 // WarmStats reports what the warm engine did for one tick.
@@ -639,17 +674,17 @@ func (me *warmCtrl) apply(possible []uint64) bool {
 	return false
 }
 
-// resolve brings me, the memo entry of slot ci, up to date for this tick
-// when fresh cannot. An off-road verdict is reused outright: it is
-// actor-independent and never expires within the epoch. The previous
-// tick's verdict is reused when no suspect's changed placement touches its
-// path; a decomposable one is merged with only the overlapping suspects'
-// fresh hits. Anything else is fully re-swept. nsub is the sub-step count
-// of the memoized path.
-func (ws *WarmState) resolve(sw *sweeper, ci int32, nsub int, me *warmCtrl) {
+// resolve brings me, the memo entry whose path starts at path slot po, up
+// to date for this tick when fresh cannot. An off-road verdict is reused
+// outright: it is actor-independent and never expires within the epoch.
+// The previous tick's verdict is reused when no suspect's changed
+// placement touches its path; a decomposable one is merged with only the
+// overlapping suspects' fresh hits. Anything else is fully re-swept. nsub
+// is the sub-step count of the memoized path.
+func (ws *WarmState) resolve(sw *sweeper, po int32, nsub int, me *warmCtrl) {
 	lastTick := me.verdict != verdictNone && me.verdictGen == ws.gen-1
 	me.verdictGen = ws.gen
-	path, subs := ws.memo.ctrlSweep(ci, nsub)
+	path, subs := ws.memo.ctrlSweep(po, nsub)
 	switch {
 	case me.verdict == verdictOffroad:
 		ws.stats.Reused++

@@ -2,6 +2,7 @@ package reach
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -167,6 +168,71 @@ func TestWarmFullInvalidation(t *testing.T) {
 	other := roadmap.MustStraightRoad(4, 3.5, -120, 1100)
 	if _, st := score(other, tr[1], cfg); st.Hit {
 		t.Error("changed map still hit")
+	}
+}
+
+// requireDenseArena checks the memo's arena layout: every block owns
+// exactly nc×subSteps(parent speed) path and substep-box slots, laid end to
+// end from offset 0 in insertion order, and the arenas hold nothing else.
+// It returns how many blocks use fewer sub-steps than cfg.SubSteps.
+func requireDenseArena(t *testing.T, tag string, ws *WarmState, cfg Config) int {
+	t.Helper()
+	m := &ws.memo
+	if len(m.ctrls) != m.nc*len(m.blocks) {
+		t.Fatalf("%s: %d control slots for %d blocks of %d", tag, len(m.ctrls), len(m.blocks), m.nc)
+	}
+	want, short := 0, 0
+	for bi, b := range m.blocks {
+		if int(b.off) != want {
+			t.Fatalf("%s: block %d at path slot %d, want %d", tag, bi, b.off, want)
+		}
+		nsub := cfg.subSteps(math.Float64frombits(b.key[3]))
+		if nsub < cfg.SubSteps {
+			short++
+		}
+		want += m.nc * nsub
+	}
+	if len(m.paths) != want || len(m.subs) != want {
+		t.Fatalf("%s: %d path and %d box slots, want Σ nc×subSteps = %d", tag, len(m.paths), len(m.subs), want)
+	}
+	return short
+}
+
+// The memo's path and substep-box arenas are dense: each parent block holds
+// exactly the sub-steps its speed integrates with, not cfg.SubSteps, across
+// the stop-and-go and 64-actor crush replays (both crawl, so most parents
+// use fewer than the bound), and Reset empties the blocks and arenas so the
+// next tick lays them out from offset 0 again.
+func TestWarmMemoDenseArena(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, tc := range []struct {
+		tag   string
+		trace func() (roadmap.Map, []scenario.SessionTick)
+	}{
+		{"stop-and-go", func() (roadmap.Map, []scenario.SessionTick) { return scenario.StopAndGoSession(12, 8) }},
+		{"crush", func() (roadmap.Map, []scenario.SessionTick) { return scenario.UrbanCrushSession(64, 8) }},
+	} {
+		m, trace := tc.trace()
+		ws, scr := NewWarmState(), NewScratch()
+		short := 0
+		for tick, tk := range trace {
+			trajs := actor.PredictAll(tk.Actors, cfg.NumSlices(), cfg.SliceDt)
+			obs := BuildObstacles(tk.Actors, trajs, cfg)
+			ComputeCounterfactualsWarm(m, obs, tk.Ego, cfg, scr, ws)
+			short = requireDenseArena(t, fmt.Sprintf("%s tick %d", tc.tag, tick), ws, cfg)
+		}
+		if short == 0 {
+			t.Errorf("%s: every block uses the full %d sub-steps; the replay does not exercise the dense layout", tc.tag, cfg.SubSteps)
+		}
+		ws.Reset()
+		if mm := &ws.memo; len(mm.blocks) != 0 || len(mm.ctrls) != 0 || len(mm.paths) != 0 || len(mm.subs) != 0 {
+			t.Fatalf("%s: Reset left %d blocks, %d controls, %d paths, %d boxes",
+				tc.tag, len(mm.blocks), len(mm.ctrls), len(mm.paths), len(mm.subs))
+		}
+		tk := trace[len(trace)-1]
+		trajs := actor.PredictAll(tk.Actors, cfg.NumSlices(), cfg.SliceDt)
+		ComputeCounterfactualsWarm(m, BuildObstacles(tk.Actors, trajs, cfg), tk.Ego, cfg, scr, ws)
+		requireDenseArena(t, tc.tag+" after Reset", ws, cfg)
 	}
 }
 

@@ -210,8 +210,13 @@ type Policy struct {
 	net *MLP
 }
 
-// Act returns the greedy action for a state.
-func (p *Policy) Act(state []float64) int { return argmax(p.net.Forward(state)) }
+// Act returns the greedy action for a state. Act, ActEpsilonGreedy and Q
+// allocate nothing (at the SMC's network size), and episode workers may
+// call them concurrently on one shared policy.
+func (p *Policy) Act(state []float64) int {
+	var buf [stackActs]float64
+	return argmax(p.net.forward(state, p.net.acts(buf[:])))
+}
 
 // ActEpsilonGreedy returns an ε-greedy action drawn from the caller's RNG,
 // mirroring SelectAction's draw order (one Float64, then Intn only on the
@@ -222,11 +227,14 @@ func (p *Policy) ActEpsilonGreedy(state []float64, eps float64, rng *rand.Rand, 
 	if rng.Float64() < eps {
 		return rng.Intn(actions)
 	}
-	return argmax(p.net.Forward(state))
+	return p.Act(state)
 }
 
-// Q returns the Q-values for a state.
-func (p *Policy) Q(state []float64) []float64 { return p.net.Forward(state) }
+// Q appends the Q-values for a state to dst and returns the extended slice.
+func (p *Policy) Q(dst, state []float64) []float64 {
+	var buf [stackActs]float64
+	return append(dst, p.net.forward(state, p.net.acts(buf[:]))...)
+}
 
 func argmax(xs []float64) int {
 	best := 0

@@ -94,7 +94,24 @@ func (m *MLP) OutputDim() int { return m.sizes[len(m.sizes)-1] }
 // Forward runs inference, returning a freshly allocated output vector. It
 // is safe for concurrent callers: all scratch lives in one per-call buffer.
 func (m *MLP) Forward(x []float64) []float64 {
-	return m.forward(x, make([]float64, m.actLen()))
+	var buf [stackActs]float64
+	return append([]float64(nil), m.forward(x, m.acts(buf[:]))...)
+}
+
+// stackActs bounds the activations an inference keeps in a stack buffer:
+// the SMC's 24→64→64→3 network needs 131. A larger network's inferences
+// allocate their buffer instead.
+const stackActs = 256
+
+// acts returns buf cut to actLen when it is long enough, else a fresh
+// buffer. Passing a stack array's slice keeps an inference allocation-free
+// and safe for concurrent callers of one network.
+func (m *MLP) acts(buf []float64) []float64 {
+	n := m.actLen()
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]float64, n)
 }
 
 // actLen is the length of every non-input layer's activations laid end to

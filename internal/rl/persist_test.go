@@ -59,7 +59,7 @@ func TestSaveLoadPolicy(t *testing.T) {
 	if loaded.Act(x) != p.Act(x) {
 		t.Error("loaded policy disagrees with original")
 	}
-	qa, qb := p.Q(x), loaded.Q(x)
+	qa, qb := p.Q(nil, x), loaded.Q(nil, x)
 	for i := range qa {
 		if qa[i] != qb[i] {
 			t.Fatalf("Q mismatch: %v vs %v", qa, qb)

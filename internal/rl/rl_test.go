@@ -3,6 +3,8 @@ package rl
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -223,10 +225,10 @@ func TestDDQNSolvesContextualBandit(t *testing.T) {
 	}
 	p := d.Policy()
 	if p.Act(states[0]) != 1 {
-		t.Errorf("policy([1,0]) = %d, want 1; Q=%v", p.Act(states[0]), p.Q(states[0]))
+		t.Errorf("policy([1,0]) = %d, want 1; Q=%v", p.Act(states[0]), p.Q(nil, states[0]))
 	}
 	if p.Act(states[1]) != 0 {
-		t.Errorf("policy([0,1]) = %d, want 0; Q=%v", p.Act(states[1]), p.Q(states[1]))
+		t.Errorf("policy([0,1]) = %d, want 0; Q=%v", p.Act(states[1]), p.Q(nil, states[1]))
 	}
 }
 
@@ -272,13 +274,13 @@ func TestDDQNLearnsDelayedReward(t *testing.T) {
 	p := d.Policy()
 	for pos := 0; pos < 3; pos++ {
 		if got := p.Act(oneHot(pos)); got != 1 {
-			t.Errorf("policy(s%d) = %d, want 1 (Q=%v)", pos, got, p.Q(oneHot(pos)))
+			t.Errorf("policy(s%d) = %d, want 1 (Q=%v)", pos, got, p.Q(nil, oneHot(pos)))
 		}
 	}
 	// Value should decay along the chain: Q(s2,1) > Q(s0,1).
-	if p.Q(oneHot(2))[1] <= p.Q(oneHot(0))[1] {
+	if p.Q(nil, oneHot(2))[1] <= p.Q(nil, oneHot(0))[1] {
 		t.Errorf("value did not decay with distance to reward: %v vs %v",
-			p.Q(oneHot(2))[1], p.Q(oneHot(0))[1])
+			p.Q(nil, oneHot(2))[1], p.Q(nil, oneHot(0))[1])
 	}
 }
 
@@ -293,4 +295,54 @@ func TestArgmax(t *testing.T) {
 	if got := argmax([]float64{2, 2}); got != 0 {
 		t.Errorf("argmax tie = %d", got)
 	}
+}
+
+// An agent decision from a frozen policy allocates nothing at the SMC's
+// 24→64→64→3 network, and episode workers sharing one policy snapshot get
+// exactly the answers a lone caller gets (run under -race, this also shows
+// the shared policy is only read).
+func TestPolicyDecisionsAllocationFree(t *testing.T) {
+	const dim, actions = 24, 3
+	d, err := NewDDQN(dim, actions, DefaultDDQNConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := d.Policy()
+	states := synthTransitions(3, 64, dim)
+	wantAct := make([]int, len(states))
+	wantQ := make([][]float64, len(states))
+	for i, tr := range states {
+		wantAct[i], wantQ[i] = p.Act(tr.State), p.Q(nil, tr.State)
+		if got := argmax(d.online.Forward(tr.State)); got != wantAct[i] {
+			t.Fatalf("state %d: policy acts %d, its network's argmax is %d", i, wantAct[i], got)
+		}
+	}
+
+	x := states[0].State
+	rng := rand.New(rand.NewSource(1))
+	q := make([]float64, 0, actions)
+	if n := testing.AllocsPerRun(100, func() {
+		p.Act(x)
+		p.ActEpsilonGreedy(x, 0.5, rng, actions)
+		q = p.Q(q[:0], x)
+	}); n != 0 {
+		t.Errorf("Act + ActEpsilonGreedy + Q allocate %v times per decision, want 0", n)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q := make([]float64, 0, actions)
+			for i, tr := range states {
+				q = p.Q(q[:0], tr.State)
+				if a := p.Act(tr.State); a != wantAct[i] || !slices.Equal(q, wantQ[i]) {
+					t.Errorf("state %d: shared policy answered %d %v, alone %d %v", i, a, q, wantAct[i], wantQ[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -58,6 +58,7 @@ var (
 	telQueueDepth    = telemetry.NewGauge("server.queue.depth")
 	telBatchSize     = telemetry.NewHistogram("server.batch.size", telemetry.LinearBuckets(1, 1, 16))
 	telSessionsGauge = telemetry.NewGauge("server.sessions.active")
+	telWarmBytes     = telemetry.NewGauge("server.warm.bytes")
 )
 
 // Config tunes the scoring service. The zero value serves with the paper's

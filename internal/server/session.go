@@ -51,6 +51,9 @@ type session struct {
 	// fails to score still consumes its timestamp.
 	lastTime float64
 	hasTime  bool
+	// warmBytes is the warm state's Bytes() as last added to the table's
+	// total; close takes it back out.
+	warmBytes int64
 
 	historyCap int
 }
@@ -61,6 +64,9 @@ type sessionTable struct {
 	next int
 	max  int
 	m    map[string]*session
+	// warmBytes sums the open sessions' warm-state bytes (the
+	// server.warm.bytes gauge).
+	warmBytes int64
 }
 
 func (t *sessionTable) init(max int) {
@@ -118,7 +124,7 @@ func (t *sessionTable) remove(id string) bool {
 	delete(t.m, id)
 	telSessionsGauge.Set(float64(len(t.m)))
 	t.mu.Unlock()
-	s.close()
+	t.addWarm(-s.close())
 	return true
 }
 
@@ -131,8 +137,34 @@ func (t *sessionTable) closeAll() {
 	}
 	t.mu.Unlock()
 	for _, s := range ss {
-		s.close()
+		t.addWarm(-s.close())
 	}
+}
+
+// addWarm moves the open sessions' warm-state total by delta bytes.
+func (t *sessionTable) addWarm(delta int64) {
+	if delta == 0 {
+		return
+	}
+	t.mu.Lock()
+	t.warmBytes += delta
+	telWarmBytes.Set(float64(t.warmBytes))
+	t.mu.Unlock()
+}
+
+// noteWarm records the size of the session's warm state after an observe
+// and returns the change since the last record; a closed session, whose
+// state is back in the pool, records nothing.
+func (sess *session) noteWarm() int64 {
+	b := sess.warm.Bytes()
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if sess.closed {
+		return 0
+	}
+	d := b - sess.warmBytes
+	sess.warmBytes = b
+	return d
 }
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
@@ -244,6 +276,7 @@ func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusGatewayTimeout, scene.ErrorResponse{Error: "deadline exceeded"})
 		return
 	}
+	s.sessions.addWarm(sess.noteWarm())
 	resp := scene.SessionObserveResponse{
 		Version:         scene.ScoreVersion,
 		Time:            sample.Time,

@@ -1,13 +1,17 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
 	"net/http"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/roadmap"
 	"repro/internal/scenario"
 	"repro/internal/scene"
+	"repro/internal/telemetry"
 )
 
 func observeBody(t *testing.T, at float64) []byte {
@@ -166,6 +170,69 @@ func TestSessionWarmStateRecycledCold(t *testing.T) {
 	}
 	if obs.Provenance.WarmHit {
 		t.Error("recycled WarmState warm-hit a new session's first tick")
+	}
+}
+
+// metricValue scrapes /metrics and returns the value of the unlabelled
+// series name.
+func metricValue(t *testing.T, base, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no %s series", name)
+	return 0
+}
+
+// iprism_server_warm_bytes sums the warm-state bytes of the open sessions:
+// it rises when a session's observe fills its memo and falls back to its
+// earlier value when that session is deleted and its state pooled.
+func TestSessionWarmBytesGauge(t *testing.T) {
+	telemetry.Enable()
+	_, ts := newTestServer(t, Config{Workers: 1})
+	const gauge = "iprism_server_warm_bytes"
+	observe := func(id string) {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/v1/sessions/"+id+"/observe", observeBody(t, 0))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("observe %s: status %d, body %s", id, resp.StatusCode, body)
+		}
+	}
+	first := createSession(t, ts.URL, scene.SessionCreateRequest{})
+	observe(first)
+	before := metricValue(t, ts.URL, gauge)
+	if before <= 0 {
+		t.Fatalf("%s = %v after one observed session, want > 0", gauge, before)
+	}
+
+	second := createSession(t, ts.URL, scene.SessionCreateRequest{})
+	observe(second)
+	if got := metricValue(t, ts.URL, gauge); got <= before {
+		t.Fatalf("%s = %v after a second session's observe, want > %v", gauge, got, before)
+	}
+	del, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := metricValue(t, ts.URL, gauge); got != before {
+		t.Errorf("%s = %v after deleting the second session, want %v", gauge, got, before)
 	}
 }
 

@@ -138,12 +138,13 @@ func (sess *session) unsubscribe(sub *streamSub) {
 // close ends the session's streams — marks it closed and disconnects every
 // subscriber — and returns the session's warm-start state to the server
 // pool (closed guards the release: close is called at most once effectively,
-// so the state is returned exactly once).
-func (sess *session) close() {
+// so the state is returned exactly once). It returns the warm-state bytes
+// the session had added to the table's total, for the caller to take out.
+func (sess *session) close() (warmBytes int64) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.closed {
-		return
+		return 0
 	}
 	sess.closed = true
 	for sub := range sess.subs {
@@ -151,6 +152,8 @@ func (sess *session) close() {
 		close(sub.drop)
 	}
 	sess.warmPut(sess.warm)
+	warmBytes, sess.warmBytes = sess.warmBytes, 0
+	return warmBytes
 }
 
 // handleSessionStream serves the SSE risk stream for one session.

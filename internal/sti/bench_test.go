@@ -79,7 +79,11 @@ func BenchmarkEvaluateDense12Shared(b *testing.B) {
 // stop-and-go queue holds the ego bitwise-static and moves a few actors in
 // pulses, the ring platoon moves every actor every tick, and the 64-actor
 // UrbanCrush crawl runs on segmented masks. Warm rows also report warm-B,
-// the heap one WarmState retains after a full replay. Compare:
+// the heap one WarmState retains after a full replay. The first-* rows
+// score only the trace's first tick, the one that fills the memo: cold,
+// warm on a fresh WarmState each iteration, and warm on one state Reset
+// before each iteration after a full replay (how the server recycles a
+// closed session's state). Compare:
 //
 //	go test -bench 'EvaluateSession' -run - ./internal/sti
 func BenchmarkEvaluateSession(b *testing.B) {
@@ -120,6 +124,28 @@ func BenchmarkEvaluateSession(b *testing.B) {
 				}
 			})
 		}
+		first := trace[0]
+		b.Run(tc.name+"/first-cold", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.EvaluateWarm(m, first.Ego, first.Actors, trajs[0], nil)
+			}
+		})
+		b.Run(tc.name+"/first-fresh", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.EvaluateWarm(m, first.Ego, first.Actors, trajs[0], NewWarmState())
+			}
+		})
+		b.Run(tc.name+"/first-reset", func(b *testing.B) {
+			ws := NewWarmState()
+			for t, tick := range trace {
+				e.EvaluateWarm(m, tick.Ego, tick.Actors, trajs[t], ws)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ws.Reset()
+				e.EvaluateWarm(m, first.Ego, first.Actors, trajs[0], ws)
+			}
+		})
 	}
 }
 

@@ -18,8 +18,9 @@ import (
 // state (sharing would interleave two ticks' bookkeeping and corrupt the
 // memo). The zero value is not usable — construct with NewWarmState.
 type WarmState struct {
-	busy atomic.Bool
-	rs   reach.WarmState
+	busy  atomic.Bool
+	bytes atomic.Int64 // rs.Bytes() as of the last warm evaluation
+	rs    reach.WarmState
 }
 
 // NewWarmState returns a fresh warm-start state ready for its first tick
@@ -30,6 +31,12 @@ func NewWarmState() *WarmState { return &WarmState{} }
 // just-constructed condition. The caller must own the state exclusively —
 // no EvaluateWarm may be in flight on it.
 func (w *WarmState) Reset() { w.rs.Reset() }
+
+// Bytes returns the capacity in bytes of the state's memo arenas and
+// tables as of its last warm evaluation: the memory it retains between
+// ticks (Reset keeps capacity, so it does not lower this). It is safe to
+// call while an evaluation is in flight on the state.
+func (w *WarmState) Bytes() int64 { return w.bytes.Load() }
 
 // TryReset is Reset under the ownership gate: it claims the state, drops
 // the retained expansion, and reports success. It fails (and does nothing)
@@ -97,5 +104,7 @@ func (e *Evaluator) evaluateWarm(rec *trace.Recorder, m roadmap.Map, ego vehicle
 	telActorsPerEval.Observe(float64(len(actors)))
 	scr := e.takeScratch()
 	defer e.putScratch(scr)
-	return e.evaluateShared(rec, m, ego, actors, trajs, scr, &ws.rs)
+	res, prov := e.evaluateShared(rec, m, ego, actors, trajs, scr, &ws.rs)
+	ws.bytes.Store(ws.rs.Bytes())
+	return res, prov
 }

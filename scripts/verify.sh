@@ -36,7 +36,9 @@ go test -race -timeout 45m ./...
 # segmented-mask scenes, the benchmark's input classes and the
 # FuzzSharedVsLegacy seed corpus — and the warm-started session engine must
 # match the cold path bit-for-bit across recorded session traces and the
-# FuzzWarmVsCold perturbation corpus; the control-fan integration kernel
+# FuzzWarmVsCold perturbation corpus, with its memo arenas sized to each
+# parent's sub-step count and a shared Scratch keeping one table per mask
+# width; the control-fan integration kernel
 # must match the per-control StepPath oracle bit for bit, and Evaluate
 # must still produce the committed golden digest (the differential
 # oracles share the integration, so only the digest sees it drift); the
@@ -62,6 +64,7 @@ for t in TestSingleWorldMatchesReference FuzzSingleWorldVsReference \
   TestSharedMatchesLegacySegmented TestSharedSegmentedForcedWords \
   TestSharedExpansionMatchesLegacyScenes \
   TestWarmMatchesColdSessionTraces FuzzSharedVsLegacy FuzzWarmVsCold \
+  TestWarmMemoDenseArena TestSharedScratchAcrossWidths \
   TestIntegrateFanMatchesPerControl TestEvaluateGoldenDigest \
   TestLearnerMatchesReference FuzzLearnerVsReference TestTrainGoldenDigest; do
   echo "$diff_list" | grep -qx "$t" \
