@@ -11,6 +11,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -307,7 +308,7 @@ func BenchmarkSTIEvaluation(b *testing.B) {
 	ego := vehicle.State{Pos: geom.V(0, 1.75), Speed: 10}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eval.EvaluateWithPrediction(road, ego, actors)
+		eval.Score(context.Background(), sti.Query{Map: road, Ego: ego, Actors: actors}, nil)
 	}
 }
 
@@ -378,7 +379,7 @@ func BenchmarkReachAblation(b *testing.B) {
 			}
 			var vol float64
 			for i := 0; i < b.N; i++ {
-				vol = reach.Compute(road, nil, ego, cfg).Volume
+				vol = reach.Compute(road, nil, ego, cfg, nil).Volume
 			}
 			b.ReportMetric(vol, "tube-m2")
 		})

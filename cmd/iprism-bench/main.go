@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -142,14 +143,14 @@ func run() error {
 	start := time.Now()
 	for i := 0; i < *stiIters; i++ {
 		t := histFull3.Start()
-		eval.EvaluateWithPrediction(road, ego, actors)
+		eval.Score(context.Background(), sti.Query{Map: road, Ego: ego, Actors: actors}, nil)
 		t.Stop()
 	}
 	rep.Workloads["sti_evaluate_full"] = timed(*stiIters, time.Since(start))
 
 	start = time.Now()
 	for i := 0; i < *stiIters; i++ {
-		eval.CombinedWithPrediction(road, ego, actors)
+		eval.Combined(sti.Query{Map: road, Ego: ego, Actors: actors})
 	}
 	rep.Workloads["sti_evaluate_combined"] = timed(*stiIters, time.Since(start))
 
@@ -166,7 +167,7 @@ func run() error {
 	start = time.Now()
 	for i := 0; i < *stiIters; i++ {
 		t := histFull6.Start()
-		eval.EvaluateWithPrediction(road, ego, dense)
+		eval.Score(context.Background(), sti.Query{Map: road, Ego: ego, Actors: dense}, nil)
 		t.Stop()
 	}
 	rep.Workloads["sti_evaluate_full_6actor"] = timed(*stiIters, time.Since(start))
@@ -201,7 +202,7 @@ func run() error {
 	start = time.Now()
 	for i := 0; i < dense12Iters; i++ {
 		t := histDense12.Start()
-		eval.EvaluateWithPrediction(denseRoad, denseEgo, dense12)
+		eval.Score(context.Background(), sti.Query{Map: denseRoad, Ego: denseEgo, Actors: dense12}, nil)
 		t.Stop()
 	}
 	rep.Workloads["sti_evaluate_dense12"] = timed(dense12Iters, time.Since(start))
@@ -232,7 +233,7 @@ func run() error {
 		start = time.Now()
 		for i := 0; i < iters; i++ {
 			t := wl.hist.Start()
-			eval.EvaluateWithPrediction(crushRoad, crushEgo, crush)
+			eval.Score(context.Background(), sti.Query{Map: crushRoad, Ego: crushEgo, Actors: crush}, nil)
 			t.Stop()
 		}
 		rep.Workloads[wl.name] = timed(iters, time.Since(start))
@@ -278,7 +279,7 @@ func run() error {
 		for i := 0; i < sessIters; i++ {
 			tick := sessTrace[i%len(sessTrace)]
 			t := wl.hist.Start()
-			sessEval.EvaluateWarm(sessRoad, tick.Ego, tick.Actors, sessTrajs[i%len(sessTrace)], ws)
+			sessEval.Score(context.Background(), sti.Query{Map: sessRoad, Ego: tick.Ego, Actors: tick.Actors, Trajs: sessTrajs[i%len(sessTrace)]}, ws)
 			t.Stop()
 		}
 		rep.Workloads[wl.name] = timed(sessIters, time.Since(start))

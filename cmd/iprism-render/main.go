@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -97,9 +98,10 @@ func run() error {
 			}
 		}
 		obs := w.Observe()
+		risk, _ := eval.Score(context.Background(), sti.Query{Map: w.Map, Ego: obs.Ego, Actors: obs.Actors}, nil)
 		scene = render.Scene{
 			Map: w.Map, Ego: obs.Ego, Actors: obs.Actors,
-			Risk:  eval.EvaluateWithPrediction(w.Map, obs.Ego, obs.Actors),
+			Risk:  risk,
 			Title: fmt.Sprintf("%s #%d @ t=%.1fs", ty, scn.ID, obs.Time),
 		}
 	}
@@ -107,7 +109,7 @@ func run() error {
 	// Reach-tube for the rendered frame.
 	trajs := actor.PredictAll(scene.Actors, cfg.NumSlices(), cfg.SliceDt)
 	obs := reach.BuildObstacles(scene.Actors, trajs, cfg)
-	tube := reach.Compute(scene.Map, obs, scene.Ego, cfg)
+	tube := reach.Compute(scene.Map, obs, scene.Ego, cfg, nil)
 	scene.Tube = &tube
 
 	svg := render.SVG(scene, render.Options{Window: 70})

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -46,7 +47,7 @@ func main() {
 	for li, l := range corpus {
 		horizon := int(3.0 / l.Dt)
 		for t := 0; t < l.Steps()-horizon-1; t += 10 {
-			res := eval.Evaluate(l.Map, l.Ego[t], l.ActorsAt(t), l.FutureTrajectories(t))
+			res, _ := eval.Score(context.Background(), iprism.Query{Map: l.Map, Ego: l.Ego[t], Actors: l.ActorsAt(t), Trajs: l.FutureTrajectories(t)}, nil)
 			all = append(all, res.Combined)
 			idx, v := res.MostThreatening()
 			moments = append(moments, riskyMoment{

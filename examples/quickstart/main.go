@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 	actors := []*iprism.Actor{lead, alongside}
 
 	eval := iprism.NewEvaluator(iprism.DefaultReachConfig())
-	res := eval.EvaluateWithPrediction(road, ego, actors)
+	res, _ := eval.Score(context.Background(), iprism.Query{Map: road, Ego: ego, Actors: actors}, nil)
 
 	fmt.Println("escape-route analysis (reach-tube volumes, m^2):")
 	fmt.Printf("  empty world |T^∅| = %.0f\n", res.EmptyVolume)

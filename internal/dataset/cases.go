@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"context"
+
 	"repro/internal/actor"
 	"repro/internal/geom"
 	"repro/internal/roadmap"
@@ -23,7 +25,8 @@ type CaseStudy struct {
 // Evaluate runs the STI evaluator on the case with CVTR-predicted
 // trajectories (the actors carry their recorded yaw rates).
 func (c CaseStudy) Evaluate(eval *sti.Evaluator) sti.Result {
-	return eval.EvaluateWithPrediction(c.Map, c.Ego, c.Actors)
+	res, _ := eval.Score(context.Background(), sti.Query{Map: c.Map, Ego: c.Ego, Actors: c.Actors}, nil)
+	return res
 }
 
 // CaseStudies returns the four Fig. 7 scenes.

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"repro/internal/stats"
 	"repro/internal/sti"
 )
@@ -32,7 +33,7 @@ func Characterize(logs []*Log, eval *sti.Evaluator, stride int) Characterization
 		for t := 0; t < last; t += stride {
 			actors := l.ActorsAt(t)
 			trajs := l.FutureTrajectories(t)
-			res := eval.Evaluate(l.Map, l.Ego[t], actors, trajs)
+			res, _ := eval.Score(context.Background(), sti.Query{Map: l.Map, Ego: l.Ego[t], Actors: actors, Trajs: trajs}, nil)
 			c.ActorSTI = append(c.ActorSTI, res.PerActor...)
 			c.CombinedSTI = append(c.CombinedSTI, res.Combined)
 		}

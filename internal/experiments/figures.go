@@ -75,7 +75,7 @@ func metricTraces(tw *traceWorld, opt Options, eval *sti.Evaluator, pkl *metrics
 	out := map[string][]float64{}
 	for t := 0; t < tw.steps(); t += opt.MetricStride {
 		sc := tw.scene(t, opt.Reach.Horizon)
-		out["STI"] = append(out["STI"], eval.EvaluateCombined(tw.m, sc.Ego, sc.Actors, sc.Trajs))
+		out["STI"] = append(out["STI"], eval.Combined(sti.Query{Map: tw.m, Ego: sc.Ego, Actors: sc.Actors, Trajs: sc.Trajs}))
 		out["PKL"] = append(out["PKL"], pkl.PKLCombined(sc))
 		ttc := metrics.TTC(sc)
 		if ttc > 10 {
@@ -150,7 +150,7 @@ func Fig5(suites []Suite, ctrl *smc.SMC, opt Options, sample int) (Fig5Result, e
 func stiTrace(tw *traceWorld, opt Options, eval *sti.Evaluator) []float64 {
 	var out []float64
 	for t := 0; t < tw.steps(); t += opt.MetricStride {
-		out = append(out, eval.EvaluateCombined(tw.m, tw.ego(t), tw.actors(t), tw.futures(t)))
+		out = append(out, eval.Combined(sti.Query{Map: tw.m, Ego: tw.ego(t), Actors: tw.actors(t), Trajs: tw.futures(t)}))
 	}
 	return out
 }

@@ -108,7 +108,7 @@ func leadTimes(tw *traceWorld, collisionStep int, opt Options, eval *sti.Evaluat
 		riskCIPA = append(riskCIPA, th.DistCIPARisk(metrics.DistCIPA(sc)))
 		riskPKLAll = append(riskPKLAll, th.PKLRisk(pklAll.PKLCombined(sc)))
 		riskPKLHold = append(riskPKLHold, th.PKLRisk(pklHoldout.PKLCombined(sc)))
-		stiVal := eval.EvaluateCombined(tw.m, sc.Ego, sc.Actors, sc.Trajs)
+		stiVal := eval.Combined(sti.Query{Map: tw.m, Ego: sc.Ego, Actors: sc.Actors, Trajs: sc.Trajs})
 		riskSTI = append(riskSTI, th.STIRisk(stiVal))
 	}
 	dt := tw.dt * float64(stride)

@@ -200,7 +200,7 @@ func selectTrainingScenario(suite Suite, opt Options, eval *sti.Evaluator) (int,
 			last = tw.steps() - 1
 		}
 		for t := 0; t <= last; t += opt.MetricStride * 3 {
-			vals = append(vals, eval.EvaluateCombined(tw.m, tw.ego(t), tw.actors(t), tw.futures(t)))
+			vals = append(vals, eval.Combined(sti.Query{Map: tw.m, Ego: tw.ego(t), Actors: tw.actors(t), Trajs: tw.futures(t)}))
 		}
 		if avg := stats.Mean(vals); avg > bestAvg {
 			best, bestAvg = idx, avg

@@ -127,11 +127,11 @@ func (m *Monitor) Observe(ctx context.Context, rm roadmap.Map, ego vehicle.State
 	if trajs == nil {
 		trajs = actor.PredictAll(actors, cfg.NumSlices(), cfg.SliceDt)
 	}
-	// EvaluateWarmTraced warm-starts from the previous observation when a
-	// session attached a WarmState, and scores cold when m.warm is nil (a
-	// monitor built outside a server session), so this is the one call
-	// site for both.
-	res, prov := m.eval.EvaluateWarmTraced(ctx, rm, ego, actors, trajs, m.warm)
+	// Score warm-starts from the previous observation when a session
+	// attached a WarmState, and scores cold when m.warm is nil (a monitor
+	// built outside a server session), so this is the one call site for
+	// both.
+	res, prov := m.eval.Score(ctx, sti.Query{Map: rm, Ego: ego, Actors: actors, Trajs: trajs}, m.warm)
 	scene := metrics.Scene{
 		Map:       rm,
 		Ego:       ego,

@@ -58,7 +58,7 @@ func dense12Tick() (roadmap.Map, []scenario.SessionTick) {
 // iteration, cycling through each input's ticks in order:
 //
 //   - cold/<scene>: ComputeCounterfactuals;
-//   - warm/<scene>: ComputeCounterfactualsWarm with one WarmState carried
+//   - warm/<scene>: ComputeCounterfactuals with one WarmState carried
 //     across iterations, as a server session carries it across ticks, and
 //     filled by one untimed pass over the ticks (the single-tick dense12
 //     scene is therefore fully warm);
@@ -90,18 +90,18 @@ func BenchmarkCounterfactuals(b *testing.B) {
 			scr := NewScratch()
 			for i := 0; i < b.N; i++ {
 				t := i % len(in.obs)
-				benchSink = ComputeCounterfactuals(in.m, in.obs[t], in.egos[t], cfg, scr)
+				benchSink, _ = ComputeCounterfactuals(in.m, in.obs[t], in.egos[t], cfg, scr, nil)
 			}
 		})
 		b.Run("warm/"+in.name, func(b *testing.B) {
 			scr, ws := NewScratch(), NewWarmState()
 			for t := range in.obs { // fill the memo: measure steady-state ticks
-				ComputeCounterfactualsWarm(in.m, in.obs[t], in.egos[t], cfg, scr, ws)
+				ComputeCounterfactuals(in.m, in.obs[t], in.egos[t], cfg, scr, ws)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t := i % len(in.obs)
-				benchSink, _ = ComputeCounterfactualsWarm(in.m, in.obs[t], in.egos[t], cfg, scr, ws)
+				benchSink, _ = ComputeCounterfactuals(in.m, in.obs[t], in.egos[t], cfg, scr, ws)
 			}
 		})
 	}

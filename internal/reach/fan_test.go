@@ -177,11 +177,11 @@ func TestWarmLongSliceMatchesCold(t *testing.T) {
 		actor.NewVehicle(3, egoState(500, 8.75, 0)),
 	}
 	obs := BuildObstacles(actors, actorTrajectories(actors, cfg), cfg)
-	want := ComputeCounterfactuals(road, obs, ego, cfg, nil)
+	want, _ := ComputeCounterfactuals(road, obs, ego, cfg, nil, nil)
 	if want.BaseVolume != 0 || want.WithoutVolume[0] != 1 || want.WithoutVolume[1] != 0 || want.WithoutVolume[2] != 0 {
 		t.Fatalf("cold: base %v without %v, want 0 and [1 0 0]", want.BaseVolume, want.WithoutVolume)
 	}
-	got, _ := ComputeCounterfactualsWarm(road, obs, ego, cfg, NewScratch(), NewWarmState())
+	got, _ := ComputeCounterfactuals(road, obs, ego, cfg, NewScratch(), NewWarmState())
 	requireTubesIdentical(t, "long slice", 0, want, got)
 }
 

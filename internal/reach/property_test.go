@@ -35,14 +35,14 @@ func TestTubeMonotoneUnderObstacles(t *testing.T) {
 		trajs := actor.PredictAll(actors, cfg.NumSlices(), cfg.SliceDt)
 		obs := BuildObstacles(actors, trajs, cfg)
 
-		empty := Compute(road, nil, ego, cfg)
-		all := Compute(road, obs, ego, cfg)
+		empty := Compute(road, nil, ego, cfg, nil)
+		all := Compute(road, obs, ego, cfg, nil)
 		if all.Volume > empty.Volume*tolerance {
 			t.Fatalf("iter %d: tube with obstacles (%v) exceeds empty tube (%v)",
 				iter, all.Volume, empty.Volume)
 		}
 		for i := range actors {
-			without := Compute(road, obs.without(i), ego, cfg)
+			without := Compute(road, obs.without(i), ego, cfg, nil)
 			if without.Volume > empty.Volume*tolerance {
 				t.Fatalf("iter %d: tube without actor %d (%v) exceeds empty tube (%v)",
 					iter, i, without.Volume, empty.Volume)
@@ -59,8 +59,8 @@ func TestTubeMonotoneUnderObstacles(t *testing.T) {
 func TestTubeTranslationInvariance(t *testing.T) {
 	cfg := DefaultConfig()
 	road := testRoad()
-	a := Compute(road, nil, egoState(0, 1.75, 10), cfg)
-	b := Compute(road, nil, egoState(100, 1.75, 10), cfg)
+	a := Compute(road, nil, egoState(0, 1.75, 10), cfg, nil)
+	b := Compute(road, nil, egoState(100, 1.75, 10), cfg, nil)
 	// Occupancy-grid alignment causes at most a minor difference.
 	if diff := a.Volume - b.Volume; diff > 5 || diff < -5 {
 		t.Errorf("translation changed volume: %v vs %v", a.Volume, b.Volume)
@@ -74,12 +74,12 @@ func TestTubeMirrorSymmetry(t *testing.T) {
 	blocker := actor.NewVehicle(1, vehicle.State{Pos: geom.V(15, 1.75)})
 	trajs := actor.PredictAll([]*actor.Actor{blocker}, cfg.NumSlices(), cfg.SliceDt)
 	obs := BuildObstacles([]*actor.Actor{blocker}, trajs, cfg)
-	top := Compute(road, obs, egoState(0, 1.75, 10), cfg)
+	top := Compute(road, obs, egoState(0, 1.75, 10), cfg, nil)
 
 	mirrored := actor.NewVehicle(1, vehicle.State{Pos: geom.V(15, 7-1.75)})
 	trajs2 := actor.PredictAll([]*actor.Actor{mirrored}, cfg.NumSlices(), cfg.SliceDt)
 	obs2 := BuildObstacles([]*actor.Actor{mirrored}, trajs2, cfg)
-	bottom := Compute(road, obs2, egoState(0, 7-1.75, 10), cfg)
+	bottom := Compute(road, obs2, egoState(0, 7-1.75, 10), cfg, nil)
 
 	if diff := top.Volume - bottom.Volume; diff > 8 || diff < -8 {
 		t.Errorf("mirror symmetry violated: %v vs %v", top.Volume, bottom.Volume)

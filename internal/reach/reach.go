@@ -21,8 +21,8 @@ import (
 // and flushed once per call, keeping the hot path free of atomics
 // (collection itself is gated on telemetry.Enable). reach.computes,
 // reach.states_expanded and reach.tube_volume_m2 count single-world tubes
-// (Compute, ComputeScratch); counterfactual expansions have their own
-// reach.shared.* series. Propagations and prunes count both.
+// (Compute); counterfactual expansions have their own reach.shared.*
+// series. Propagations and prunes count both.
 var (
 	telComputes     = telemetry.NewCounter("reach.computes")
 	telStates       = telemetry.NewCounter("reach.states_expanded")
@@ -271,17 +271,11 @@ var noObstacles Obstacles
 
 // Compute runs Algorithm 1: it returns the reach-tube of the ego vehicle on
 // map m among the actors in obs (nil or empty for the empty world — the
-// T^∅ counterfactual). It allocates fresh working state; hot callers
-// should use ComputeScratch.
-func Compute(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config) Tube {
-	return ComputeScratch(m, obs, ego, cfg, nil)
-}
-
-// ComputeScratch is Compute with caller-provided working memory. scr may be
-// nil (fresh allocations); the result is identical either way, and scr can
-// be reused for any subsequent computation. The tube is expand's base
-// world alone: one world bit, no counterfactual worlds.
-func ComputeScratch(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch) Tube {
+// T^∅ counterfactual). scr is caller-provided working memory; a nil scr
+// allocates fresh. The result is identical either way, and scr can be
+// reused for any subsequent computation. The tube is expand's base world
+// alone: one world bit, no counterfactual worlds.
+func Compute(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch) Tube {
 	if obs == nil {
 		obs = &noObstacles
 	}

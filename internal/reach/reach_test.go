@@ -99,7 +99,7 @@ func TestControlsWithSampling(t *testing.T) {
 }
 
 func TestComputeEmptyWorld(t *testing.T) {
-	tube := Compute(testRoad(), nil, egoState(0, 1.75, 10), DefaultConfig())
+	tube := Compute(testRoad(), nil, egoState(0, 1.75, 10), DefaultConfig(), nil)
 	if tube.Volume <= 0 {
 		t.Fatal("empty-world tube should have positive volume")
 	}
@@ -112,7 +112,7 @@ func TestComputeEmptyWorld(t *testing.T) {
 }
 
 func TestComputeOffRoadStart(t *testing.T) {
-	tube := Compute(testRoad(), nil, egoState(0, 20, 10), DefaultConfig())
+	tube := Compute(testRoad(), nil, egoState(0, 20, 10), DefaultConfig(), nil)
 	if tube.Volume != 0 || tube.States != 0 {
 		t.Errorf("off-road start should yield empty tube, got %+v", tube)
 	}
@@ -130,7 +130,7 @@ func staticObstacles(b geom.Box, cfg Config) *Obstacles {
 func TestComputeCollidingStart(t *testing.T) {
 	cfg := DefaultConfig()
 	everywhere := staticObstacles(geom.NewBox(geom.V(0, 1.75), 1000, 1000, 0), cfg)
-	tube := Compute(testRoad(), everywhere, egoState(0, 1.75, 10), cfg)
+	tube := Compute(testRoad(), everywhere, egoState(0, 1.75, 10), cfg, nil)
 	if tube.Volume != 0 || !tube.Blocked {
 		t.Errorf("colliding start should yield a blocked empty tube, got %+v", tube)
 	}
@@ -142,8 +142,8 @@ func TestComputeBlockedAhead(t *testing.T) {
 	road := testRoad()
 	cfg := DefaultConfig()
 	wall := staticObstacles(geom.NewBox(geom.V(20, 3.5), 2, 7, 0), cfg)
-	free := Compute(road, nil, egoState(0, 1.75, 10), cfg)
-	blocked := Compute(road, wall, egoState(0, 1.75, 10), cfg)
+	free := Compute(road, nil, egoState(0, 1.75, 10), cfg, nil)
+	blocked := Compute(road, wall, egoState(0, 1.75, 10), cfg, nil)
 	if blocked.Volume >= free.Volume {
 		t.Errorf("blocked volume %v should be < free volume %v", blocked.Volume, free.Volume)
 	}
@@ -157,7 +157,7 @@ func TestComputeInescapableTrap(t *testing.T) {
 	road := testRoad()
 	cfg := DefaultConfig()
 	wall := staticObstacles(geom.NewBox(geom.V(8, 3.5), 2, 7, 0), cfg)
-	tube := Compute(road, wall, egoState(0, 1.75, 25), cfg)
+	tube := Compute(road, wall, egoState(0, 1.75, 25), cfg, nil)
 	if tube.Depth() == cfg.NumSlices() {
 		t.Errorf("trap should cut the tube short, depth = %d", tube.Depth())
 	}
@@ -166,8 +166,8 @@ func TestComputeInescapableTrap(t *testing.T) {
 func TestComputeVolumeGrowsWithSpeedRange(t *testing.T) {
 	// A faster ego covers more ground over the horizon: volume must grow.
 	cfg := DefaultConfig()
-	slow := Compute(testRoad(), nil, egoState(0, 1.75, 2), cfg)
-	fast := Compute(testRoad(), nil, egoState(0, 1.75, 15), cfg)
+	slow := Compute(testRoad(), nil, egoState(0, 1.75, 2), cfg, nil)
+	fast := Compute(testRoad(), nil, egoState(0, 1.75, 15), cfg, nil)
 	if fast.Volume <= slow.Volume {
 		t.Errorf("fast volume %v should exceed slow volume %v", fast.Volume, slow.Volume)
 	}
@@ -175,8 +175,8 @@ func TestComputeVolumeGrowsWithSpeedRange(t *testing.T) {
 
 func TestComputeDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
-	a := Compute(testRoad(), nil, egoState(0, 1.75, 10), cfg)
-	b := Compute(testRoad(), nil, egoState(0, 1.75, 10), cfg)
+	a := Compute(testRoad(), nil, egoState(0, 1.75, 10), cfg, nil)
+	b := Compute(testRoad(), nil, egoState(0, 1.75, 10), cfg, nil)
 	if a.Volume != b.Volume || a.States != b.States {
 		t.Errorf("Compute not deterministic: %+v vs %+v", a, b)
 	}
@@ -185,7 +185,7 @@ func TestComputeDeterministic(t *testing.T) {
 func TestComputeMaxStatesCap(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxStates = 3
-	tube := Compute(testRoad(), nil, egoState(0, 1.75, 10), cfg)
+	tube := Compute(testRoad(), nil, egoState(0, 1.75, 10), cfg, nil)
 	for i, n := range tube.SliceStates {
 		if n > 3 {
 			t.Errorf("slice %d has %d states, cap is 3", i, n)
@@ -199,10 +199,10 @@ func TestComputeSamplingCloseToBoundary(t *testing.T) {
 	// 5). ε-dedup makes the volume non-monotone in the number of samples, so
 	// assert closeness rather than a superset relation.
 	cfg := DefaultConfig()
-	boundary := Compute(testRoad(), nil, egoState(0, 1.75, 10), cfg)
+	boundary := Compute(testRoad(), nil, egoState(0, 1.75, 10), cfg, nil)
 	cfg.BoundaryOnly = false
 	cfg.Samples = 25
-	sampled := Compute(testRoad(), nil, egoState(0, 1.75, 10), cfg)
+	sampled := Compute(testRoad(), nil, egoState(0, 1.75, 10), cfg, nil)
 	lo, hi := 0.8*boundary.Volume, 1.25*boundary.Volume
 	if sampled.Volume < lo || sampled.Volume > hi {
 		t.Errorf("sampled volume %v not within 20%% of boundary volume %v", sampled.Volume, boundary.Volume)
@@ -275,8 +275,8 @@ func TestComputeActorReducesVolume(t *testing.T) {
 	trajs := actor.PredictAll([]*actor.Actor{blocker}, cfg.NumSlices(), cfg.SliceDt)
 	obs := BuildObstacles([]*actor.Actor{blocker}, trajs, cfg)
 
-	with := Compute(road, obs, ego, cfg)
-	without := Compute(road, obs.without(0), ego, cfg)
+	with := Compute(road, obs, ego, cfg, nil)
+	without := Compute(road, obs.without(0), ego, cfg, nil)
 	if with.Volume >= without.Volume {
 		t.Errorf("blocking actor must reduce volume: with=%v without=%v", with.Volume, without.Volume)
 	}

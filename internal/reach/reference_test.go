@@ -279,7 +279,7 @@ func (c Config) pathOK(m roadmap.Map, pm roadmap.PreparedMap, collide CollisionF
 	return true
 }
 
-// requireSingleWorldMatchesReference holds ComputeScratch (single-world
+// requireSingleWorldMatchesReference holds Compute (single-world
 // expand) to the reference on one scene, bit for bit: volume, state
 // counts, per-slice frontier sizes and recorded points, and the
 // reach.propagations and reach.pruned work counters. Blocked must equal
@@ -303,7 +303,7 @@ func requireSingleWorldMatchesReference(t *testing.T, tag string, m roadmap.Map,
 		defer telemetry.Disable()
 	}
 	props, pruned := telPropagations.Value(), telPruned.Value()
-	got := ComputeScratch(m, obs, ego, cfg, scr)
+	got := Compute(m, obs, ego, cfg, scr)
 	if p := telPropagations.Value() - props; p != work.propagations {
 		t.Errorf("%s: %d propagations, reference %d", tag, p, work.propagations)
 	}
@@ -322,7 +322,7 @@ func requireSingleWorldMatchesReference(t *testing.T, tag string, m roadmap.Map,
 }
 
 // Single-world expand is the only production loop for |T^∅|, one-actor
-// base tubes and EvaluateCombined, so it must reproduce the reference
+// base tubes and sti.Evaluator.Combined, so it must reproduce the reference
 // exactly on the benchmark's input classes: every fixture scene, its
 // empty world and each of its first actors alone, the dense twelve-actor
 // scene, and the 64- and 128-actor crowds, whose actor bits lie far past

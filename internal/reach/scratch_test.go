@@ -52,8 +52,8 @@ func TestComputeScratchReuseIdentical(t *testing.T) {
 	scr := NewScratch()
 	for round := 0; round < 2; round++ { // second round reuses warm scratch
 		for _, tc := range cases {
-			want := Compute(tc.m, tc.obs, tc.ego, tc.cfg)
-			got := ComputeScratch(tc.m, tc.obs, tc.ego, tc.cfg, scr)
+			want := Compute(tc.m, tc.obs, tc.ego, tc.cfg, nil)
+			got := Compute(tc.m, tc.obs, tc.ego, tc.cfg, scr)
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("round %d %s: scratch result diverges\n got %+v\nwant %+v",
 					round, tc.name, got, want)

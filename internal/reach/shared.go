@@ -22,10 +22,10 @@ var (
 // expansion instead of one expansion per counterfactual world.
 type SharedTubes struct {
 	// BaseVolume is |T|, the tube volume with every actor present —
-	// bit-for-bit the volume ComputeScratch returns over the same obstacles.
+	// bit-for-bit the volume Compute returns over the same obstacles.
 	BaseVolume float64
 	// WithoutVolume[i] is |T^{/i}| for each actor i — bit-for-bit the
-	// volume ComputeScratch returns over obstacles built from every actor
+	// volume Compute returns over obstacles built from every actor
 	// but i.
 	WithoutVolume []float64
 	// Represented is the number of actors carried as explicit counterfactual
@@ -237,7 +237,7 @@ func fullMask(dst []uint64, numWorlds int) {
 // ComputeCounterfactuals expands the reach-tubes of every counterfactual
 // world the STI per-actor evaluation needs — the base world (all actors)
 // and each single-actor-removed world /i — in ONE pass over the state
-// space, instead of N+1 independent single-world ComputeScratch calls.
+// space, instead of N+1 independent single-world Compute calls.
 //
 // Each frontier state carries a world mask: the set of worlds in which the
 // state is a live, dedup-winning member of that world's expansion. A
@@ -258,13 +258,20 @@ func fullMask(dst []uint64, numWorlds int) {
 // single tube) with one collision sweep per candidate, making the STI
 // evaluation ~O(1) in the number of actors rather than O(N).
 //
-// scr may be nil; as with ComputeScratch the result is identical either
-// way.
-func ComputeCounterfactuals(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch) SharedTubes {
+// ws, when non-nil, carries the previous tick's candidate memo of one
+// session stream (temporal coherence, see warm.go) and must be owned by
+// the calling session for the duration of the call; the result is
+// bit-for-bit the cold one. A nil ws is the cold expansion, and its
+// WarmStats is zero. scr may be nil; as with Compute the result is
+// identical either way.
+func ComputeCounterfactuals(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch, ws *WarmState) (SharedTubes, WarmStats) {
 	n := obs.NumActors()
 	words := maskWords(n)
+	if ws != nil {
+		return ws.compute(m, obs, ego, cfg, scr, words)
+	}
 	base, without := expand(m, obs, ego, cfg, scr, nil, 1+n, words)
-	return sharedTubes(base, without, words)
+	return sharedTubes(base, without, words), WarmStats{}
 }
 
 // maskWords returns the number of 64-bit words a world mask over n actors
@@ -285,14 +292,13 @@ func sharedTubes(base Tube, without []float64, words int) SharedTubes {
 
 // expand is Algorithm 1: the one reach expansion behind every tube. It
 // expands numWorlds worlds over obs at once, with world masks `words`
-// words wide. numWorlds is 1 for a single-world tube (Compute,
-// ComputeScratch: the base world alone, T^∅ when obs is empty), or
-// 1+NumActors to add the counterfactual worlds /i (ComputeCounterfactuals
-// and ComputeCounterfactualsWarm; callers pass maskWords, the
-// differential tests force wider masks). It returns the base world's tube
-// — Volume, Blocked, and for the whole masked frontier States,
-// SliceStates and Points — plus |T^{/i}| for each counterfactual world
-// carried. Only the candidate stage depends on ws:
+// words wide. numWorlds is 1 for a single-world tube (Compute: the base
+// world alone, T^∅ when obs is empty), or 1+NumActors to add the
+// counterfactual worlds /i (ComputeCounterfactuals, cold or warm; callers
+// pass maskWords, the differential tests force wider masks). It returns
+// the base world's tube — Volume, Blocked, and for the whole masked
+// frontier States, SliceStates and Points — plus |T^{/i}| for each
+// counterfactual world carried. Only the candidate stage depends on ws:
 //
 //   - cold (ws == nil): each parent's control fan is integrated in one
 //     pass (integrateFan) and each candidate swept with an early exit once

@@ -42,7 +42,8 @@ func requireSharedMatchesLegacy(t *testing.T, tag string, m roadmap.Map, ego veh
 	t.Helper()
 	trajs := actor.PredictAll(actors, cfg.NumSlices(), cfg.SliceDt)
 	obs := BuildObstacles(actors, trajs, cfg)
-	requireTubesMatchLegacy(t, tag, m, obs, ego, cfg, ComputeCounterfactuals(m, obs, ego, cfg, nil))
+	sh, _ := ComputeCounterfactuals(m, obs, ego, cfg, nil, nil)
+	requireTubesMatchLegacy(t, tag, m, obs, ego, cfg, sh)
 }
 
 // requireTubesMatchLegacy checks sh, a counterfactual expansion over obs,
@@ -189,7 +190,7 @@ func TestSharedSegmentedForcedWords(t *testing.T) {
 		ego, actors := randomScene(rng, n)
 		trajs := actor.PredictAll(actors, cfg.NumSlices(), cfg.SliceDt)
 		obs := BuildObstacles(actors, trajs, cfg)
-		want := ComputeCounterfactuals(road, obs, ego, cfg, nil)
+		want, _ := ComputeCounterfactuals(road, obs, ego, cfg, nil, nil)
 		if want.MaskWords != 1 {
 			t.Fatalf("iter %d: small scene took %d words", iter, want.MaskWords)
 		}
@@ -219,7 +220,7 @@ func TestSharedSegmentedForcedWords(t *testing.T) {
 		for tick, tk := range tr.ticks {
 			trajs := actor.PredictAll(tk.Actors, cfg.NumSlices(), cfg.SliceDt)
 			obs := BuildObstacles(tk.Actors, trajs, cfg)
-			want := ComputeCounterfactuals(tr.m, obs, tk.Ego, cfg, nil)
+			want, _ := ComputeCounterfactuals(tr.m, obs, tk.Ego, cfg, nil, nil)
 			for _, words := range []int{2, 3} {
 				got, _ := warm[words].compute(tr.m, obs, tk.Ego, cfg, scr, words)
 				requireSame(fmt.Sprintf("%s tick %d warm words %d", tr.tag, tick, words), want, got)
@@ -242,8 +243,8 @@ func TestSharedScratchReuse(t *testing.T) {
 		ego, actors := randomScene(rng, n)
 		trajs := actor.PredictAll(actors, cfg.NumSlices(), cfg.SliceDt)
 		obs := BuildObstacles(actors, trajs, cfg)
-		fresh := ComputeCounterfactuals(road, obs, ego, cfg, nil)
-		reused := ComputeCounterfactuals(road, obs, ego, cfg, scr)
+		fresh, _ := ComputeCounterfactuals(road, obs, ego, cfg, nil, nil)
+		reused, _ := ComputeCounterfactuals(road, obs, ego, cfg, scr, nil)
 		if fresh.BaseVolume != reused.BaseVolume {
 			t.Fatalf("iter %d (n=%d): base %v vs %v with reused scratch", iter, n, fresh.BaseVolume, reused.BaseVolume)
 		}

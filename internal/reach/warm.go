@@ -15,12 +15,12 @@ import (
 //
 // Session traffic scores nearly the same scene every tick: the ego root is
 // often bitwise-stable across ticks and most actors move a few centimetres.
-// ComputeCounterfactualsWarm exploits that by memoizing, per (exact parent
-// state, slice) frontier entry, the two pure quantities the cold engine
-// spends nearly all its time on — the bicycle-model integration endpoint
-// and the path-sweep collision verdict of each control — and replaying
-// every other decision (dedup claims, MaxStates caps, grid marks,
-// per-world tallies) from scratch each tick. Because only pure functions
+// ComputeCounterfactuals given a WarmState exploits that by memoizing, per
+// (exact parent state, slice) frontier entry, the two pure quantities the
+// cold engine spends nearly all its time on — the bicycle-model
+// integration endpoint and the path-sweep collision verdict of each
+// control — and replaying every other decision (dedup claims, MaxStates
+// caps, grid marks, per-world tallies) from scratch each tick. Because only pure functions
 // of bitwise-equal inputs are substituted, the output is bit-for-bit the
 // cold engine's; the differential and fuzz suites in warm_test.go / sti
 // enforce that bar.
@@ -591,18 +591,15 @@ func subsOverlap(subs []subBox, cand []warmSuspect) bool {
 	return false
 }
 
-// ComputeCounterfactualsWarm is ComputeCounterfactuals with temporal
-// coherence: ws carries the previous tick's candidate memo and the result
-// is bit-for-bit identical to the cold call. ws must be owned by the
-// calling session for the duration of the call; scr may be nil.
+// ComputeCounterfactualsWarm is ComputeCounterfactuals.
+//
+// Deprecated: use ComputeCounterfactuals. Kept only because perfbench/
+// calls it.
 func ComputeCounterfactualsWarm(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch, ws *WarmState) (SharedTubes, WarmStats) {
-	if ws == nil {
-		return ComputeCounterfactuals(m, obs, ego, cfg, scr), WarmStats{}
-	}
-	return ws.compute(m, obs, ego, cfg, scr, maskWords(obs.NumActors()))
+	return ComputeCounterfactuals(m, obs, ego, cfg, scr, ws)
 }
 
-// compute is ComputeCounterfactualsWarm with world masks `words` words wide
+// compute is the warm ComputeCounterfactuals with world masks `words` words wide
 // (the differential tests force wider masks than maskWords).
 func (ws *WarmState) compute(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *Scratch, words int) (SharedTubes, WarmStats) {
 	n := obs.NumActors()

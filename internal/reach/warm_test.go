@@ -51,9 +51,9 @@ func replayWarmVsCold(t *testing.T, tag string, m roadmap.Map, trace []scenario.
 	for tick, tk := range trace {
 		trajs := actor.PredictAll(tk.Actors, cfg.NumSlices(), cfg.SliceDt)
 		obs := BuildObstacles(tk.Actors, trajs, cfg)
-		want := ComputeCounterfactuals(m, obs, tk.Ego, cfg, coldScr)
+		want, _ := ComputeCounterfactuals(m, obs, tk.Ego, cfg, coldScr, nil)
 		var got SharedTubes
-		got, stats[tick] = ComputeCounterfactualsWarm(m, obs, tk.Ego, cfg, warmScr, ws)
+		got, stats[tick] = ComputeCounterfactuals(m, obs, tk.Ego, cfg, warmScr, ws)
 		requireTubesIdentical(t, tag, tick, want, got)
 		requireTubesMatchLegacy(t, fmt.Sprintf("%s tick %d", tag, tick), m, obs, tk.Ego, cfg, got)
 	}
@@ -131,8 +131,8 @@ func TestWarmFullInvalidation(t *testing.T) {
 	score := func(m roadmap.Map, tk scenario.SessionTick, cfg Config) (SharedTubes, WarmStats) {
 		trajs := actor.PredictAll(tk.Actors, cfg.NumSlices(), cfg.SliceDt)
 		obs := BuildObstacles(tk.Actors, trajs, cfg)
-		want := ComputeCounterfactuals(m, obs, tk.Ego, cfg, nil)
-		got, st := ComputeCounterfactualsWarm(m, obs, tk.Ego, cfg, scr, ws)
+		want, _ := ComputeCounterfactuals(m, obs, tk.Ego, cfg, nil, nil)
+		got, st := ComputeCounterfactuals(m, obs, tk.Ego, cfg, scr, ws)
 		requireTubesIdentical(t, "invalidation", 0, want, got)
 		return got, st
 	}
@@ -218,7 +218,7 @@ func TestWarmMemoDenseArena(t *testing.T) {
 		for tick, tk := range trace {
 			trajs := actor.PredictAll(tk.Actors, cfg.NumSlices(), cfg.SliceDt)
 			obs := BuildObstacles(tk.Actors, trajs, cfg)
-			ComputeCounterfactualsWarm(m, obs, tk.Ego, cfg, scr, ws)
+			ComputeCounterfactuals(m, obs, tk.Ego, cfg, scr, ws)
 			short = requireDenseArena(t, fmt.Sprintf("%s tick %d", tc.tag, tick), ws, cfg)
 		}
 		if short == 0 {
@@ -231,7 +231,7 @@ func TestWarmMemoDenseArena(t *testing.T) {
 		}
 		tk := trace[len(trace)-1]
 		trajs := actor.PredictAll(tk.Actors, cfg.NumSlices(), cfg.SliceDt)
-		ComputeCounterfactualsWarm(m, BuildObstacles(tk.Actors, trajs, cfg), tk.Ego, cfg, scr, ws)
+		ComputeCounterfactuals(m, BuildObstacles(tk.Actors, trajs, cfg), tk.Ego, cfg, scr, ws)
 		requireDenseArena(t, tc.tag+" after Reset", ws, cfg)
 	}
 }
@@ -242,8 +242,8 @@ func TestWarmNilState(t *testing.T) {
 	m, tr := scenario.StopAndGoSession(12, 1)
 	trajs := actor.PredictAll(tr[0].Actors, cfg.NumSlices(), cfg.SliceDt)
 	obs := BuildObstacles(tr[0].Actors, trajs, cfg)
-	want := ComputeCounterfactuals(m, obs, tr[0].Ego, cfg, nil)
-	got, st := ComputeCounterfactualsWarm(m, obs, tr[0].Ego, cfg, nil, nil)
+	want, _ := ComputeCounterfactuals(m, obs, tr[0].Ego, cfg, nil, nil)
+	got, st := ComputeCounterfactuals(m, obs, tr[0].Ego, cfg, nil, nil)
 	requireTubesIdentical(t, "nil-state", 0, want, got)
 	if st.Hit || st.Reused != 0 || st.Invalidated != 0 {
 		t.Errorf("nil WarmState reported warm stats %+v", st)
@@ -259,12 +259,12 @@ func TestWarmReset(t *testing.T) {
 	for _, tk := range tr {
 		trajs := actor.PredictAll(tk.Actors, cfg.NumSlices(), cfg.SliceDt)
 		obs := BuildObstacles(tk.Actors, trajs, cfg)
-		ComputeCounterfactualsWarm(m, obs, tk.Ego, cfg, nil, ws)
+		ComputeCounterfactuals(m, obs, tk.Ego, cfg, nil, ws)
 	}
 	ws.Reset()
 	trajs := actor.PredictAll(tr[1].Actors, cfg.NumSlices(), cfg.SliceDt)
 	obs := BuildObstacles(tr[1].Actors, trajs, cfg)
-	if _, st := ComputeCounterfactualsWarm(m, obs, tr[1].Ego, cfg, nil, ws); st.Hit {
+	if _, st := ComputeCounterfactuals(m, obs, tr[1].Ego, cfg, nil, ws); st.Hit {
 		t.Error("warm hit straight after Reset")
 	}
 }
@@ -319,8 +319,8 @@ func FuzzWarmVsCold(f *testing.F) {
 			}
 			trajs := actor.PredictAll(actors, cfg.NumSlices(), cfg.SliceDt)
 			obs := BuildObstacles(actors, trajs, cfg)
-			want := ComputeCounterfactuals(road, obs, ego, cfg, nil)
-			got, _ := ComputeCounterfactualsWarm(road, obs, ego, cfg, scr, ws)
+			want, _ := ComputeCounterfactuals(road, obs, ego, cfg, nil, nil)
+			got, _ := ComputeCounterfactuals(road, obs, ego, cfg, scr, ws)
 			requireTubesIdentical(t, "fuzz", tick, want, got)
 			requireTubesMatchLegacy(t, fmt.Sprintf("fuzz tick %d", tick), road, obs, ego, cfg, got)
 		}

@@ -1,6 +1,7 @@
 package render
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -21,13 +22,13 @@ func testScene(t *testing.T) Scene {
 		actor.NewVehicle(2, vehicle.State{Pos: geom.V(5, 5.25), Speed: 9}),
 	}
 	eval := sti.MustNewEvaluator(reach.DefaultConfig())
-	risk := eval.EvaluateWithPrediction(road, ego, actors)
+	risk, _ := eval.Score(context.Background(), sti.Query{Map: road, Ego: ego, Actors: actors}, nil)
 
 	cfg := reach.DefaultConfig()
 	cfg.RecordPoints = true
 	trajs := actor.PredictAll(actors, cfg.NumSlices(), cfg.SliceDt)
 	obs := reach.BuildObstacles(actors, trajs, cfg)
-	tube := reach.Compute(road, obs, ego, cfg)
+	tube := reach.Compute(road, obs, ego, cfg, nil)
 
 	return Scene{
 		Map:    road,

@@ -397,7 +397,7 @@ func (s *Server) score(ctx context.Context, m roadmap.Map, ego vehicle.State, ac
 			sp.End()
 		}
 		sp := rec.StartSpan("server.evaluate")
-		res, prov = ev.EvaluateTraced(ctx, m, ego, actors, tt)
+		res, prov = ev.Score(ctx, sti.Query{Map: m, Ego: ego, Actors: actors, Trajs: tt}, nil)
 		sp.End()
 		t.Stop()
 		s.noteScore(time.Since(start))

@@ -152,7 +152,7 @@ func TestScoreSharedExpansionIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := ev.EvaluateWithPrediction(m, ego, actors)
+		want, _ := ev.Score(context.Background(), sti.Query{Map: m, Ego: ego, Actors: actors}, nil)
 		if got.Combined != want.Combined || got.BaseVolume != want.BaseVolume || got.EmptyVolume != want.EmptyVolume {
 			t.Errorf("%s: served %+v, in-process %+v", name, got, want)
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -233,6 +234,45 @@ func TestSessionWarmBytesGauge(t *testing.T) {
 	resp.Body.Close()
 	if got := metricValue(t, ts.URL, gauge); got != before {
 		t.Errorf("%s = %v after deleting the second session, want %v", gauge, got, before)
+	}
+}
+
+// Serve never takes the SMC's combined-only fast path
+// (sti.Evaluator.Combined), and that path's latency family registers on
+// its first call, so after every kind of scoring request serve answers —
+// a score, a batch and a session observe — /metrics must not carry it,
+// while the family of the path serve does take is there.
+func TestServeOmitsCombinedSeconds(t *testing.T) {
+	telemetry.Enable()
+	_, ts := newTestServer(t, Config{Workers: 1})
+	batch, err := json.Marshal(scene.BatchRequest{Scenes: []scene.Scene{testScene(), testScene()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := createSession(t, ts.URL, scene.SessionCreateRequest{})
+	for path, body := range map[string][]byte{
+		"/v1/score":                       sceneBody(t),
+		"/v1/score/batch":                 batch,
+		"/v1/sessions/" + id + "/observe": observeBody(t, 0),
+	} {
+		if resp, out := postJSON(t, ts.URL+path, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", path, resp.StatusCode, out)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf strings.Builder
+	if _, err := io.Copy(&buf, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "iprism_sti_evaluate_combined_seconds") {
+		t.Error("/metrics exports iprism_sti_evaluate_combined_seconds, which serve cannot move")
+	}
+	if !strings.Contains(buf.String(), "iprism_sti_evaluate_seconds_count") {
+		t.Error("/metrics lacks iprism_sti_evaluate_seconds, the scoring path serve takes")
 	}
 }
 

@@ -283,5 +283,5 @@ func (s *SMC) Mitigate(obs sim.Observation, ads vehicle.Control) (vehicle.Contro
 func (s *SMC) LastAction() Action { return s.lastAction }
 
 func (s *SMC) currentSTI(obs sim.Observation) float64 {
-	return s.eval.CombinedWithPrediction(obs.Map, obs.Ego, nearestActors(obs, s.cfg))
+	return s.eval.Combined(sti.Query{Map: obs.Map, Ego: obs.Ego, Actors: nearestActors(obs, s.cfg)})
 }

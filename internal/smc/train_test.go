@@ -85,7 +85,7 @@ func oracleTrain(t *testing.T, scns []scenario.Scenario, cfg Config, episodes in
 			maxSteps = 400
 		}
 		obs := w.Observe()
-		state := featurize(obs, eval.CombinedWithPrediction(obs.Map, obs.Ego, nearestActors(obs, cfg)), cfg)
+		state := featurize(obs, eval.Combined(sti.Query{Map: obs.Map, Ego: obs.Ego, Actors: nearestActors(obs, cfg)}), cfg)
 		epReward := 0.0
 		for step := 0; step < maxSteps; step += cfg.DecisionStride {
 			aIdx := learner.SelectAction(state, true)
@@ -102,7 +102,7 @@ func oracleTrain(t *testing.T, scns []scenario.Scenario, cfg Config, episodes in
 			}
 			next := w.Observe()
 			progress := next.Ego.Pos.Sub(before).Dot(goalDir(next))
-			stiNext := eval.CombinedWithPrediction(next.Map, next.Ego, nearestActors(next, cfg))
+			stiNext := eval.Combined(sti.Query{Map: next.Map, Ego: next.Ego, Actors: nearestActors(next, cfg)})
 			reward := rw.reward(action, stiNext, progress, next)
 			if collided {
 				stiNext = 1

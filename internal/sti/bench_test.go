@@ -1,6 +1,7 @@
 package sti
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -25,7 +26,7 @@ func BenchmarkEvaluateCombined(b *testing.B) {
 	egoS := ego(0, 1.75, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.CombinedWithPrediction(m, egoS, actors)
+		e.Combined(Query{Map: m, Ego: egoS, Actors: actors})
 	}
 }
 
@@ -42,7 +43,7 @@ func BenchmarkEvaluateFull(b *testing.B) {
 	egoS := ego(0, 1.75, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.EvaluateWithPrediction(m, egoS, actors)
+		score(e, Query{Map: m, Ego: egoS, Actors: actors})
 	}
 }
 
@@ -67,7 +68,7 @@ func BenchmarkEvaluateDense12Shared(b *testing.B) {
 	trajs := actor.PredictAll(actors, e.cfg.NumSlices(), e.cfg.SliceDt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Evaluate(m, egoS, actors, trajs)
+		score(e, Query{m, egoS, actors, trajs})
 	}
 }
 
@@ -116,7 +117,7 @@ func BenchmarkEvaluateSession(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					t := i % len(trace)
-					e.EvaluateWarm(m, trace[t].Ego, trace[t].Actors, trajs[t], ws)
+					e.Score(context.Background(), Query{m, trace[t].Ego, trace[t].Actors, trajs[t]}, ws)
 				}
 				if warm {
 					// After the loop: ResetTimer drops reported metrics.
@@ -127,23 +128,23 @@ func BenchmarkEvaluateSession(b *testing.B) {
 		first := trace[0]
 		b.Run(tc.name+"/first-cold", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				e.EvaluateWarm(m, first.Ego, first.Actors, trajs[0], nil)
+				e.Score(context.Background(), Query{m, first.Ego, first.Actors, trajs[0]}, nil)
 			}
 		})
 		b.Run(tc.name+"/first-fresh", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				e.EvaluateWarm(m, first.Ego, first.Actors, trajs[0], NewWarmState())
+				e.Score(context.Background(), Query{m, first.Ego, first.Actors, trajs[0]}, NewWarmState())
 			}
 		})
 		b.Run(tc.name+"/first-reset", func(b *testing.B) {
 			ws := NewWarmState()
 			for t, tick := range trace {
-				e.EvaluateWarm(m, tick.Ego, tick.Actors, trajs[t], ws)
+				e.Score(context.Background(), Query{m, tick.Ego, tick.Actors, trajs[t]}, ws)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ws.Reset()
-				e.EvaluateWarm(m, first.Ego, first.Actors, trajs[0], ws)
+				e.Score(context.Background(), Query{m, first.Ego, first.Actors, trajs[0]}, ws)
 			}
 		})
 	}
@@ -155,7 +156,7 @@ func BenchmarkEvaluateSession(b *testing.B) {
 func retainedBytes(e *Evaluator, m roadmap.Map, trace []scenario.SessionTick, trajs [][]actor.Trajectory) float64 {
 	ws := NewWarmState()
 	for t, tick := range trace {
-		e.EvaluateWarm(m, tick.Ego, tick.Actors, trajs[t], ws)
+		e.Score(context.Background(), Query{m, tick.Ego, tick.Actors, trajs[t]}, ws)
 	}
 	held := liveHeap()
 	runtime.KeepAlive(ws)

@@ -26,7 +26,7 @@ var (
 // to the road geometry: on a straight road it is invariant along x (far
 // from the segment ends), on a ring road it is rotationally invariant.
 // Caching it on a quantised relative pose removes one of the two
-// reach-tube computations from the EvaluateCombined hot path.
+// reach-tube computations from the Combined hot path.
 //
 // Values are computed at the quantisation bucket's representative state, so
 // the cache is deterministic: a state always maps to the same volume
@@ -96,7 +96,7 @@ func (e *Evaluator) emptyVolumeState(m roadmap.Map, ego vehicle.State, scr *reac
 		// Normalise x to the segment centre so the key is position-free.
 		rep.Pos.X = (road.XMin + road.XMax) / 2
 		v, hit := e.cache.lookup(key, func() float64 {
-			return reach.ComputeScratch(m, nil, rep, e.cfg, scr).Volume
+			return reach.Compute(m, nil, rep, e.cfg, scr).Volume
 		})
 		return v, cacheStateOf(hit)
 	case *roadmap.RingRoad:
@@ -112,12 +112,12 @@ func (e *Evaluator) emptyVolumeState(m roadmap.Map, ego vehicle.State, scr *reac
 		rep.Pos, rep.Heading = road.PoseAt(dequantize(key.lat, cacheLatQ), 0)
 		rep.Heading = geom.NormalizeAngle(rep.Heading + dequantize(key.heading, cacheHeadingQ))
 		v, hit := e.cache.lookup(key, func() float64 {
-			return reach.ComputeScratch(m, nil, rep, e.cfg, scr).Volume
+			return reach.Compute(m, nil, rep, e.cfg, scr).Volume
 		})
 		return v, cacheStateOf(hit)
 	}
 	telCacheBypass.Inc()
-	return reach.ComputeScratch(m, nil, ego, e.cfg, scr).Volume, CacheBypass
+	return reach.Compute(m, nil, ego, e.cfg, scr).Volume, CacheBypass
 }
 
 func cacheStateOf(hit bool) string {

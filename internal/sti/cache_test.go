@@ -29,7 +29,7 @@ func TestCacheGuardSymmetricNearSegmentStart(t *testing.T) {
 	if n := e.cache.Len(); n != 0 {
 		t.Fatalf("near-XMin state was cached (%d entries), want guard bypass", n)
 	}
-	direct := reach.Compute(m, nil, near, e.cfg).Volume
+	direct := reach.Compute(m, nil, near, e.cfg, nil).Volume
 	if got != direct {
 		t.Errorf("bypassed emptyVolume = %v, want direct computation %v", got, direct)
 	}

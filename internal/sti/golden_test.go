@@ -44,7 +44,7 @@ func TestEvaluateGoldenDigest(t *testing.T) {
 		h := fnv.New64a()
 		for _, o := range obs[from:to] {
 			trajs := actor.PredictAll(o.Actors, cfg.NumSlices(), cfg.SliceDt)
-			hashResult(h, ev.Evaluate(o.Map, o.Ego, o.Actors, trajs))
+			hashResult(h, score(ev, Query{o.Map, o.Ego, o.Actors, trajs}))
 		}
 		return h.Sum64()
 	}

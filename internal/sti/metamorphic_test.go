@@ -12,7 +12,7 @@ import (
 	"repro/internal/vehicle"
 )
 
-// Metamorphic properties of Eq. 4/5, checked through Evaluate on the
+// Metamorphic properties of Eq. 4/5, checked through Score on the
 // benchmark's scenes of two or more actors: the fixture snapshots and,
 // outside -short, the UrbanCrush crowds. Each counterfactual world is a
 // set of actors, so neither the order they are listed in nor an actor that
@@ -41,6 +41,54 @@ func requireSameBits(t *testing.T, si int, field string, got, want float64) {
 	}
 }
 
+// The bounds Eq. 4/5 imply, checked through Score on every benchmark
+// scene. The volumes carry the ε-dedup jitter the dead band exists to
+// absorb (per-actor STI exceeds the combined STI by up to 0.0154, and a
+// without-volume exceeds the cached |T^∅| by up to 1.8%, on these
+// scenes), so the upper bounds hold within deadBand:
+//
+//   - STI_i and STI_combined lie in [0, 1];
+//   - |T| ≤ |T^{/i}| ≤ |T^∅|·(1+deadBand);
+//   - STI_i ≤ STI_combined + deadBand.
+//
+// The two read-outs of one query agree: Combined(q) is bitwise
+// Score(q).Combined. A nil Trajs scores bitwise as explicit CVTR
+// predictions.
+func TestScoreProperties(t *testing.T) {
+	ev := MustNewEvaluator(reach.DefaultConfig())
+	cfg := ev.Config()
+	for si, o := range benchmarkScenes(t) {
+		q := Query{Map: o.Map, Ego: o.Ego, Actors: o.Actors}
+		res := score(ev, q)
+		if res.Combined < 0 || res.Combined > 1 {
+			t.Errorf("scene %d: combined STI %v outside [0, 1]", si, res.Combined)
+		}
+		for i, v := range res.PerActor {
+			if v < 0 || v > 1 {
+				t.Errorf("scene %d actor %d: STI %v outside [0, 1]", si, i, v)
+			}
+			if v > res.Combined+deadBand {
+				t.Errorf("scene %d actor %d: STI %v > combined %v + dead band", si, i, v, res.Combined)
+			}
+			if wo := res.WithoutVolume[i]; wo < res.BaseVolume || wo > res.EmptyVolume*(1+deadBand) {
+				t.Errorf("scene %d actor %d: |T^{/i}| %v outside [|T| %v, |T^∅| %v·(1+dead band)]",
+					si, i, wo, res.BaseVolume, res.EmptyVolume)
+			}
+		}
+		requireSameBits(t, si, "Combined(q)", ev.Combined(q), res.Combined)
+
+		q.Trajs = actor.PredictAll(o.Actors, cfg.NumSlices(), cfg.SliceDt)
+		explicit := score(ev, q)
+		requireSameBits(t, si, "nil-Trajs Combined", res.Combined, explicit.Combined)
+		requireSameBits(t, si, "nil-Trajs BaseVolume", res.BaseVolume, explicit.BaseVolume)
+		requireSameBits(t, si, "nil-Trajs EmptyVolume", res.EmptyVolume, explicit.EmptyVolume)
+		for i := range explicit.PerActor {
+			requireSameBits(t, si, "nil-Trajs PerActor", res.PerActor[i], explicit.PerActor[i])
+			requireSameBits(t, si, "nil-Trajs WithoutVolume", res.WithoutVolume[i], explicit.WithoutVolume[i])
+		}
+	}
+}
+
 // Reversing the actor list reverses PerActor and WithoutVolume and leaves
 // the scene-level fields bitwise unchanged.
 func TestEvaluateActorOrderReversal(t *testing.T) {
@@ -48,11 +96,11 @@ func TestEvaluateActorOrderReversal(t *testing.T) {
 	cfg := ev.Config()
 	for si, o := range multiActorScenes(t) {
 		trajs := actor.PredictAll(o.Actors, cfg.NumSlices(), cfg.SliceDt)
-		want := ev.Evaluate(o.Map, o.Ego, o.Actors, trajs)
+		want := score(ev, Query{o.Map, o.Ego, o.Actors, trajs})
 		rev, revTrajs := slices.Clone(o.Actors), slices.Clone(trajs)
 		slices.Reverse(rev)
 		slices.Reverse(revTrajs)
-		got := ev.Evaluate(o.Map, o.Ego, rev, revTrajs)
+		got := score(ev, Query{o.Map, o.Ego, rev, revTrajs})
 		requireSameBits(t, si, "Combined", got.Combined, want.Combined)
 		requireSameBits(t, si, "BaseVolume", got.BaseVolume, want.BaseVolume)
 		requireSameBits(t, si, "EmptyVolume", got.EmptyVolume, want.EmptyVolume)
@@ -72,11 +120,11 @@ func TestEvaluateUnreachableActorChangesNothing(t *testing.T) {
 	cfg := ev.Config()
 	for si, o := range multiActorScenes(t) {
 		trajs := actor.PredictAll(o.Actors, cfg.NumSlices(), cfg.SliceDt)
-		want := ev.Evaluate(o.Map, o.Ego, o.Actors, trajs)
+		want := score(ev, Query{o.Map, o.Ego, o.Actors, trajs})
 		far := actor.NewVehicle(1_000_000, vehicle.State{Pos: geom.V(o.Ego.Pos.X+1000, o.Ego.Pos.Y)})
 		more := append(slices.Clone(o.Actors), far)
 		moreTrajs := append(slices.Clone(trajs), actor.PredictAll([]*actor.Actor{far}, cfg.NumSlices(), cfg.SliceDt)...)
-		got := ev.Evaluate(o.Map, o.Ego, more, moreTrajs)
+		got := score(ev, Query{o.Map, o.Ego, more, moreTrajs})
 		requireSameBits(t, si, "Combined", got.Combined, want.Combined)
 		requireSameBits(t, si, "BaseVolume", got.BaseVolume, want.BaseVolume)
 		requireSameBits(t, si, "EmptyVolume", got.EmptyVolume, want.EmptyVolume)

@@ -39,11 +39,11 @@ func (o *legacyOracle) Evaluate(m roadmap.Map, ego vehicle.State, actors []*acto
 	scr := o.ev.takeScratch()
 	defer o.ev.putScratch(scr)
 	if len(actors) == 0 {
-		vol := reach.ComputeScratch(m, nil, ego, o.cfg, scr).Volume
+		vol := reach.Compute(m, nil, ego, o.cfg, scr).Volume
 		return Result{BaseVolume: vol, EmptyVolume: vol}
 	}
 	emptyVol := o.ev.emptyVolume(m, ego, scr)
-	base := reach.ComputeScratch(m, reach.BuildObstacles(actors, trajs, o.cfg), ego, o.cfg, scr)
+	base := reach.Compute(m, reach.BuildObstacles(actors, trajs, o.cfg), ego, o.cfg, scr)
 	res := Result{
 		PerActor:      make([]float64, len(actors)),
 		WithoutVolume: make([]float64, len(actors)),
@@ -71,7 +71,7 @@ func (o *legacyOracle) Evaluate(m roadmap.Map, ego vehicle.State, actors []*acto
 	for i := range actors {
 		others := slices.Delete(slices.Clone(actors), i, i+1)
 		otherTrajs := slices.Delete(slices.Clone(trajs), i, i+1)
-		wo := reach.ComputeScratch(m, reach.BuildObstacles(others, otherTrajs, o.cfg), ego, o.cfg, scr)
+		wo := reach.Compute(m, reach.BuildObstacles(others, otherTrajs, o.cfg), ego, o.cfg, scr)
 		res.WithoutVolume[i] = wo.Volume
 		res.PerActor[i] = snap(clamp01((wo.Volume - base.Volume) / emptyVol))
 	}

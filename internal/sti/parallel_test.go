@@ -80,7 +80,7 @@ func TestSharedEvaluatorConcurrentUse(t *testing.T) {
 	want := make([]Result, len(scenes))
 	for i, obs := range scenes {
 		trajs[i] = actor.PredictAll(obs.Actors, cfg.NumSlices(), cfg.SliceDt)
-		want[i] = serialEval.Evaluate(obs.Map, obs.Ego, obs.Actors, trajs[i])
+		want[i] = score(serialEval, Query{obs.Map, obs.Ego, obs.Actors, trajs[i]})
 	}
 
 	const callers = 4
@@ -90,7 +90,7 @@ func TestSharedEvaluatorConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, obs := range scenes {
-				got := shared.Evaluate(obs.Map, obs.Ego, obs.Actors, trajs[i])
+				got := score(shared, Query{obs.Map, obs.Ego, obs.Actors, trajs[i]})
 				requireIdentical(t, i, want[i], got)
 			}
 		}()

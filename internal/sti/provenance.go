@@ -15,9 +15,9 @@ const (
 
 // Provenance explains how an evaluation arrived at its Result: which
 // counterfactual engine ran, how the empty-volume cache behaved, and how
-// much per-actor work the certificates skipped. It is returned by
-// EvaluateTraced and carried into the serving tier's wide events and the
-// ?explain=1 response block; the untraced Evaluate discards it.
+// much per-actor work the certificates skipped. It is returned by Score
+// and carried into the serving tier's wide events and the ?explain=1
+// response block.
 type Provenance struct {
 	// Engine is EngineShared, EngineSingle or EngineEmpty.
 	Engine string
@@ -39,7 +39,7 @@ type Provenance struct {
 	ElidedActors int
 	// WarmHit reports whether a warm evaluation validated its previous-tick
 	// state (ego root, config, map and actor count all unchanged) and could
-	// reuse path-sweep verdicts. Always false on cold entry points.
+	// reuse path-sweep verdicts. Always false when Score runs cold.
 	WarmHit bool
 	// WarmReused / WarmInvalidated count previous-tick path-sweep verdicts
 	// that were reused versus recomputed because an actor's swept AABB

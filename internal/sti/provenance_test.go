@@ -22,16 +22,17 @@ func blockingActors(n int) []*actor.Actor {
 	return actors
 }
 
-// TestEvaluateTracedMatchesEvaluate: tracing must observe, never perturb,
-// on the single-actor shortcut and on the shared engine alike.
+// TestEvaluateTracedMatchesEvaluate: tracing (a recorder in Score's
+// context) must observe, never perturb, on the single-actor shortcut and
+// on the shared engine alike.
 func TestEvaluateTracedMatchesEvaluate(t *testing.T) {
 	e := MustNewEvaluator(reach.DefaultConfig())
 	for _, n := range []int{1, 3} {
 		actors := blockingActors(n)
 		trajs := groundTruth(e, actors)
-		want := e.Evaluate(testRoad(), ego(0, 1.75, 10), actors, trajs)
+		want := score(e, Query{testRoad(), ego(0, 1.75, 10), actors, trajs})
 		ctx := trace.NewContext(context.Background(), trace.NewRecorder(trace.NewID()))
-		got, _ := e.EvaluateTraced(ctx, testRoad(), ego(0, 1.75, 10), actors, trajs)
+		got, _ := e.Score(ctx, Query{testRoad(), ego(0, 1.75, 10), actors, trajs}, nil)
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("%d actors: traced result diverged:\nwant %+v\ngot  %+v", n, want, got)
 		}
@@ -58,7 +59,7 @@ func TestProvenanceEngines(t *testing.T) {
 	trajs := groundTruth(e, actors)
 
 	ctx, rec := ctxOf()
-	_, prov := e.EvaluateTraced(ctx, testRoad(), ego(0, 1.75, 10), actors[:1], trajs[:1])
+	_, prov := e.Score(ctx, Query{testRoad(), ego(0, 1.75, 10), actors[:1], trajs[:1]}, nil)
 	if prov.Engine != EngineSingle {
 		t.Errorf("single-actor engine = %q, want %q", prov.Engine, EngineSingle)
 	}
@@ -74,7 +75,7 @@ func TestProvenanceEngines(t *testing.T) {
 
 	for _, n := range []int{2, 3} {
 		ctx, rec = ctxOf()
-		_, prov = e.EvaluateTraced(ctx, testRoad(), ego(0, 1.75, 10), actors[:n], trajs[:n])
+		_, prov = e.Score(ctx, Query{testRoad(), ego(0, 1.75, 10), actors[:n], trajs[:n]}, nil)
 		if prov.Engine != EngineShared {
 			t.Errorf("%d actors: engine = %q, want %q", n, prov.Engine, EngineShared)
 		}
@@ -92,17 +93,17 @@ func TestProvenanceEngines(t *testing.T) {
 	}
 
 	ctx, _ = ctxOf()
-	_, prov = e.EvaluateTraced(ctx, testRoad(), ego(0, 1.75, 10), nil, nil)
+	_, prov = e.Score(ctx, Query{testRoad(), ego(0, 1.75, 10), nil, nil}, nil)
 	if prov.Engine != EngineEmpty || prov.CacheState != CacheBypass {
 		t.Errorf("empty-scene provenance = %+v", prov)
 	}
 
 	// No recorder in context: identical results, no spans, no panic.
-	res, prov := e.EvaluateTraced(context.Background(), testRoad(), ego(0, 1.75, 10), actors, trajs)
+	res, prov := e.Score(context.Background(), Query{testRoad(), ego(0, 1.75, 10), actors, trajs}, nil)
 	if prov.Engine != EngineShared {
 		t.Errorf("untraced ctx engine = %q", prov.Engine)
 	}
-	if want := e.Evaluate(testRoad(), ego(0, 1.75, 10), actors, trajs); !reflect.DeepEqual(res, want) {
+	if want := score(e, Query{testRoad(), ego(0, 1.75, 10), actors, trajs}); !reflect.DeepEqual(res, want) {
 		t.Error("untraced-ctx result diverged from Evaluate")
 	}
 }
@@ -143,7 +144,7 @@ func TestProvenanceElidedMatchesCounter(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			trajs := groundTruth(e, tc.actors)
 			before := telElided.Value()
-			_, prov := e.evaluate(nil, testRoad(), ego(0, 1.75, 10), tc.actors, trajs)
+			_, prov := e.Score(context.Background(), Query{testRoad(), ego(0, 1.75, 10), tc.actors, trajs}, nil)
 			delta := telElided.Value() - before
 			if int64(prov.ElidedActors) != delta {
 				t.Errorf("Provenance.ElidedActors = %d, counter delta = %d", prov.ElidedActors, delta)
@@ -158,11 +159,11 @@ func TestProvenanceMaskWords(t *testing.T) {
 	e := MustNewEvaluator(reach.DefaultConfig())
 	actors := blockingActors(3)
 	trajs := groundTruth(e, actors)
-	_, prov := e.evaluate(nil, testRoad(), ego(0, 1.75, 10), actors, trajs)
+	_, prov := e.Score(context.Background(), Query{testRoad(), ego(0, 1.75, 10), actors, trajs}, nil)
 	if prov.MaskWidth != 3 || prov.MaskWords != 1 {
 		t.Errorf("mask width/words = %d/%d, want 3/1", prov.MaskWidth, prov.MaskWords)
 	}
-	_, prov = e.evaluate(nil, testRoad(), ego(0, 1.75, 10), actors[:1], trajs[:1])
+	_, prov = e.Score(context.Background(), Query{testRoad(), ego(0, 1.75, 10), actors[:1], trajs[:1]}, nil)
 	if prov.MaskWidth != 0 || prov.MaskWords != 0 {
 		t.Errorf("single-actor mask width/words = %d/%d, want 0/0", prov.MaskWidth, prov.MaskWords)
 	}

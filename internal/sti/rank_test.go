@@ -79,7 +79,7 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 			actors := []*actor.Actor{
 				actor.NewVehicle(1, vehicle.State{Pos: geom.V(12+float64(i%4), 1.75), Speed: 2}),
 			}
-			results[i] = e.CombinedWithPrediction(m, ego(0, 1.75, 10), actors)
+			results[i] = e.Combined(Query{Map: m, Ego: ego(0, 1.75, 10), Actors: actors})
 		}(i)
 	}
 	wg.Wait()
@@ -117,7 +117,7 @@ func TestEvaluatorRobustness(t *testing.T) {
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
-			res := e.EvaluateWithPrediction(m, tt.ego, tt.actors)
+			res := score(e, Query{Map: m, Ego: tt.ego, Actors: tt.actors})
 			if res.Combined < 0 || res.Combined > 1 {
 				t.Errorf("combined out of range: %v", res.Combined)
 			}
@@ -147,7 +147,7 @@ func TestEvaluateDegenerateTrajectories(t *testing.T) {
 	m := testRoad()
 	a := actor.NewVehicle(1, vehicle.State{Pos: geom.V(14, 1.75), Speed: 2})
 	trajs := []actor.Trajectory{{Dt: 0.25}} // empty states, odd dt
-	res := e.Evaluate(m, ego(0, 1.75, 10), []*actor.Actor{a}, trajs)
+	res := score(e, Query{m, ego(0, 1.75, 10), []*actor.Actor{a}, trajs})
 	if res.Combined < 0 || res.Combined > 1 {
 		t.Errorf("combined = %v", res.Combined)
 	}

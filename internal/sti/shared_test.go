@@ -1,6 +1,7 @@
 package sti
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -104,7 +105,7 @@ func TestSharedExpansionMatchesLegacyScenes(t *testing.T) {
 	for si, obs := range append(parallelScenes(t), benchmarkScenes(t)...) {
 		trajs := actor.PredictAll(obs.Actors, legacy.cfg.NumSlices(), legacy.cfg.SliceDt)
 		want := legacy.Evaluate(obs.Map, obs.Ego, obs.Actors, trajs)
-		got := shared.Evaluate(obs.Map, obs.Ego, obs.Actors, trajs)
+		got := score(shared, Query{obs.Map, obs.Ego, obs.Actors, trajs})
 		requireIdentical(t, si, want, got)
 	}
 }
@@ -117,7 +118,7 @@ func TestSharedExpansionDense12(t *testing.T) {
 	m, e, actors := dense12Scene()
 	trajs := actor.PredictAll(actors, legacy.cfg.NumSlices(), legacy.cfg.SliceDt)
 	want := legacy.Evaluate(m, e, actors, trajs)
-	got := shared.Evaluate(m, e, actors, trajs)
+	got := score(shared, Query{m, e, actors, trajs})
 	requireIdentical(t, -12, want, got)
 	if want.Combined == 0 {
 		t.Fatal("dense12 scene has zero combined STI; workload does not exercise counterfactuals")
@@ -153,7 +154,7 @@ func TestSharedExpansionRandomized(t *testing.T) {
 		e := ego(0, 1.0+rng.Float64()*5, rng.Float64()*20)
 		trajs := actor.PredictAll(actors, legacy.cfg.NumSlices(), legacy.cfg.SliceDt)
 		want := legacy.Evaluate(road, e, actors, trajs)
-		got := shared.Evaluate(road, e, actors, trajs)
+		got := score(shared, Query{road, e, actors, trajs})
 		requireIdentical(t, iter, want, got)
 	}
 }
@@ -185,7 +186,7 @@ func TestSharedExpansionSegmented(t *testing.T) {
 		e := ego(0, 1.75, 10)
 		trajs := actor.PredictAll(actors, legacy.cfg.NumSlices(), legacy.cfg.SliceDt)
 		want := legacy.Evaluate(road, e, actors, trajs)
-		got, prov := shared.evaluate(nil, road, e, actors, trajs)
+		got, prov := shared.Score(context.Background(), Query{road, e, actors, trajs}, nil)
 		requireIdentical(t, n, want, got)
 		if prov.MaskWidth != n {
 			t.Errorf("n=%d: mask width %d, want every actor represented", n, prov.MaskWidth)
@@ -217,7 +218,7 @@ func TestSharedExpansionConcurrentUse(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for i, obs := range scenes {
-				got := shared.Evaluate(obs.Map, obs.Ego, obs.Actors, trajs[i])
+				got := score(shared, Query{obs.Map, obs.Ego, obs.Actors, trajs[i]})
 				requireIdentical(t, i, want[i], got)
 			}
 		}()
@@ -273,7 +274,7 @@ func FuzzSharedVsLegacy(f *testing.F) {
 		e, actors := fuzzScene(seed, n, egoY, egoSpeed)
 		trajs := actor.PredictAll(actors, legacy.cfg.NumSlices(), legacy.cfg.SliceDt)
 		want := legacy.Evaluate(road, e, actors, trajs)
-		got := shared.Evaluate(road, e, actors, trajs)
+		got := score(shared, Query{road, e, actors, trajs})
 		requireIdentical(t, int(seed), want, got)
 	})
 }

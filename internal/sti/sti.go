@@ -26,10 +26,15 @@ import (
 // Telemetry (collected only when telemetry.Enable has been called; see
 // DESIGN.md "Observability" for the metric index).
 var (
-	telEvaluations     = telemetry.NewCounter("sti.evaluations")
-	telEvalSeconds     = telemetry.NewHistogram("sti.evaluate.seconds", telemetry.LatencyBuckets())
-	telCombinedSeconds = telemetry.NewHistogram("sti.evaluate_combined.seconds", telemetry.LatencyBuckets())
-	telActorsPerEval   = telemetry.NewHistogram("sti.actors_per_eval", telemetry.LinearBuckets(0, 1, 16))
+	telEvaluations   = telemetry.NewCounter("sti.evaluations")
+	telEvalSeconds   = telemetry.NewHistogram("sti.evaluate.seconds", telemetry.LatencyBuckets())
+	telActorsPerEval = telemetry.NewHistogram("sti.actors_per_eval", telemetry.LinearBuckets(0, 1, 16))
+	// telCombinedSeconds times Combined. It registers on Combined's first
+	// call, not at package init, so a binary that never takes the fast
+	// path (iprism-serve) does not export a series it cannot move.
+	telCombinedSeconds = sync.OnceValue(func() *telemetry.Histogram {
+		return telemetry.NewHistogram("sti.evaluate_combined.seconds", telemetry.LatencyBuckets())
+	})
 	// telElided counts per-actor counterfactual results reported without
 	// their own expansion: the sole actor of a one-actor scene, and every
 	// actor covered by the dead-band certificate.
@@ -40,7 +45,7 @@ var (
 	// and its world count reach.shared.worlds.
 	telSharedSeconds   = telemetry.NewHistogram("sti.shared_expansion.seconds", telemetry.LatencyBuckets())
 	telSharedMaskWords = telemetry.NewHistogram("sti.shared_expansion.mask_words", telemetry.LinearBuckets(0, 1, 5))
-	// Warm-start path (EvaluateWarm): the fraction of warm-capable
+	// Warm-start path (Score with a WarmState): the fraction of warm-capable
 	// evaluations whose previous-tick expansion state was actually usable
 	// (ego root bitwise-stable, same config/map/actor count).
 	telWarmHitRatio = telemetry.NewGauge("sti.warm.hit_ratio")
@@ -77,14 +82,9 @@ func (r Result) MostThreatening() (int, float64) {
 //
 // Deprecated: use NewEvaluator. Kept only because perfbench/ sets it.
 type Options struct {
-	// Deprecated: ignored; kept only because perfbench/ sets it.
-	Workers int
-
-	// Deprecated: ignored; kept only because perfbench/ sets it.
+	Workers         int
 	SharedExpansion bool
-
-	// Deprecated: ignored; kept only because perfbench/ sets it.
-	WarmStart bool
+	WarmStart       bool
 }
 
 // Evaluator computes STI for scenes. It is stateless apart from
@@ -134,66 +134,122 @@ func MustNewEvaluator(cfg reach.Config) *Evaluator {
 // Config returns the evaluator's reach configuration.
 func (e *Evaluator) Config() reach.Config { return e.cfg }
 
-// Evaluate computes per-actor and combined STI for the ego at state ego on
-// map m, given each actor's (predicted or ground-truth) trajectory.
-// trajs[i] must correspond to actors[i].
-func (e *Evaluator) Evaluate(m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory) Result {
-	res, _ := e.evaluate(nil, m, ego, actors, trajs)
-	return res
+// Query is one STI question: the ego at state Ego on map Map among Actors.
+// Trajs[i] is the (predicted or ground-truth) trajectory of Actors[i]; a
+// nil Trajs forecasts every actor with the CVTR model, the configuration
+// the SMC uses online (§IV-C).
+type Query struct {
+	Map    roadmap.Map
+	Ego    vehicle.State
+	Actors []*actor.Actor
+	Trajs  []actor.Trajectory
 }
 
-// EvaluateTraced is Evaluate with request-scoped tracing and risk
-// provenance: spans land on the trace.Recorder carried by ctx (if any), and
-// the returned Provenance reports which engine scored the scene, the
-// empty-volume cache outcome and the certificate work skipped. With no
-// recorder in ctx the result is identical to Evaluate.
-func (e *Evaluator) EvaluateTraced(ctx context.Context, m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory) (Result, Provenance) {
-	return e.evaluate(trace.FromContext(ctx), m, ego, actors, trajs)
+// trajectories returns q.Trajs, or CVTR forecasts when it is nil.
+func (e *Evaluator) trajectories(q Query) []actor.Trajectory {
+	if q.Trajs != nil || len(q.Actors) == 0 {
+		return q.Trajs
+	}
+	return actor.PredictAll(q.Actors, e.cfg.NumSlices(), e.cfg.SliceDt)
 }
 
-// evaluate is the shared body of Evaluate and EvaluateTraced. rec may be
-// nil (the common untraced path); every span call is nil-safe, so tracing
-// costs the hot path one pointer check per call site.
-func (e *Evaluator) evaluate(rec *trace.Recorder, m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory) (Result, Provenance) {
+// Score computes per-actor (Eq. 4) and combined (Eq. 5) STI for q. Spans
+// land on the trace.Recorder carried by ctx, if any (a nil recorder costs
+// one pointer check per span), and the returned Provenance reports which
+// engine scored the scene, the empty-volume cache outcome and the
+// certificate work skipped.
+//
+// ws, when non-nil, carries the previous tick of one session stream: path-
+// sweep verdicts that provably cannot have changed since that tick are
+// reused instead of recomputed, and the Result is bitwise the cold one
+// (see reach.ComputeCounterfactuals). A nil ws, a scene of fewer than two
+// actors, or a ws another call owns right now scores cold.
+//
+// The reporting conventions are those of the per-actor definition the
+// differential suites check against: the cached |T^∅| backs every ratio,
+// every value passes through the same snap(clamp01(·)) pipeline, and the
+// dead-band certificate reports |T| for the without-volumes it skips.
+func (e *Evaluator) Score(ctx context.Context, q Query, ws *WarmState) (Result, Provenance) {
+	rec := trace.FromContext(ctx)
+	actors, trajs := q.Actors, e.trajectories(q)
+	n := len(actors)
+	// Warm start only exists for the shared engine on multi-actor scenes.
+	// Single-owner gate: a WarmState must never be mutated by two
+	// evaluations at once. Losing the CAS means another call is mid-tick on
+	// this state — score cold rather than block the request path.
+	var rws *reach.WarmState
+	if ws != nil && n > 1 && ws.busy.CompareAndSwap(false, true) {
+		defer ws.release()
+		rws = &ws.rs
+	}
+
 	defer telEvalSeconds.Start().Stop()
 	telEvaluations.Inc()
-	telActorsPerEval.Observe(float64(len(actors)))
+	telActorsPerEval.Observe(float64(n))
 	scr := e.takeScratch()
 	defer e.putScratch(scr)
-	switch len(actors) {
-	case 0:
+	if n == 0 {
 		sp := rec.StartSpan("reach.empty_tube")
-		vol := reach.ComputeScratch(m, nil, ego, e.cfg, scr).Volume
+		vol := reach.Compute(q.Map, nil, q.Ego, e.cfg, scr).Volume
 		sp.End()
 		return Result{BaseVolume: vol, EmptyVolume: vol}, Provenance{Engine: EngineEmpty, CacheState: CacheBypass}
-	case 1:
-		return e.evaluateSingle(rec, m, ego, actors, trajs, scr)
 	}
-	return e.evaluateShared(rec, m, ego, actors, trajs, scr, nil)
-}
-
-// evaluateSingle scores a one-actor scene with two tubes, one on a cache
-// hit: removing the only actor leaves the empty world, so |T^{/0}| is the
-// cached |T^∅| the combined ratio already uses, and the masked expansion
-// would have nothing to share. The counterfactual tube is never computed,
-// so the actor always counts as elided.
-func (e *Evaluator) evaluateSingle(rec *trace.Recorder, m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory, scr *reach.Scratch) (Result, Provenance) {
-	prov := Provenance{Engine: EngineSingle}
+	if n > 1 {
+		defer telSharedSeconds.Start().Stop()
+	}
 	obs := reach.BuildObstacles(actors, trajs, e.cfg)
 	sp := rec.StartSpan("reach.empty_tube")
-	emptyVol, cacheState := e.emptyVolumeState(m, ego, scr)
+	emptyVol, cacheState := e.emptyVolumeState(q.Map, q.Ego, scr)
 	sp.Annotate("cache_state", cacheState).End()
-	prov.CacheState = cacheState
-	// The base tube reports whether the actor ever blocked a footprint it
-	// tested. If it never did, the deterministic expansion without it is
-	// identical: T^{/0} = T exactly, whatever the cached |T^∅| says.
-	sp = rec.StartSpan("reach.base_tube")
-	base := reach.ComputeScratch(m, obs, ego, e.cfg, scr)
-	sp.End()
+	prov := Provenance{Engine: EngineShared, CacheState: cacheState}
+
+	var base reach.Tube
+	var without []float64
+	if n == 1 {
+		// One actor: removing it leaves the empty world, so |T^{/0}| is the
+		// cached |T^∅| the combined ratio already uses, and a masked
+		// expansion would have nothing to share. The base tube reports
+		// whether the actor ever blocked a footprint it tested; if it never
+		// did, the deterministic expansion without it is identical, and
+		// T^{/0} = T exactly.
+		prov.Engine = EngineSingle
+		sp = rec.StartSpan("reach.base_tube")
+		base = reach.Compute(q.Map, obs, q.Ego, e.cfg, scr)
+		sp.End()
+	} else {
+		// Two or more: one masked expansion yields |T| and every |T^{/i}|
+		// at once; the masks are segmented, so it carries every actor. The
+		// span carries the expansion's shape, plus the warm-start outcome
+		// on warm calls; perfbench's ledger and iprism-risktrace read it by
+		// name.
+		sp = rec.StartSpan("reach.shared_expansion")
+		sh, stats := reach.ComputeCounterfactuals(q.Map, obs, q.Ego, e.cfg, scr, rws)
+		if sp != nil {
+			sp.Annotate("states", sh.States).
+				Annotate("represented", sh.Represented).
+				Annotate("mask_words", sh.MaskWords)
+			if rws != nil {
+				sp.Annotate("warm_hit", stats.Hit).
+					Annotate("warm_reused", stats.Reused).
+					Annotate("warm_invalidated", stats.Invalidated)
+			}
+			sp.End()
+		}
+		if rws != nil {
+			prov.WarmHit = stats.Hit
+			prov.WarmReused = stats.Reused
+			prov.WarmInvalidated = stats.Invalidated
+			noteWarmOutcome(stats.Hit)
+		}
+		telSharedMaskWords.Observe(float64(sh.MaskWords))
+		prov.MaskWidth = sh.Represented
+		prov.MaskWords = sh.MaskWords
+		base.Volume, without = sh.BaseVolume, sh.WithoutVolume
+	}
 
 	res := Result{
-		PerActor:      make([]float64, 1),
-		WithoutVolume: make([]float64, 1),
+		PerActor:      make([]float64, n),
+		WithoutVolume: make([]float64, n),
 		BaseVolume:    base.Volume,
 		EmptyVolume:   emptyVol,
 	}
@@ -203,93 +259,53 @@ func (e *Evaluator) evaluateSingle(rec *trace.Recorder, m roadmap.Map, ego vehic
 		return res, prov
 	}
 	res.Combined = snap(clamp01((emptyVol - base.Volume) / emptyVol))
-	telElided.Inc()
-	prov.ElidedActors = 1
-	if res.Combined == 0 || !base.Blocked {
-		// Dead-band certificate (see evaluateShared) or a never-blocking
-		// actor: report |T| as the without-volume, STI zero.
-		res.WithoutVolume[0] = base.Volume
-		return res, prov
-	}
-	res.WithoutVolume[0] = emptyVol
-	res.PerActor[0] = res.Combined
-	return res, prov
-}
-
-// evaluateShared is Evaluate on the shared-expansion engine: one masked
-// expansion (reach.ComputeCounterfactuals) yields |T| and every per-actor
-// |T^{/i}| at once. The masks are segmented, so every actor in the scene
-// is carried by that single expansion. The reporting conventions are those
-// of the per-actor definition the differential suites check against: the
-// cached |T^∅| backs every ratio, every per-actor value passes through the
-// same snap(clamp01(·)) pipeline, and the dead-band certificate reports
-// |T| for the without-volumes it skips.
-func (e *Evaluator) evaluateShared(rec *trace.Recorder, m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory, scr *reach.Scratch, ws *reach.WarmState) (Result, Provenance) {
-	defer telSharedSeconds.Start().Stop()
-	prov := Provenance{Engine: EngineShared}
-	obs := reach.BuildObstacles(actors, trajs, e.cfg)
-	sp := rec.StartSpan("reach.empty_tube")
-	emptyVol, cacheState := e.emptyVolumeState(m, ego, scr)
-	sp.Annotate("cache_state", cacheState).End()
-	prov.CacheState = cacheState
-	// The span carries the expansion's shape, plus the warm-start outcome
-	// on warm calls; perfbench's ledger and iprism-risktrace read it by
-	// name. A nil ws is the cold expansion.
-	sp = rec.StartSpan("reach.shared_expansion")
-	sh, stats := reach.ComputeCounterfactualsWarm(m, obs, ego, e.cfg, scr, ws)
-	if sp != nil {
-		sp.Annotate("states", sh.States).
-			Annotate("represented", sh.Represented).
-			Annotate("mask_words", sh.MaskWords)
-		if ws != nil {
-			sp.Annotate("warm_hit", stats.Hit).
-				Annotate("warm_reused", stats.Reused).
-				Annotate("warm_invalidated", stats.Invalidated)
-		}
-		sp.End()
-	}
-	if ws != nil {
-		prov.WarmHit = stats.Hit
-		prov.WarmReused = stats.Reused
-		prov.WarmInvalidated = stats.Invalidated
-		noteWarmOutcome(stats.Hit)
-	}
-	telSharedMaskWords.Observe(float64(sh.MaskWords))
-	prov.MaskWidth = sh.Represented
-	prov.MaskWords = sh.MaskWords
-
-	res := Result{
-		PerActor:      make([]float64, len(actors)),
-		WithoutVolume: make([]float64, len(actors)),
-		BaseVolume:    sh.BaseVolume,
-		EmptyVolume:   emptyVol,
-	}
-	if emptyVol <= 0 {
-		// No escape routes even in an empty world; STI is defined as zero.
-		return res, prov
-	}
-	res.Combined = snap(clamp01((emptyVol - sh.BaseVolume) / emptyVol))
 
 	// Dead-band certificate: |T| ≤ |T^{/i}| ≤ |T^∅| (up to the dedup
 	// jitter the dead band exists to absorb), so every per-actor ratio is
 	// bounded by the combined ratio. A combined STI snapped to zero
 	// certifies every per-actor STI snaps to zero too; |T| stands in for
-	// the without-volumes (correct to within deadBand·|T^∅|).
-	if res.Combined == 0 {
-		telElided.Add(int64(len(actors)))
-		prov.ElidedActors = len(actors)
-		for i := range actors {
-			res.WithoutVolume[i] = sh.BaseVolume
+	// the without-volumes (correct to within deadBand·|T^∅|). The sole
+	// actor of a one-actor scene never gets its own tube, so it always
+	// counts as elided.
+	if res.Combined == 0 || n == 1 {
+		telElided.Add(int64(n))
+		prov.ElidedActors = n
+		if res.Combined > 0 && base.Blocked {
+			res.WithoutVolume[0] = emptyVol
+			res.PerActor[0] = res.Combined
+			return res, prov
+		}
+		for i := range res.WithoutVolume {
+			res.WithoutVolume[i] = base.Volume
 		}
 		return res, prov
 	}
-
-	for i := range actors {
-		wo := sh.WithoutVolume[i]
+	for i, wo := range without {
 		res.WithoutVolume[i] = wo
-		res.PerActor[i] = snap(clamp01((wo - sh.BaseVolume) / emptyVol))
+		res.PerActor[i] = snap(clamp01((wo - base.Volume) / emptyVol))
 	}
 	return res, prov
+}
+
+// Deprecated: use Score. Kept only because perfbench/ calls it.
+func (e *Evaluator) Evaluate(m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory) Result {
+	res, _ := e.Score(context.Background(), Query{m, ego, actors, trajs}, nil)
+	return res
+}
+
+// Deprecated: use Score. Kept only because perfbench/ calls it.
+func (e *Evaluator) EvaluateWithPrediction(m roadmap.Map, ego vehicle.State, actors []*actor.Actor) Result {
+	return e.Evaluate(m, ego, actors, nil)
+}
+
+// Deprecated: use Score. Kept only because perfbench/ calls it.
+func (e *Evaluator) EvaluateWarm(m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory, ws *WarmState) (Result, Provenance) {
+	return e.Score(context.Background(), Query{m, ego, actors, trajs}, ws)
+}
+
+// Deprecated: use Combined. Kept only because perfbench/ calls it.
+func (e *Evaluator) CombinedWithPrediction(m roadmap.Map, ego vehicle.State, actors []*actor.Actor) float64 {
+	return e.Combined(Query{Map: m, Ego: ego, Actors: actors})
 }
 
 // deadBand absorbs the bounded quantisation error of the cached empty-world
@@ -303,45 +319,31 @@ func snap(v float64) float64 {
 	return v
 }
 
-// EvaluateCombined computes only STI^(combined), skipping the per-actor
+// Combined computes only STI^(combined) for q, skipping the per-actor
 // counterfactuals. This is the fast path used inside the SMC reward loop:
 // one single-world expansion of the base tube, with no world bit per
 // actor, plus the empty tube, which the cache usually serves.
-func (e *Evaluator) EvaluateCombined(m roadmap.Map, ego vehicle.State, actors []*actor.Actor, trajs []actor.Trajectory) float64 {
-	defer telCombinedSeconds.Start().Stop()
+func (e *Evaluator) Combined(q Query) float64 {
+	trajs := e.trajectories(q)
+	defer telCombinedSeconds().Start().Stop()
 	telEvaluations.Inc()
-	telActorsPerEval.Observe(float64(len(actors)))
-	if len(actors) == 0 {
+	telActorsPerEval.Observe(float64(len(q.Actors)))
+	if len(q.Actors) == 0 {
 		return 0
 	}
 	scr := e.takeScratch()
 	defer e.putScratch(scr)
-	obs := reach.BuildObstacles(actors, trajs, e.cfg)
-	emptyVol := e.emptyVolume(m, ego, scr)
+	obs := reach.BuildObstacles(q.Actors, trajs, e.cfg)
+	emptyVol := e.emptyVolume(q.Map, q.Ego, scr)
 	if emptyVol <= 0 {
 		return 0
 	}
-	base := reach.ComputeScratch(m, obs, ego, e.cfg, scr)
+	base := reach.Compute(q.Map, obs, q.Ego, e.cfg, scr)
 	return snap(clamp01((emptyVol - base.Volume) / emptyVol))
 }
 
 func (e *Evaluator) takeScratch() *reach.Scratch { return e.scratch.Get().(*reach.Scratch) }
 func (e *Evaluator) putScratch(s *reach.Scratch) { e.scratch.Put(s) }
-
-// EvaluateWithPrediction is a convenience wrapper that forecasts every
-// actor's trajectory with the CVTR model before evaluating STI — the
-// configuration used online by the SMC (§IV-C).
-func (e *Evaluator) EvaluateWithPrediction(m roadmap.Map, ego vehicle.State, actors []*actor.Actor) Result {
-	trajs := actor.PredictAll(actors, e.cfg.NumSlices(), e.cfg.SliceDt)
-	return e.Evaluate(m, ego, actors, trajs)
-}
-
-// CombinedWithPrediction is EvaluateCombined with CVTR-predicted actor
-// trajectories.
-func (e *Evaluator) CombinedWithPrediction(m roadmap.Map, ego vehicle.State, actors []*actor.Actor) float64 {
-	trajs := actor.PredictAll(actors, e.cfg.NumSlices(), e.cfg.SliceDt)
-	return e.EvaluateCombined(m, ego, actors, trajs)
-}
 
 func clamp01(x float64) float64 {
 	if math.IsNaN(x) {

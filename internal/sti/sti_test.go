@@ -1,6 +1,7 @@
 package sti
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -28,6 +29,12 @@ func eval(t *testing.T) *Evaluator {
 	return e
 }
 
+// score is Score cold and untraced, read out as the Result alone.
+func score(e *Evaluator, q Query) Result {
+	res, _ := e.Score(context.Background(), q, nil)
+	return res
+}
+
 func groundTruth(e *Evaluator, actors []*actor.Actor) []actor.Trajectory {
 	return actor.PredictAll(actors, e.cfg.NumSlices(), e.cfg.SliceDt)
 }
@@ -53,7 +60,7 @@ func TestMustNewEvaluatorPanics(t *testing.T) {
 
 func TestEmptySceneZeroSTI(t *testing.T) {
 	e := eval(t)
-	res := e.Evaluate(testRoad(), ego(0, 1.75, 10), nil, nil)
+	res := score(e, Query{testRoad(), ego(0, 1.75, 10), nil, nil})
 	if res.Combined != 0 {
 		t.Errorf("combined STI with no actors = %v, want 0", res.Combined)
 	}
@@ -71,7 +78,7 @@ func TestDistantActorZeroSTI(t *testing.T) {
 	// escape routes within the 3 s horizon.
 	far := actor.NewVehicle(1, vehicle.State{Pos: geom.V(-200, 5.25), Speed: 0})
 	actors := []*actor.Actor{far}
-	res := e.Evaluate(testRoad(), ego(0, 1.75, 10), actors, groundTruth(e, actors))
+	res := score(e, Query{testRoad(), ego(0, 1.75, 10), actors, groundTruth(e, actors)})
 	if res.PerActor[0] != 0 {
 		t.Errorf("distant actor STI = %v, want 0", res.PerActor[0])
 	}
@@ -85,7 +92,7 @@ func TestBlockingActorPositiveSTI(t *testing.T) {
 	// A stopped vehicle 12 m ahead in the ego lane removes escape routes.
 	lead := actor.NewVehicle(1, vehicle.State{Pos: geom.V(12, 1.75), Speed: 0})
 	actors := []*actor.Actor{lead}
-	res := e.Evaluate(testRoad(), ego(0, 1.75, 10), actors, groundTruth(e, actors))
+	res := score(e, Query{testRoad(), ego(0, 1.75, 10), actors, groundTruth(e, actors)})
 	if res.PerActor[0] <= 0 {
 		t.Errorf("blocking actor STI = %v, want > 0", res.PerActor[0])
 	}
@@ -101,7 +108,7 @@ func TestSingleActorCombinedEqualsPerActor(t *testing.T) {
 	e := eval(t)
 	lead := actor.NewVehicle(1, vehicle.State{Pos: geom.V(15, 1.75), Speed: 2})
 	actors := []*actor.Actor{lead}
-	res := e.Evaluate(testRoad(), ego(0, 1.75, 10), actors, groundTruth(e, actors))
+	res := score(e, Query{testRoad(), ego(0, 1.75, 10), actors, groundTruth(e, actors)})
 	// With exactly one actor, T^{/0} == T^∅ up to the bounded quantisation
 	// error of the cached empty-world volume (see cache.go), so STI_0 must
 	// closely track the combined value.
@@ -119,7 +126,7 @@ func TestSTIBoundedZeroOne(t *testing.T) {
 		actor.NewVehicle(3, vehicle.State{Pos: geom.V(0, 5.25)}),
 		actor.NewVehicle(4, vehicle.State{Pos: geom.V(7, 5.25)}),
 	}
-	res := e.Evaluate(testRoad(), ego(0, 1.75, 8), actors, groundTruth(e, actors))
+	res := score(e, Query{testRoad(), ego(0, 1.75, 8), actors, groundTruth(e, actors)})
 	if res.Combined < 0 || res.Combined > 1 {
 		t.Errorf("combined out of range: %v", res.Combined)
 	}
@@ -141,7 +148,7 @@ func TestFullyTrappedCombinedNearOne(t *testing.T) {
 		actor.NewVehicle(4, vehicle.State{Pos: geom.V(12, 1.75)}),
 		actor.NewVehicle(5, vehicle.State{Pos: geom.V(12, 5.25)}),
 	}
-	res := e.Evaluate(testRoad(), ego(0, 1.75, 15), actors, groundTruth(e, actors))
+	res := score(e, Query{testRoad(), ego(0, 1.75, 15), actors, groundTruth(e, actors)})
 	if res.Combined < 0.8 {
 		t.Errorf("boxed-in combined STI = %v, want >= 0.8", res.Combined)
 	}
@@ -154,7 +161,7 @@ func TestOutOfPathActorHasSTI(t *testing.T) {
 	e := eval(t)
 	alongside := actor.NewVehicle(1, vehicle.State{Pos: geom.V(2, 5.25), Speed: 10})
 	actors := []*actor.Actor{alongside}
-	res := e.Evaluate(testRoad(), ego(0, 1.75, 10), actors, groundTruth(e, actors))
+	res := score(e, Query{testRoad(), ego(0, 1.75, 10), actors, groundTruth(e, actors)})
 	if res.PerActor[0] <= 0 {
 		t.Errorf("out-of-path alongside actor STI = %v, want > 0", res.PerActor[0])
 	}
@@ -165,8 +172,8 @@ func TestCloserActorMoreThreatening(t *testing.T) {
 	egoS := ego(0, 1.75, 10)
 	near := []*actor.Actor{actor.NewVehicle(1, vehicle.State{Pos: geom.V(10, 1.75)})}
 	farther := []*actor.Actor{actor.NewVehicle(1, vehicle.State{Pos: geom.V(30, 1.75)})}
-	rNear := e.Evaluate(testRoad(), egoS, near, groundTruth(e, near))
-	rFar := e.Evaluate(testRoad(), egoS, farther, groundTruth(e, farther))
+	rNear := score(e, Query{testRoad(), egoS, near, groundTruth(e, near)})
+	rFar := score(e, Query{testRoad(), egoS, farther, groundTruth(e, farther)})
 	if rNear.PerActor[0] <= rFar.PerActor[0] {
 		t.Errorf("near actor STI %v should exceed far actor STI %v",
 			rNear.PerActor[0], rFar.PerActor[0])
@@ -180,22 +187,22 @@ func TestEvaluateCombinedMatchesEvaluate(t *testing.T) {
 		actor.NewVehicle(2, vehicle.State{Pos: geom.V(5, 5.25), Speed: 10}),
 	}
 	trajs := groundTruth(e, actors)
-	full := e.Evaluate(testRoad(), ego(0, 1.75, 10), actors, trajs)
-	fast := e.EvaluateCombined(testRoad(), ego(0, 1.75, 10), actors, trajs)
+	full := score(e, Query{testRoad(), ego(0, 1.75, 10), actors, trajs})
+	fast := e.Combined(Query{testRoad(), ego(0, 1.75, 10), actors, trajs})
 	if full.Combined != fast {
-		t.Errorf("EvaluateCombined %v != Evaluate().Combined %v", fast, full.Combined)
+		t.Errorf("Combined %v != Score().Combined %v", fast, full.Combined)
 	}
 }
 
 func TestEvaluateWithPredictionMatchesManualCVTR(t *testing.T) {
 	e := eval(t)
 	actors := []*actor.Actor{actor.NewVehicle(1, vehicle.State{Pos: geom.V(14, 1.75), Speed: 3})}
-	manual := e.Evaluate(testRoad(), ego(0, 1.75, 10), actors, groundTruth(e, actors))
-	auto := e.EvaluateWithPrediction(testRoad(), ego(0, 1.75, 10), actors)
+	manual := score(e, Query{testRoad(), ego(0, 1.75, 10), actors, groundTruth(e, actors)})
+	auto := score(e, Query{Map: testRoad(), Ego: ego(0, 1.75, 10), Actors: actors})
 	if manual.Combined != auto.Combined || manual.PerActor[0] != auto.PerActor[0] {
-		t.Errorf("prediction wrapper mismatch: %+v vs %+v", manual, auto)
+		t.Errorf("nil Trajs mismatch: %+v vs %+v", manual, auto)
 	}
-	c := e.CombinedWithPrediction(testRoad(), ego(0, 1.75, 10), actors)
+	c := e.Combined(Query{Map: testRoad(), Ego: ego(0, 1.75, 10), Actors: actors})
 	if c != manual.Combined {
 		t.Errorf("CombinedWithPrediction = %v, want %v", c, manual.Combined)
 	}
@@ -204,7 +211,7 @@ func TestEvaluateWithPredictionMatchesManualCVTR(t *testing.T) {
 func TestOffRoadEgoZeroSTI(t *testing.T) {
 	e := eval(t)
 	actors := []*actor.Actor{actor.NewVehicle(1, vehicle.State{Pos: geom.V(10, 1.75)})}
-	res := e.Evaluate(testRoad(), ego(0, 50, 10), actors, groundTruth(e, actors))
+	res := score(e, Query{testRoad(), ego(0, 50, 10), actors, groundTruth(e, actors)})
 	if res.Combined != 0 || res.PerActor[0] != 0 {
 		t.Errorf("off-road ego should yield zero STI: %+v", res)
 	}

@@ -53,7 +53,7 @@ func TestCacheCountersMatchBehaviour(t *testing.T) {
 	speeds := []float64{8, 10, 12} // 0.5 m/s buckets: all distinct keys
 	for _, v := range speeds {
 		for i := 0; i < perSpeed; i++ {
-			e.EvaluateCombined(m, ego(100, 1.75, v), actors, trajs)
+			e.Combined(Query{m, ego(100, 1.75, v), actors, trajs})
 			lookups++
 		}
 	}
@@ -80,7 +80,7 @@ func TestCacheCountersMatchBehaviour(t *testing.T) {
 	// cache without touching hit/miss or inserting a bucket.
 	buckets := e.cache.Len()
 	mid := readCacheCounts()
-	e.EvaluateCombined(m, ego(499, 1.75, 10), actors, trajs)
+	e.Combined(Query{m, ego(499, 1.75, 10), actors, trajs})
 	d = readCacheCounts().sub(mid)
 	if d.bypass != 1 || d.hits != 0 || d.misses != 0 {
 		t.Errorf("near-end state: deltas = %+v, want exactly one bypass", d)
@@ -112,8 +112,8 @@ func TestCacheCountersRingRoad(t *testing.T) {
 	// and speed at different ring angles) must share one cache bucket.
 	pos1, h1 := ring.PoseAt(30, 0)
 	pos2, h2 := ring.PoseAt(30, 2.0)
-	e.EvaluateCombined(ring, vehicle.State{Pos: pos1, Heading: h1, Speed: 6}, actors, trajs)
-	e.EvaluateCombined(ring, vehicle.State{Pos: pos2, Heading: h2, Speed: 6}, actors, trajs)
+	e.Combined(Query{ring, vehicle.State{Pos: pos1, Heading: h1, Speed: 6}, actors, trajs})
+	e.Combined(Query{ring, vehicle.State{Pos: pos2, Heading: h2, Speed: 6}, actors, trajs})
 
 	d := readCacheCounts().sub(before)
 	if d.misses != 1 || d.hits != 1 {

@@ -1,6 +1,7 @@
 package sti
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -26,8 +27,8 @@ func TestEvaluateWarmMatchesColdSessionTraces(t *testing.T) {
 		hits, reused := 0, 0
 		for tick, tk := range tr {
 			trajs := actor.PredictAll(tk.Actors, e.cfg.NumSlices(), e.cfg.SliceDt)
-			want := e.Evaluate(m, tk.Ego, tk.Actors, trajs)
-			got, prov := e.EvaluateWarm(m, tk.Ego, tk.Actors, trajs, ws)
+			want := score(e, Query{m, tk.Ego, tk.Actors, trajs})
+			got, prov := e.Score(context.Background(), Query{m, tk.Ego, tk.Actors, trajs}, ws)
 			requireIdentical(t, tick, want, got)
 			if prov.Engine != EngineShared {
 				t.Fatalf("%s tick %d: engine %q, want shared", tc.tag, tick, prov.Engine)
@@ -59,8 +60,8 @@ func TestEvaluateWarmSegmented(t *testing.T) {
 	ws := NewWarmState()
 	for tick, tk := range tr {
 		trajs := actor.PredictAll(tk.Actors, e.cfg.NumSlices(), e.cfg.SliceDt)
-		want := e.Evaluate(m, tk.Ego, tk.Actors, trajs)
-		got, prov := e.EvaluateWarm(m, tk.Ego, tk.Actors, trajs, ws)
+		want := score(e, Query{m, tk.Ego, tk.Actors, trajs})
+		got, prov := e.Score(context.Background(), Query{m, tk.Ego, tk.Actors, trajs}, ws)
 		requireIdentical(t, tick, want, got)
 		if tick > 0 && !prov.WarmHit {
 			t.Errorf("tick %d: warm miss on the static crush ego", tick)
@@ -77,8 +78,8 @@ func TestEvaluateWarmDegradesToCold(t *testing.T) {
 	trajs := actor.PredictAll(tk.Actors, reach.DefaultConfig().NumSlices(), reach.DefaultConfig().SliceDt)
 
 	e := MustNewEvaluator(reach.DefaultConfig())
-	want := e.Evaluate(m, tk.Ego, tk.Actors, trajs)
-	got, prov := e.EvaluateWarm(m, tk.Ego, tk.Actors, trajs, nil)
+	want := score(e, Query{m, tk.Ego, tk.Actors, trajs})
+	got, prov := e.Score(context.Background(), Query{m, tk.Ego, tk.Actors, trajs}, nil)
 	requireIdentical(t, 0, want, got)
 	if prov.WarmHit || prov.WarmReused != 0 {
 		t.Errorf("nil WarmState produced warm provenance %+v", prov)
@@ -86,8 +87,8 @@ func TestEvaluateWarmDegradesToCold(t *testing.T) {
 
 	one := tk.Actors[:1]
 	oneTrajs := actor.PredictAll(one, e.cfg.NumSlices(), e.cfg.SliceDt)
-	wantOne := e.Evaluate(m, tk.Ego, one, oneTrajs)
-	gotOne, prov := e.EvaluateWarm(m, tk.Ego, one, oneTrajs, NewWarmState())
+	wantOne := score(e, Query{m, tk.Ego, one, oneTrajs})
+	gotOne, prov := e.Score(context.Background(), Query{m, tk.Ego, one, oneTrajs}, NewWarmState())
 	requireIdentical(t, 1, wantOne, gotOne)
 	if prov.Engine != EngineSingle {
 		t.Errorf("single-actor scene scored on engine %q, want %q", prov.Engine, EngineSingle)
@@ -105,7 +106,7 @@ func TestEvaluateWarmContention(t *testing.T) {
 	trajs := make([][]actor.Trajectory, len(tr))
 	for i, tk := range tr {
 		trajs[i] = actor.PredictAll(tk.Actors, e.cfg.NumSlices(), e.cfg.SliceDt)
-		want[i] = e.Evaluate(m, tk.Ego, tk.Actors, trajs[i])
+		want[i] = score(e, Query{m, tk.Ego, tk.Actors, trajs[i]})
 	}
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -114,7 +115,7 @@ func TestEvaluateWarmContention(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, tk := range tr {
-				got, _ := e.EvaluateWarm(m, tk.Ego, tk.Actors, trajs[i], ws)
+				got, _ := e.Score(context.Background(), Query{m, tk.Ego, tk.Actors, trajs[i]}, ws)
 				requireIdentical(t, i, want[i], got)
 			}
 		}()

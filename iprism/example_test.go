@@ -1,6 +1,7 @@
 package iprism_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/iprism"
@@ -18,7 +19,7 @@ func Example() {
 	}
 
 	eval := iprism.NewEvaluator(iprism.DefaultReachConfig())
-	res := eval.EvaluateWithPrediction(road, ego, actors)
+	res, _ := eval.Score(context.Background(), iprism.Query{Map: road, Ego: ego, Actors: actors}, nil)
 
 	fmt.Println("lead risky:", res.PerActor[0] > 0)
 	fmt.Println("alongside risky:", res.PerActor[1] > 0)
@@ -38,7 +39,7 @@ func ExampleResult_rank() {
 		iprism.NewVehicleActor(2, iprism.VehicleState{Pos: iprism.V(12, 1.75), Speed: 0}),   // blocking
 	}
 	eval := iprism.NewEvaluator(iprism.DefaultReachConfig())
-	res := eval.EvaluateWithPrediction(road, ego, actors)
+	res, _ := eval.Score(context.Background(), iprism.Query{Map: road, Ego: ego, Actors: actors}, nil)
 
 	idx, _ := res.MostThreatening()
 	fmt.Println("most threatening actor ID:", actors[idx].ID)

@@ -25,7 +25,7 @@ func ComputeTube(m Map, ego VehicleState, actors []*Actor, cfg ReachConfig) reac
 		trajs[i] = PredictCVTR(a, cfg.NumSlices(), cfg.SliceDt)
 	}
 	obs := reach.BuildObstacles(actors, trajs, cfg)
-	return reach.Compute(m, obs, ego, cfg)
+	return reach.Compute(m, obs, ego, cfg, nil)
 }
 
 // SaveEpisodeTrace writes a recorded episode to a JSON-Lines file.

@@ -1,6 +1,7 @@
 package iprism
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -21,9 +22,10 @@ func TestComputeTubeAndRender(t *testing.T) {
 	}
 
 	eval := NewEvaluator(DefaultReachConfig())
+	risk, _ := eval.Score(context.Background(), Query{Map: road, Ego: ego, Actors: actors}, nil)
 	svg := RenderSVG(RenderScene{
 		Map: road, Ego: ego, Actors: actors,
-		Risk: eval.EvaluateWithPrediction(road, ego, actors),
+		Risk: risk,
 		Tube: &tube, Title: "facade",
 	}, RenderOptions{Window: 60})
 	if !strings.Contains(svg, "<svg") || !strings.Contains(svg, "facade") {

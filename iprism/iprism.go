@@ -7,7 +7,7 @@
 // Typical use:
 //
 //	eval := iprism.NewEvaluator(iprism.DefaultReachConfig())
-//	res := eval.EvaluateWithPrediction(roadMap, egoState, actors)
+//	res, _ := eval.Score(context.Background(), iprism.Query{Map: roadMap, Ego: egoState, Actors: actors}, nil)
 //	fmt.Println(res.Combined, res.PerActor)
 //
 // and, for closed-loop mitigation on top of any ADS driver:
@@ -57,6 +57,9 @@ type (
 	ReachConfig = reach.Config
 	// Evaluator computes STI (Eqs. 4–5).
 	Evaluator = sti.Evaluator
+	// Query is one STI question: map, ego, actors and, optionally, their
+	// trajectories (nil forecasts every actor with CVTR).
+	Query = sti.Query
 	// Result holds per-actor and combined STI for one instant.
 	Result = sti.Result
 )

@@ -1,6 +1,7 @@
 package iprism
 
 import (
+	"context"
 	"testing"
 )
 
@@ -12,7 +13,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	eval := NewEvaluator(DefaultReachConfig())
 	ego := VehicleState{Pos: V(0, 1.75), Speed: 10}
 	lead := NewVehicleActor(1, VehicleState{Pos: V(14, 1.75), Speed: 2})
-	res := eval.EvaluateWithPrediction(road, ego, []*Actor{lead})
+	res, _ := eval.Score(context.Background(), Query{Map: road, Ego: ego, Actors: []*Actor{lead}}, nil)
 	if res.Combined <= 0 {
 		t.Errorf("combined STI = %v, want > 0", res.Combined)
 	}

@@ -23,30 +23,42 @@ fi
 if go list -deps ./cmd/iprism-serve | grep -x 'repro/internal/sim'; then
   echo "verify: iprism-serve links internal/sim" >&2; exit 1
 fi
+# One scoring call per package: sti.Evaluator.Score/Combined and
+# reach.Compute/ComputeCounterfactuals. The older entry points survive only
+# as deprecated shims for perfbench/, so nothing else may call them (their
+# own definitions aside); that keeps the shims deletable in one go.
+shims='(EvaluateWarm|EvaluateWithPrediction|CombinedWithPrediction|ComputeCounterfactualsWarm|NewEvaluatorOptions)\('
+shim_calls="$(grep -rnE "$shims" --include='*.go' --exclude-dir=perfbench --exclude-dir=.bench_build . \
+  | grep -vE "^[^:]+:[0-9]+:func (\([^)]*\) )?$shims" || true)"
+if [ -n "$shim_calls" ]; then
+  echo "verify: deprecated scoring shims called outside perfbench/:" >&2; echo "$shim_calls" >&2; exit 1
+fi
+
 # The race detector is ~10x; internal/experiments alone runs ~20 min on a
 # 1-CPU container, past go test's default 10 min per-package timeout.
 go test -race -timeout 45m ./...
 
-# Differential suite: single-world reach.expand (every |T^∅|, one-actor base
-# tube and EvaluateCombined tube) must match the single-world reference
-# loop (test code) bit-for-bit, its Blocked report and the
-# FuzzSingleWorldVsReference seed corpus included; the shared-expansion
-# counterfactual engine must match the per-actor oracle (test code)
-# bit-for-bit — including the 64-130-actor
-# segmented-mask scenes, the benchmark's input classes and the
-# FuzzSharedVsLegacy seed corpus — and the warm-started session engine must
-# match the cold path bit-for-bit across recorded session traces and the
-# FuzzWarmVsCold perturbation corpus, with its memo arenas sized to each
+# Differential suite: single-world reach.expand (reach.Compute: every |T^∅|,
+# one-actor base tube and sti.Evaluator.Combined tube) must match the
+# single-world reference loop (test code) bit-for-bit, its Blocked report
+# and the FuzzSingleWorldVsReference seed corpus included; the
+# shared-expansion counterfactual engine (reach.ComputeCounterfactuals,
+# scored through sti.Evaluator.Score) must match the per-actor oracle (test
+# code) bit-for-bit — including the 64-130-actor segmented-mask scenes, the
+# benchmark's input classes and the FuzzSharedVsLegacy seed corpus — and
+# the warm-started session engine (the same two calls given a WarmState)
+# must match the cold path bit-for-bit across recorded session traces and
+# the FuzzWarmVsCold perturbation corpus, with its memo arenas sized to each
 # parent's sub-step count and a shared Scratch keeping one table per mask
-# width; the control-fan integration kernel
-# must match the per-control StepPath oracle bit for bit, and Evaluate
-# must still produce the committed golden digest (the differential
-# oracles share the integration, so only the digest sees it drift); the
-# D-DQN learner's blocked kernels and target-Q memo must match the scalar
-# reference learner (test code) bit for bit after every Observe, and a
-# seeded DefaultConfig training must still produce its committed golden
-# digest, serial and with two episode workers (the trainer's own oracle
-# shares the rl package, so only the digest sees the learner drift)
+# width; the control-fan integration kernel must match the per-control
+# StepPath oracle bit for bit, and Score must still produce the committed
+# golden digest (the differential oracles share the integration, so only
+# the digest sees it drift); the D-DQN learner's blocked kernels and
+# target-Q memo must match the scalar reference learner (test code) bit for
+# bit after every Observe, and a seeded DefaultConfig training must still
+# produce its committed golden digest, serial and with two episode workers
+# (the trainer's own oracle shares the rl package, so only the digest sees
+# the learner drift)
 # (already part of ./... above, but run explicitly so a perf-motivated
 # edit cannot silently drop any of these proofs).
 # A rename could leave a package matching no test, which go test passes
@@ -134,6 +146,11 @@ score_sti=$(grep -o '"combined_sti":[^,}]*' "$smoke_dir/score.json" | head -1 | 
 curl -sSf -o "$smoke_dir/serve.metrics" "$serve_url/metrics"
 if grep -E '^# TYPE iprism_sim_' "$smoke_dir/serve.metrics"; then
   echo "verify: iprism-serve exports simulator families (above)" >&2; exit 1
+fi
+# Serve never takes the combined-only fast path, whose latency family
+# registers on its first call, so serve must not export it.
+if grep -E '^# TYPE iprism_sti_evaluate_combined_seconds' "$smoke_dir/serve.metrics"; then
+  echo "verify: iprism-serve exports iprism_sti_evaluate_combined_seconds (above)" >&2; exit 1
 fi
 
 kill -TERM "$serve_pid"
