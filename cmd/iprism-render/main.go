@@ -69,11 +69,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		scene = render.Scene{
-			Map: cs.Map, Ego: cs.Ego, Actors: cs.Actors,
-			Risk:  cs.Evaluate(eval),
-			Title: cs.Name,
-		}
+		scene = render.Scene{Map: cs.Map, Ego: cs.Ego, Actors: cs.Actors, Title: cs.Name}
 	} else {
 		ty, ok := typologyNames[*typology]
 		if !ok {
@@ -98,16 +94,16 @@ func run() error {
 			}
 		}
 		obs := w.Observe()
-		risk, _ := eval.Score(context.Background(), sti.Query{Map: w.Map, Ego: obs.Ego, Actors: obs.Actors}, nil)
 		scene = render.Scene{
 			Map: w.Map, Ego: obs.Ego, Actors: obs.Actors,
-			Risk:  risk,
 			Title: fmt.Sprintf("%s #%d @ t=%.1fs", ty, scn.ID, obs.Time),
 		}
 	}
 
-	// Reach-tube for the rendered frame.
+	// One CVTR prediction serves the STI colouring and the frame's
+	// reach-tube.
 	trajs := actor.PredictAll(scene.Actors, cfg.NumSlices(), cfg.SliceDt)
+	scene.Risk, _ = eval.Score(context.Background(), sti.Query{Map: scene.Map, Ego: scene.Ego, Actors: scene.Actors, Trajs: trajs}, nil)
 	obs := reach.BuildObstacles(scene.Actors, trajs, cfg)
 	tube := reach.Compute(scene.Map, obs, scene.Ego, cfg, nil)
 	scene.Tube = &tube

@@ -27,26 +27,63 @@ import (
 //     evaluation. The rotation arithmetic still runs literally, keeping
 //     every signed zero.
 //
+// Everything but the final rollout depends on the parent only through its
+// speed: the sub-step count, dt, every group's schedule and every lane's
+// yaw increments. Under the boundary set a tube's parents take few exact
+// speeds (the root speed plus the accelerations chosen so far), so the fan
+// keeps these per-speed profiles in a direct-mapped table keyed on the
+// speed's bits and checked on every hit; a miss recomputes into the slot.
+// A profile is a pure function of those bits and the fanKey, which holds
+// every Config field it reads, so a hit returns exactly what recomputing
+// would (DESIGN.md §8).
+//
 // A controlFan also owns the kernel's working buffers, so integration
 // allocates nothing per frontier state. It lives in a Scratch and is
-// rebuilt only when the control set or sub-step bound changes.
+// rebuilt, profiles dropped, only when the fanKey changes.
 type controlFan struct {
 	key      fanKey
 	controls []vehicle.Control
 	tans     []float64  // tan of each control's steering angle
 	groups   []fanGroup // controls grouped by acceleration bits
+	lanes    int        // lanes over all groups
 	ends     []vehicle.State
 	paths    []pathState // room for every control's path at the SubSteps bound
-	sched    []fanStep   // one group's schedule, one entry per sub-step
-	inc      []fanInc    // one lane's yaw increments, one entry per sub-step
+	profiles [fanSlots]fanProfile
+
+	// Exact work counts, kept across rebuilds: parents integrated and
+	// profiles computed (table misses). Read through Scratch.Work.
+	parents, built int
 }
 
-// fanKey is the part of a Config a controlFan is built from.
+// fanKey is the part of a Config a controlFan and its profiles are built
+// from.
 type fanKey struct {
 	params   vehicle.Params
 	samples  int
 	boundary bool
 	subSteps int
+	sliceDt  float64
+}
+
+// fanSlots is the size of a fan's profile table. A slot gets its
+// SubSteps × (groups + lanes) entries on its first miss, about 800 bytes
+// at the default configuration, so a full table holds about 50 KB. A
+// boundary-set expansion meets about six distinct parent speeds.
+const (
+	fanSlotBits = 6
+	fanSlots    = 1 << fanSlotBits
+)
+
+// fanProfile is the per-speed part of integrating one parent: its
+// sub-step count and dt, each group's schedule (group g at sched[g*S:],
+// S = SubSteps) and each lane's yaw increments (lane l at inc[l*S:]),
+// lanes numbered in group order.
+type fanProfile struct {
+	speed uint64 // math.Float64bits of the parent speed
+	sub   int    // 0 marks an empty slot
+	dt    float64
+	sched []fanStep
+	inc   []fanInc
 }
 
 // fanGroup is the controls sharing one acceleration, paired into lanes.
@@ -75,9 +112,10 @@ type fanInc struct {
 }
 
 // fan returns the scratch's control fan for cfg, rebuilding it only when
-// the control set or the sub-step bound differs from the last call's.
+// the control set, the sub-step bound or the slice length differs from
+// the last call's.
 func (s *Scratch) fan(cfg *Config) *controlFan {
-	k := fanKey{cfg.Params, cfg.Samples, cfg.BoundaryOnly, cfg.SubSteps}
+	k := fanKey{cfg.Params, cfg.Samples, cfg.BoundaryOnly, cfg.SubSteps, cfg.SliceDt}
 	f := &s.cfan
 	if f.controls != nil && f.key == k {
 		return f
@@ -85,8 +123,8 @@ func (s *Scratch) fan(cfg *Config) *controlFan {
 	*f = controlFan{
 		key:      k,
 		controls: cfg.controls(),
-		sched:    make([]fanStep, cfg.SubSteps),
-		inc:      make([]fanInc, cfg.SubSteps),
+		parents:  f.parents,
+		built:    f.built,
 	}
 	n := len(f.controls)
 	f.tans = make([]float64, n)
@@ -124,9 +162,13 @@ func (s *Scratch) fan(cfg *Config) *controlFan {
 			}
 		}
 		g.lanes = append(g.lanes, lane)
+		f.lanes++
 	}
 	return f
 }
+
+// profileSlot maps a speed's bits to its profile-table slot.
+func profileSlot(bits uint64) uint64 { return (bits * 0x9e3779b97f4a7c15) >> (64 - fanSlotBits) }
 
 // subSteps returns how many sub-steps integrate a slice from speed v:
 // enough that none covers more than ~half a vehicle length, capped at
@@ -146,24 +188,59 @@ func (c *Config) subSteps(v float64) int {
 // integrateFan advances state s one Δt slice under every control of f,
 // writing control i's sub-step states to paths[i*sub:] and its endpoint
 // to f.ends[i], and returns sub, the sub-step count all controls share
-// (c.subSteps(s.Speed); paths needs len(f.controls)*sub slots). Every
-// value is bitwise what one vehicle.Params.StepPath chain per control
-// computes; TestIntegrateFanMatchesPerControl and FuzzIntegrateFan hold it
-// to that.
+// (c.subSteps(s.Speed); paths needs len(f.controls)*sub slots). c must be
+// the Config f was built for. Every value is bitwise what one
+// vehicle.Params.StepPath chain per control computes;
+// TestIntegrateFanMatchesPerControl, TestIntegrateFanProfileReuse and
+// FuzzIntegrateFan hold it to that.
 //
-// Each lane runs in two passes: its yaw increments and their sincos
-// first, then the rotation and position chain of the lane's control (and
-// of its mirror, with the increments negated). The chain makes no calls,
-// so its running state stays in registers.
+// Each lane reads its yaw increments and their sincos from s.Speed's
+// profile, then runs the rotation and position chain of the lane's
+// control (and of its mirror, with the increments negated). The chain
+// makes no calls, so its running state stays in registers.
 func (c *Config) integrateFan(f *controlFan, s vehicle.State, paths []pathState) int {
-	p := &c.Params
-	sub := c.subSteps(s.Speed)
-	dt := c.SliceDt / float64(sub)
+	pr := f.profile(c, s.Speed)
+	f.parents++
+	sub, dt, stride := pr.sub, pr.dt, c.SubSteps
 	sin0, cos0 := math.Sincos(s.Heading)
-	sched, inc := f.sched[:sub], f.inc[:sub]
+	lane := 0
+	for gi := range f.groups {
+		sched := pr.sched[gi*stride : gi*stride+sub]
+		for _, l := range f.groups[gi].lanes {
+			inc := pr.inc[lane*stride : lane*stride+sub]
+			lane++
+			f.ends[l.ctrl] = rollout(paths[l.ctrl*sub:l.ctrl*sub+sub], s, sin0, cos0, dt, sched, inc, false)
+			if l.mirror >= 0 {
+				f.ends[l.mirror] = rollout(paths[l.mirror*sub:l.mirror*sub+sub], s, sin0, cos0, dt, sched, inc, true)
+			}
+		}
+	}
+	return sub
+}
+
+// profile returns speed v's profile, computing it into v's table slot
+// unless the slot already holds v's exact bits.
+func (f *controlFan) profile(c *Config, v float64) *fanProfile {
+	bits := math.Float64bits(v)
+	pr := &f.profiles[profileSlot(bits)]
+	if pr.sub != 0 && pr.speed == bits {
+		return pr
+	}
+	f.built++
+	stride := c.SubSteps
+	if pr.sched == nil {
+		pr.sched = make([]fanStep, len(f.groups)*stride)
+		pr.inc = make([]fanInc, f.lanes*stride)
+	}
+	p := &c.Params
+	sub := c.subSteps(v)
+	dt := c.SliceDt / float64(sub)
+	pr.speed, pr.sub, pr.dt = bits, sub, dt
+	lane := 0
 	for gi := range f.groups {
 		g := &f.groups[gi]
-		v0 := s.Speed
+		sched := pr.sched[gi*stride : gi*stride+sub]
+		v0 := v
 		for j := range sched {
 			lim := math.Inf(1)
 			if p.MaxLatAccel > 0 && v0 > 0 {
@@ -176,6 +253,8 @@ func (c *Config) integrateFan(f *controlFan, s vehicle.State, paths []pathState)
 		}
 		for _, l := range g.lanes {
 			tan := f.tans[l.ctrl]
+			inc := pr.inc[lane*stride : lane*stride+sub]
+			lane++
 			for j := range inc {
 				yawRate := 0.0
 				if p.WheelBase > 0 {
@@ -184,13 +263,9 @@ func (c *Config) integrateFan(f *controlFan, s vehicle.State, paths []pathState)
 				sh, ch := yawSincos(yawRate * dt / 2)
 				inc[j] = fanInc{yawRate: yawRate, sin: sh, cos: ch}
 			}
-			f.ends[l.ctrl] = rollout(paths[l.ctrl*sub:l.ctrl*sub+sub], s, sin0, cos0, dt, sched, inc, false)
-			if l.mirror >= 0 {
-				f.ends[l.mirror] = rollout(paths[l.mirror*sub:l.mirror*sub+sub], s, sin0, cos0, dt, sched, inc, true)
-			}
 		}
 	}
-	return sub
+	return pr
 }
 
 // rollout runs one control's sub-step chain from s (with sincos(s.Heading)

@@ -1,6 +1,7 @@
 package reach
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -109,6 +110,58 @@ func TestIntegrateFanMatchesPerControl(t *testing.T) {
 	}
 }
 
+// Profiles are reused across parents, and only where exact: through one
+// Scratch, parents that share a speed's bits but not its position or
+// heading, +0 and −0, speeds one float64 step apart (equal as float32),
+// speeds that evict each other from one table slot, and, in between, a
+// sampled lattice and a changed SliceDt, each against the per-control
+// oracle. The work counts show the table was hit where it could be.
+func TestIntegrateFanProfileReuse(t *testing.T) {
+	cfg := DefaultConfig()
+	lattice := fanConfigs()["lattice"]
+	slow := cfg
+	slow.SliceDt = 0.25
+	v := 12.5
+	rival := v // a different speed in v's table slot
+	for profileSlot(math.Float64bits(rival)) != profileSlot(math.Float64bits(v)) || rival == v {
+		rival += 0.01
+	}
+	neighbour := math.Nextafter(v, 100)
+	if float32(neighbour) != float32(v) {
+		t.Fatalf("%v and %v differ as float32", v, neighbour)
+	}
+	poses := []vehicle.State{
+		{Pos: geom.V(3, 1.75)},
+		{Pos: geom.V(-40.5, 7.25), Heading: 0.3},
+		{Pos: geom.V(1e5, -2), Heading: -2.9},
+		{Pos: geom.V(0.125, 0), Heading: math.Pi},
+	}
+	at := func(i int, speed float64) vehicle.State {
+		s := poses[i%len(poses)]
+		s.Speed = speed
+		return s
+	}
+	steps := []struct {
+		cfg   Config
+		speed float64
+	}{
+		{cfg, v}, {cfg, v}, {cfg, v}, {cfg, neighbour}, {cfg, v},
+		{cfg, 0}, {cfg, math.Copysign(0, -1)}, {cfg, 0}, {cfg, math.Copysign(0, -1)},
+		{cfg, rival}, {cfg, v}, {cfg, rival}, {cfg, rival},
+		{lattice, v}, {lattice, v}, {cfg, v}, {slow, v}, {slow, v}, {cfg, v}, {cfg, v},
+	}
+	scr := NewScratch()
+	for i, st := range steps {
+		requireFanMatches(t, fmt.Sprintf("step %d", i), st.cfg, scr, at(i, st.speed))
+	}
+	// Reused: steps 1, 2, 4, 7, 8, 12, 14, 17 and 19. Rebuilding the fan
+	// for another config drops its profiles.
+	want := Work{Parents: len(steps), Profiles: len(steps) - 9}
+	if got := scr.Work(); got != want {
+		t.Errorf("work %+v, want %+v", got, want)
+	}
+}
+
 // The test above only proves sharing if the sharing happens: the boundary
 // set must pair its ±φ controls in both acceleration groups, and the
 // fallback parameterisation must really leave SincosSmall's polynomial
@@ -153,8 +206,11 @@ func FuzzIntegrateFan(f *testing.F) {
 			t.Skip("outside the wire bounds")
 		}
 		s := vehicle.State{Pos: geom.V(x, y), Heading: heading, Speed: speed}
+		// A second parent at s's speed reuses s's profile.
+		s2 := vehicle.State{Pos: geom.V(y, -x), Heading: -heading / 2, Speed: speed}
 		for name, cfg := range cfgs {
 			requireFanMatches(t, name, cfg, scr, s)
+			requireFanMatches(t, name+" again", cfg, scr, s2)
 		}
 	})
 }

@@ -227,6 +227,21 @@ type Scratch struct {
 // NewScratch returns an empty scratch ready for any expansion.
 func NewScratch() *Scratch { return &Scratch{} }
 
+// Work is the exact work a Scratch's expansions have done since it was
+// made: one count per event, no clock.
+type Work struct {
+	// Parents is the frontier states whose control fan was integrated
+	// (cold parents and warm memo fills).
+	Parents int
+	// Profiles is the per-speed fan profiles computed for them; the rest
+	// were reused from the fan's profile table.
+	Profiles int
+}
+
+// Work returns the scratch's cumulative work counts. It is a diagnostic:
+// nothing in the scoring path reads it.
+func (s *Scratch) Work() Work { return Work{Parents: s.cfan.parents, Profiles: s.cfan.built} }
+
 // reset readies the scratch for an expansion of numWorlds worlds packed
 // into `words` 64-bit mask words at the given grid resolution.
 func (s *Scratch) reset(cellSize float64, numWorlds, words int) {
@@ -281,13 +296,6 @@ func Compute(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *
 	}
 	tube, _ := expand(m, obs, ego, cfg, scr, nil, 1, 1)
 	return tube
-}
-
-func drivable(m roadmap.Map, pm roadmap.PreparedMap, b *geom.PreparedBox) bool {
-	if pm != nil {
-		return pm.DrivablePrepared(b)
-	}
-	return m.DrivableBox(b.Box)
 }
 
 // pathState is one sub-step of an integrated candidate path, carrying the

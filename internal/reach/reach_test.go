@@ -1,6 +1,8 @@
 package reach
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/actor"
@@ -293,5 +295,54 @@ func TestTubeDepth(t *testing.T) {
 	tube = Tube{SliceStates: []int{1, 1, 1}}
 	if got := tube.Depth(); got != 3 {
 		t.Errorf("Depth = %d, want 3", got)
+	}
+}
+
+// boxOnlyMap hides a map's PreparedMap implementation, so the expansion
+// judges it through DrivableBox.
+type boxOnlyMap struct{ roadmap.Map }
+
+// The resolved road test decides as the map's own DrivablePrepared on
+// footprints straddling every edge of a straight road and a ring, and a
+// map the test cannot resolve scores the same tube through DrivableBox.
+func TestRoadTestMatchesMap(t *testing.T) {
+	ring, err := roadmap.NewRingRoad(geom.V(3, -2), 20, 27)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := vehicle.DefaultParams()
+	for _, m := range []roadmap.PreparedMap{testRoad(), ring} {
+		road := newRoadTest(m)
+		bm := newRoadTest(boxOnlyMap{m})
+		var seen [2]int
+		lo, hi := m.Bounds()
+		for x := lo.X - 5; x <= hi.X+5; x += (hi.X - lo.X + 10) / 97 {
+			for y := lo.Y - 5; y <= hi.Y+5; y += (hi.Y - lo.Y + 10) / 89 {
+				for _, h := range []float64{0, 0.4, -1.3, math.Pi / 2} {
+					pb := p.Footprint(vehicle.State{Pos: geom.V(x, y), Heading: h}).Prepare()
+					want := m.DrivablePrepared(&pb)
+					if want {
+						seen[1]++
+					} else {
+						seen[0]++
+					}
+					if got := road.drivable(&pb); got != want {
+						t.Fatalf("%T at (%v, %v, %v): road test %v, DrivablePrepared %v", m, x, y, h, got, want)
+					}
+					if got := bm.drivable(&pb); got != want {
+						t.Fatalf("%T at (%v, %v, %v): DrivableBox %v, DrivablePrepared %v", m, x, y, h, got, want)
+					}
+				}
+			}
+		}
+		if seen[0] == 0 || seen[1] == 0 {
+			t.Errorf("%T: %d off-road and %d drivable footprints, want both", m, seen[0], seen[1])
+		}
+	}
+	cfg := DefaultConfig()
+	ego := egoState(0, 1.75, 14)
+	want := Compute(testRoad(), nil, ego, cfg, nil)
+	if got := Compute(boxOnlyMap{testRoad()}, nil, ego, cfg, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("DrivableBox map: tube %+v, want %+v", got, want)
 	}
 }

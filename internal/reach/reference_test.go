@@ -261,6 +261,15 @@ func referenceTube(m roadmap.Map, collide CollisionFunc, ego vehicle.State, cfg 
 	return tube, work
 }
 
+// drivable is the reference's road test: the map's own interface, with no
+// per-expansion resolution.
+func drivable(m roadmap.Map, pm roadmap.PreparedMap, b *geom.PreparedBox) bool {
+	if pm != nil {
+		return pm.DrivablePrepared(b)
+	}
+	return m.DrivableBox(b.Box)
+}
+
 // pathOK sweeps the footprint along an integrated sub-step path, rejecting
 // the transition if any intermediate footprint leaves the map or collides.
 // Intermediate collisions are tested against both bounding slice indices of

@@ -328,7 +328,7 @@ func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *S
 	grid, claimed := scr.grids[words-1], scr.keySets[words-1]
 	volCount, sliceCount := scr.wvol, scr.wslice
 	possible, capMask, newBits := scr.poss, scr.capMask, scr.newBits
-	pm, _ := m.(roadmap.PreparedMap)
+	road := newRoadTest(m)
 	propagations, pruned := 0, 0
 
 	// Root: each world checks the ego's starting footprint on its own
@@ -336,7 +336,7 @@ func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *S
 	egoPb := cfg.Params.Footprint(ego).Prepare()
 	fullMask(possible, numWorlds)
 	rootLive := false
-	if drivable(m, pm, &egoPb) {
+	if road.drivable(&egoPb) {
 		tube.Blocked, rootLive = obs.maskHits(&egoPb, 0, possible)
 	}
 	if rootLive {
@@ -344,7 +344,7 @@ func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *S
 		if ws != nil {
 			ws.memo.ensureControls(len(fan.controls))
 		}
-		sw := sweeper{m: m, pm: pm, obs: obs, pb: egoPb}
+		sw := sweeper{road: road, obs: obs, pb: egoPb}
 		// The frontier is struct-of-arrays: states in fstates, masks in the
 		// flat stride-`words` arena fmasks (state fi owns fmasks[fi*words :
 		// (fi+1)*words]); warm runs also track in fsrc the memo slot that
@@ -497,13 +497,48 @@ func expand(m roadmap.Map, obs *Obstacles, ego vehicle.State, cfg Config, scr *S
 	return tube, without
 }
 
-// sweeper holds what every path sweep of one slice shares: the map, the
-// obstacles, the reusable prepared ego footprint, the slice's broad-phase
-// survivors and the obstacle slice pair they are tested at. blocked
-// records whether any sweep of the expansion hit an actor.
+// roadTest is a map's drivability test resolved once per expansion. The
+// stock roads, StraightRoad and RingRoad, are judged by a direct call to
+// their own DrivablePrepared, without an interface call. Any other map
+// goes through DrivablePrepared when it implements PreparedMap, else
+// DrivableBox.
+type roadTest struct {
+	straight *roadmap.StraightRoad
+	ring     *roadmap.RingRoad
+	pm       roadmap.PreparedMap
+	m        roadmap.Map
+}
+
+func newRoadTest(m roadmap.Map) roadTest {
+	switch r := m.(type) {
+	case *roadmap.StraightRoad:
+		return roadTest{straight: r}
+	case *roadmap.RingRoad:
+		return roadTest{ring: r}
+	}
+	pm, _ := m.(roadmap.PreparedMap)
+	return roadTest{pm: pm, m: m}
+}
+
+// drivable reports whether the prepared footprint b is on the road.
+func (r *roadTest) drivable(b *geom.PreparedBox) bool {
+	switch {
+	case r.straight != nil:
+		return r.straight.DrivablePrepared(b)
+	case r.ring != nil:
+		return r.ring.DrivablePrepared(b)
+	case r.pm != nil:
+		return r.pm.DrivablePrepared(b)
+	}
+	return r.m.DrivableBox(b.Box)
+}
+
+// sweeper holds what every path sweep of one slice shares: the road
+// test, the obstacles, the reusable prepared ego footprint, the slice's
+// broad-phase survivors and the obstacle slice pair they are tested at.
+// blocked records whether any sweep of the expansion hit an actor.
 type sweeper struct {
-	m       roadmap.Map
-	pm      roadmap.PreparedMap
+	road    roadTest
 	obs     *Obstacles
 	pb      geom.PreparedBox
 	act     []int32
@@ -528,7 +563,7 @@ func (sw *sweeper) sweep(path []pathState, possible []uint64) bool {
 	for j := range path {
 		ps := &path[j]
 		pb.MoveTo(ps.st.Pos, ps.st.Heading, ps.sin, ps.cos)
-		if !drivable(sw.m, sw.pm, pb) {
+		if !sw.road.drivable(pb) {
 			return false
 		}
 		for rest := sw.act; len(rest) > 0; {

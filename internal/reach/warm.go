@@ -798,7 +798,7 @@ func warmSweep(sw *sweeper, path []pathState, subs []subBox, me *warmCtrl) {
 				pmax.Y = pb.Max.Y
 			}
 		}
-		if !drivable(sw.m, sw.pm, pb) {
+		if !sw.road.drivable(pb) {
 			me.verdict, me.nhits = verdictOffroad, 0
 			me.pathMin, me.pathMax = pmin, pmax
 			return

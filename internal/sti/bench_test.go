@@ -2,6 +2,7 @@ package sti
 
 import (
 	"context"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/reach"
 	"repro/internal/roadmap"
 	"repro/internal/scenario"
+	"repro/internal/scene"
 	"repro/internal/vehicle"
 )
 
@@ -148,6 +150,61 @@ func BenchmarkEvaluateSession(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkEvaluateCorpus scores perfbench's corpus_batch mix in process,
+// cold, one scene per op: scenario.Fixtures of the five NHTSA typologies,
+// 300 each, plus UrbanCrush(64) and UrbanCrush(128) alternating at about
+// one scene in 16, shuffled with seed 1. CVTR prediction runs before the
+// timer. Every expansion uses one Scratch, whose exact work counts give
+// parents/op (frontier states whose control fan was integrated) and
+// profiles/op (per-speed fan profiles computed for them). A whole number
+// of corpus passes makes both exact:
+//
+//	go test -run '^$' -bench EvaluateCorpus -benchtime 3200x -cpu 1 ./internal/sti
+func BenchmarkEvaluateCorpus(b *testing.B) {
+	const seed = 1
+	var scenes []scene.Scene
+	for ty := scenario.GhostCutIn; ty <= scenario.RearEnd; ty++ {
+		fx, err := scenario.Fixtures(ty, 300, seed+int64(ty))
+		if err != nil {
+			b.Fatal(err)
+		}
+		scenes = append(scenes, fx...)
+	}
+	for i, crowd := 0, len(scenes)/15; i < crowd; i++ {
+		m, egoS, actors := scenario.UrbanCrush(64 << (i % 2))
+		sc, err := scene.FromParts(m, egoS, actors, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		scenes = append(scenes, sc)
+	}
+	e := MustNewEvaluator(reach.DefaultConfig())
+	var qs []Query
+	for _, i := range rand.New(rand.NewSource(seed)).Perm(len(scenes)) {
+		m, egoS, actors, trajs, hasTrajs, err := scenes[i].Materialize()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !hasTrajs {
+			trajs = actor.PredictAll(actors, e.cfg.NumSlices(), e.cfg.SliceDt)
+		}
+		qs = append(qs, Query{m, egoS, actors, trajs})
+	}
+	b.Run("cold", func(b *testing.B) {
+		scr := reach.NewScratch()
+		e := MustNewEvaluator(reach.DefaultConfig())
+		e.scratch.New = func() any { return scr } // every Score gets scr
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Score(context.Background(), qs[i%len(qs)], nil)
+		}
+		w := scr.Work()
+		b.ReportMetric(float64(w.Parents)/float64(b.N), "parents/op")
+		b.ReportMetric(float64(w.Profiles)/float64(b.N), "profiles/op")
+	})
 }
 
 // retainedBytes replays trace once on a fresh WarmState and returns the

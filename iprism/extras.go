@@ -1,6 +1,7 @@
 package iprism
 
 import (
+	"repro/internal/actor"
 	"repro/internal/reach"
 	"repro/internal/render"
 	"repro/internal/scenario"
@@ -20,10 +21,7 @@ func RenderSVG(s RenderScene, opt RenderOptions) string { return render.SVG(s, o
 // against the given actors (CVTR-predicted). Set cfg.RecordPoints to use
 // the result with RenderSVG.
 func ComputeTube(m Map, ego VehicleState, actors []*Actor, cfg ReachConfig) reach.Tube {
-	trajs := make([]Trajectory, len(actors))
-	for i, a := range actors {
-		trajs[i] = PredictCVTR(a, cfg.NumSlices(), cfg.SliceDt)
-	}
+	trajs := actor.PredictAll(actors, cfg.NumSlices(), cfg.SliceDt)
 	obs := reach.BuildObstacles(actors, trajs, cfg)
 	return reach.Compute(m, obs, ego, cfg, nil)
 }

@@ -3,10 +3,13 @@ package iprism
 import (
 	"context"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/actor"
 	"repro/internal/agent"
+	"repro/internal/reach"
 )
 
 func TestComputeTubeAndRender(t *testing.T) {
@@ -30,6 +33,29 @@ func TestComputeTubeAndRender(t *testing.T) {
 	}, RenderOptions{Window: 60})
 	if !strings.Contains(svg, "<svg") || !strings.Contains(svg, "facade") {
 		t.Error("render output malformed")
+	}
+}
+
+// ComputeTube is Algorithm 1 over the actors' CVTR predictions: bitwise
+// reach.Compute over obstacles built from actor.PredictAll.
+func TestComputeTubeMatchesCompute(t *testing.T) {
+	road, _ := NewStraightRoad(3, 3.5, -50, 300)
+	ego := VehicleState{Pos: V(0, 5.25), Speed: 12}
+	actors := []*Actor{
+		NewVehicleActor(1, VehicleState{Pos: V(18, 5.25), Speed: 3}),
+		NewVehicleActor(2, VehicleState{Pos: V(6, 1.75), Speed: 14, Heading: 0.1}),
+		NewVehicleActor(3, VehicleState{Pos: V(-12, 8.75), Speed: 16}),
+	}
+	cfg := DefaultReachConfig()
+	cfg.RecordPoints = true
+	trajs := actor.PredictAll(actors, cfg.NumSlices(), cfg.SliceDt)
+	want := reach.Compute(road, reach.BuildObstacles(actors, trajs, cfg), ego, cfg, nil)
+	got := ComputeTube(road, ego, actors, cfg)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ComputeTube = %+v, want %+v", got, want)
+	}
+	if !want.Blocked || want.Volume <= 0 {
+		t.Fatalf("scene exercises no actor: %+v", want)
 	}
 }
 

@@ -65,7 +65,7 @@ go test -race -timeout 45m ./...
 # silently, so list the matches first: every package must match at least
 # one test or fuzz target, and the cornerstone differential tests must all
 # be present.
-diff_run='SingleWorld|Shared|MaskGrid|Warm|FuzzSharedVsLegacy|FuzzWarmVsCold|IntegrateFan|GoldenDigest|Learner|TrainGoldenDigest'
+diff_run='SingleWorld|Shared|MaskGrid|Warm|FuzzSharedVsLegacy|FuzzWarmVsCold|IntegrateFan|RoadTest|GoldenDigest|Learner|TrainGoldenDigest'
 diff_pkgs=(./internal/reach ./internal/sti ./internal/geom ./internal/server ./internal/rl ./internal/smc)
 diff_list="$(go test -list "$diff_run" "${diff_pkgs[@]}")"
 echo "$diff_list" | awk '
@@ -77,7 +77,8 @@ for t in TestSingleWorldMatchesReference FuzzSingleWorldVsReference \
   TestSharedExpansionMatchesLegacyScenes \
   TestWarmMatchesColdSessionTraces FuzzSharedVsLegacy FuzzWarmVsCold \
   TestWarmMemoDenseArena TestSharedScratchAcrossWidths \
-  TestIntegrateFanMatchesPerControl TestEvaluateGoldenDigest \
+  TestIntegrateFanMatchesPerControl TestIntegrateFanProfileReuse \
+  TestRoadTestMatchesMap TestEvaluateGoldenDigest \
   TestLearnerMatchesReference FuzzLearnerVsReference TestTrainGoldenDigest; do
   echo "$diff_list" | grep -qx "$t" \
     || { echo "verify: differential test $t is missing" >&2; exit 1; }
