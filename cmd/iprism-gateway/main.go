@@ -9,8 +9,10 @@
 //	curl -s -X POST localhost:8377/v1/score -d @scene.json
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: probers and job
-// workers stop, in-flight proxied requests are answered, SSE proxies are
-// cancelled (clients resume elsewhere), then the process exits 0.
+// workers stop, in-flight proxied requests are answered within a 30 s
+// drain, SSE proxies are cancelled (clients resume elsewhere), then the
+// process exits 0. The journal is flushed and closed on every exit path, a
+// failed drain included.
 package main
 
 import (
@@ -28,82 +30,85 @@ import (
 	"repro/internal/telemetry"
 )
 
+// drainBudget bounds the graceful shutdown before connections are
+// force-closed.
+const drainBudget = 30 * time.Second
+
 func main() {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	if err := run(os.Args[1:], stop, drainBudget); err != nil {
+		fmt.Fprintln(os.Stderr, "iprism-gateway:", err)
+		os.Exit(1)
+	}
+}
+
+// run serves until stop delivers a signal, then drains within drain. Its
+// error is the first of start-up, drain and journal-close failures.
+func run(args []string, stop <-chan os.Signal, drain time.Duration) (err error) {
+	fs := flag.NewFlagSet("iprism-gateway", flag.ExitOnError)
 	var (
-		addr      = flag.String("addr", ":8377", "listen address (use 127.0.0.1:0 for an ephemeral port)")
-		addrFile  = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts using :0)")
-		backends  = flag.String("backends", "", "comma-separated backend addresses (host:port), required")
-		vnodes    = flag.Int("vnodes", 0, "virtual nodes per backend on the session ring (0 = 128)")
-		probeIv   = flag.Duration("probe-interval", time.Second, "health-probe interval per backend")
-		probeTo   = flag.Duration("probe-timeout", 0, "per-probe timeout (0 = min(interval, 500ms))")
-		failThr   = flag.Int("fail-threshold", 0, "consecutive failures before a backend is ejected (0 = 2)")
-		attempts  = flag.Int("max-attempts", 0, "max tries per idempotent request across distinct backends (0 = 3)")
-		budget    = flag.Float64("retry-budget", 0, "retries+hedges as a fraction of proxied requests (0 = 0.10)")
-		noHedge   = flag.Bool("no-hedge", false, "disable p95-delay request hedging")
-		timeout   = flag.Duration("timeout", 10*time.Second, "end-to-end proxied request deadline (includes retries)")
-		jobWork   = flag.Int("job-workers", 0, "concurrent in-flight job scenes across all jobs (0 = 4)")
-		maxJobs   = flag.Int("max-jobs", 0, "retained corpus jobs before submissions are rejected (0 = 64)")
-		jobScenes = flag.Int("max-job-scenes", 0, "max scenes in one corpus submission (0 = 100000)")
-		journal   = flag.String("journal", "", "append JSONL telemetry events (including proxy wide events) to this file")
-		drain     = flag.Duration("drain", 30*time.Second, "graceful shutdown budget before connections are force-closed")
+		addr     = fs.String("addr", ":8377", "listen address (use 127.0.0.1:0 for an ephemeral port)")
+		addrFile = fs.String("addr-file", "", "write the bound address to this file once listening (for scripts using :0)")
+		backends = fs.String("backends", "", "comma-separated backend addresses (host:port), required")
+		probeIv  = fs.Duration("probe-interval", time.Second, "health-probe interval per backend")
+		journal  = fs.String("journal", "", "append JSONL telemetry events (including proxy wide events) to this file")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	if *backends == "" {
-		log.Fatalf("iprism-gateway: -backends is required (comma-separated host:port list)")
+		return fmt.Errorf("-backends is required (comma-separated host:port list)")
 	}
 
 	telemetry.Enable()
-	if *journal != "" {
-		j, err := telemetry.OpenJournal(*journal)
-		if err != nil {
-			log.Fatalf("iprism-gateway: journal: %v", err)
-		}
-		defer j.Close()
-		telemetry.SetJournal(j)
+	closeJournal, err := telemetry.Setup("", *journal)
+	if err != nil {
+		return err
 	}
+	defer func() {
+		if cerr := closeJournal(); err == nil && cerr != nil {
+			err = fmt.Errorf("journal: %w", cerr)
+		}
+	}()
 
 	g, err := gateway.New(gateway.Config{
-		Backends:       strings.Split(*backends, ","),
-		VirtualNodes:   *vnodes,
-		ProbeInterval:  *probeIv,
-		ProbeTimeout:   *probeTo,
-		FailThreshold:  *failThr,
-		MaxAttempts:    *attempts,
-		RetryBudget:    *budget,
-		HedgeOff:       *noHedge,
-		RequestTimeout: *timeout,
-		JobWorkers:     *jobWork,
-		MaxJobs:        *maxJobs,
-		MaxJobScenes:   *jobScenes,
-		Logf:           log.Printf,
+		Backends:      strings.Split(*backends, ","),
+		ProbeInterval: *probeIv,
+		Logf:          log.Printf,
 	})
 	if err != nil {
-		log.Fatalf("iprism-gateway: %v", err)
+		return err
 	}
 	if err := g.Start(*addr); err != nil {
-		log.Fatalf("iprism-gateway: %v", err)
+		return err
 	}
 	log.Printf("iprism-gateway: listening on %s, fronting %s", g.Addr(), *backends)
-	if *addrFile != "" {
-		// Write-then-rename so pollers never read a partial address.
-		tmp := *addrFile + ".tmp"
-		if err := os.WriteFile(tmp, []byte(g.Addr()+"\n"), 0o644); err != nil {
-			log.Fatalf("iprism-gateway: addr-file: %v", err)
-		}
-		if err := os.Rename(tmp, *addrFile); err != nil {
-			log.Fatalf("iprism-gateway: addr-file: %v", err)
-		}
+	if err := writeAddrFile(*addrFile, g.Addr()); err != nil {
+		return err
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	got := <-sig
+	got := <-stop
 	log.Printf("iprism-gateway: %v, draining", got)
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
+	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := g.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "iprism-gateway: shutdown: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("shutdown: %w", err)
 	}
 	log.Printf("iprism-gateway: drained, exiting")
+	return nil
+}
+
+// writeAddrFile writes addr to path (when set) via write-then-rename, so
+// pollers never read a partial address.
+func writeAddrFile(path, addr string) error {
+	if path == "" {
+		return nil
+	}
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, []byte(addr+"\n"), 0o644); err != nil {
+		return fmt.Errorf("addr-file: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("addr-file: %w", err)
+	}
+	return nil
 }

@@ -34,23 +34,18 @@ type fleetOpts struct {
 	// encoding: the stateless score workers reuse it, so a fleet run can
 	// amortize the gateway hop over /v1/score/batch exactly like a direct
 	// run would. Session observes are always single scenes (one tick each).
-	scoreBodies    [][]byte
-	scoreEndpoint  string
-	perReq         int
-	concurrency    int
-	sessionWorkers int
-	requests       int64
-	duration       time.Duration
-	rps            int
-	timeout        time.Duration
-	minRate        float64
-	maxErrRate     float64
-	maxMoves       int
-	jobScenes      int
-	outDir         string
-	typology       string
-	scenes         int
-	seed           int64
+	scoreBodies   [][]byte
+	scoreEndpoint string
+	perReq        int
+	concurrency   int
+	requests      int64
+	duration      time.Duration
+	minRate       float64
+	maxErrRate    float64
+	maxMoves      int
+	jobScenes     int
+	outDir        string
+	scenes        int
 }
 
 // fleetResults is the fleet-specific block of a kind-"fleet" snapshot.
@@ -67,30 +62,17 @@ type fleetResults struct {
 }
 
 func runFleet(o fleetOpts) error {
-	if o.sessionWorkers < 0 {
-		o.sessionWorkers = 0 // explicit: pure scoring traffic, no sessions
-	} else if o.sessionWorkers == 0 {
-		o.sessionWorkers = o.concurrency / 2
-	}
-	if o.sessionWorkers > o.concurrency {
-		o.sessionWorkers = o.concurrency
-	}
-	scoreWorkers := o.concurrency - o.sessionWorkers
+	sessionWorkers := o.concurrency / 2
+	scoreWorkers := o.concurrency - sessionWorkers
 
 	client := &http.Client{
-		Timeout: o.timeout,
+		Timeout: clientTimeout,
 		Transport: &http.Transport{
 			MaxIdleConns:        o.concurrency * 2,
 			MaxIdleConnsPerHost: o.concurrency * 2,
 		},
 	}
 
-	var pace <-chan time.Time
-	if o.rps > 0 {
-		t := time.NewTicker(time.Second / time.Duration(o.rps))
-		defer t.Stop()
-		pace = t.C
-	}
 	deadline := time.Time{}
 	total := o.requests
 	if o.duration > 0 {
@@ -127,12 +109,12 @@ func runFleet(o fleetOpts) error {
 
 	// Per-session affinity log: how many times each session's X-Backend
 	// changed after creation, and which backends served anything at all.
-	moves := make([]int, o.sessionWorkers)
+	moves := make([]int, sessionWorkers)
 	var backendsSeen sync.Map
 
 	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < o.sessionWorkers; w++ {
+	for w := 0; w < sessionWorkers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -148,9 +130,6 @@ func runFleet(o fleetOpts) error {
 			// re-encoded with an advancing timestamp rather than sent verbatim.
 			sc := o.fixtures[w%len(o.fixtures)]
 			for tick := 0; !done(); tick++ {
-				if pace != nil {
-					<-pace
-				}
 				sc.Time = float64(tick) * 0.1
 				body, err := scene.Encode(sc)
 				if err != nil {
@@ -172,9 +151,6 @@ func runFleet(o fleetOpts) error {
 		go func(w int) {
 			defer wg.Done()
 			for i := int64(w); !done(); i++ {
-				if pace != nil {
-					<-pace
-				}
 				status, served, err := fleetPost(client, o.base+o.scoreEndpoint, o.scoreBodies[i%int64(len(o.scoreBodies))])
 				account(status, err, o.perReq)
 				if served != "" {
@@ -205,17 +181,17 @@ func runFleet(o fleetOpts) error {
 		errRate = float64(errs) / float64(totalReqs)
 	}
 	fmt.Printf("loadgen[fleet]: %d requests in %s across %d backend(s) (%d session + %d score workers)\n",
-		totalReqs, elapsed.Round(time.Millisecond), nBackends, o.sessionWorkers, scoreWorkers)
+		totalReqs, elapsed.Round(time.Millisecond), nBackends, sessionWorkers, scoreWorkers)
 	fmt.Printf("  ok %d   429 %d   errors %d (%.2f%%)\n", ok, rejected, errs, 100*errRate)
 	fmt.Printf("  latency p50 %s  p95 %s  p99 %s  max %s\n",
 		fmtSec(lat.P50), fmtSec(lat.P95), fmtSec(lat.P99), fmtSec(lat.Max))
 	fmt.Printf("  throughput %.0f scored scenes/sec\n", rate)
-	fmt.Printf("  session moves: max %d, total %d over %d sessions\n", movesMax, movesTotal, o.sessionWorkers)
+	fmt.Printf("  session moves: max %d, total %d over %d sessions\n", movesMax, movesTotal, sessionWorkers)
 
 	fleet := fleetResults{
 		Backends:          nBackends,
-		SessionWorkers:    o.sessionWorkers,
-		Sessions:          o.sessionWorkers,
+		SessionWorkers:    sessionWorkers,
+		Sessions:          sessionWorkers,
 		SessionMovesMax:   movesMax,
 		SessionMovesTotal: movesTotal,
 	}
@@ -230,13 +206,12 @@ func runFleet(o fleetOpts) error {
 		rep.Date = time.Now().Format(time.RFC3339)
 		rep.GoVersion = runtime.Version()
 		rep.GOOS, rep.GOARCH, rep.NumCPU = runtime.GOOS, runtime.GOARCH, runtime.NumCPU()
-		rep.Config.Typology = o.typology
+		rep.Config.Typology = fixtureTypology.String()
 		rep.Config.Scenes = o.scenes
-		rep.Config.Seed = o.seed
+		rep.Config.Seed = fixtureSeed
 		rep.Config.Requests = int(totalReqs)
 		rep.Config.Concurrency = o.concurrency
 		rep.Config.Batch = o.perReq
-		rep.Config.RPS = o.rps
 		rep.Results.OK = ok
 		rep.Results.Rejected = rejected
 		rep.Results.Errors = errs

@@ -3,18 +3,22 @@
 // throughput, and error rates. It is the load harness behind the serving
 // capacity numbers in DESIGN.md and the smoke stage of scripts/verify.sh.
 //
+//	iprism-serve -addr 127.0.0.1:8377 &
 //	iprism-loadgen -target http://localhost:8377 -requests 1000 -concurrency 8
-//	iprism-loadgen -self-serve -duration 10s -batch 16
+//	iprism-loadgen -target http://localhost:8377 -duration 10s -batch 16
 //
 // Any response that is neither 2xx nor a deliberate 429 backpressure
 // rejection fails the run (exit 1), as does a measured scoring rate below
 // -min-rate. With -o, a BENCH_serve_<date>.json snapshot (kind "serve") is
 // written for cmd/iprism-benchdiff's serve-kind perf gate.
+//
+// The scenes are a fixed fixture mix: the lead-slowdown typology at seed
+// 2024. Requests carry a 10 s client timeout, and the run reports its five
+// slowest requests with their trace IDs.
 package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -29,9 +33,16 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/scene"
-	"repro/internal/server"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
+)
+
+// The fixture mix and client policy every run uses.
+const (
+	fixtureTypology = scenario.LeadSlowdown
+	fixtureSeed     = 2024
+	clientTimeout   = 10 * time.Second
+	slowestReported = 5
 )
 
 var (
@@ -66,8 +77,6 @@ type report struct {
 		Requests    int    `json:"requests"`
 		Concurrency int    `json:"concurrency"`
 		Batch       int    `json:"batch"`
-		RPS         int    `json:"rps"`
-		SelfServe   bool   `json:"self_serve"`
 	} `json:"config"`
 
 	Results struct {
@@ -88,42 +97,28 @@ type report struct {
 
 func run() error {
 	var (
-		target      = flag.String("target", "", "base URL of a running iprism-serve (e.g. http://localhost:8377)")
-		selfServe   = flag.Bool("self-serve", false, "start an in-process server on an ephemeral port instead of -target")
+		target      = flag.String("target", "", "base URL of a running iprism-serve, or of an iprism-gateway with -gateway (e.g. http://localhost:8377), required")
 		requests    = flag.Int("requests", 300, "total requests to send (ignored when -duration is set)")
 		duration    = flag.Duration("duration", 0, "send for this long instead of a fixed request count")
 		concurrency = flag.Int("concurrency", 8, "concurrent client connections")
-		rps         = flag.Int("rps", 0, "target aggregate requests/sec (0 = unthrottled)")
 		batch       = flag.Int("batch", 0, "scenes per request via /v1/score/batch (0 or 1 = single-scene /v1/score)")
-		typology    = flag.String("typology", "lead-slowdown", "scenario typology for generated scenes")
 		scenes      = flag.Int("scenes", 60, "distinct fixture scenes to cycle through")
-		seed        = flag.Int64("seed", 2024, "fixture generation seed")
 		minRate     = flag.Float64("min-rate", 0, "fail if scored scenes/sec falls below this (0 = off)")
-		timeout     = flag.Duration("timeout", 10*time.Second, "per-request client timeout")
-		topSlow     = flag.Int("slowest", 5, "slowest requests to report with their trace IDs (0 = off)")
 		outDir      = flag.String("o", "", "directory for a BENCH_serve_<date>.json snapshot (empty = skip)")
 
-		gatewayMode = flag.Bool("gateway", false, "fleet mode: -target is an iprism-gateway; drives sticky sessions plus stateless scoring and writes kind-\"fleet\" snapshots")
-		sessWorkers = flag.Int("session-workers", 0, "fleet mode: workers each driving one sticky session via observe (0 = half of -concurrency, -1 = none)")
+		gatewayMode = flag.Bool("gateway", false, "fleet mode: -target is an iprism-gateway; half the -concurrency workers drive sticky sessions, the rest stateless scoring, and snapshots are kind \"fleet\"")
 		maxErrRate  = flag.Float64("max-error-rate", 0, "fail if the error fraction of all requests exceeds this (0 = off)")
 		maxMoves    = flag.Int("max-session-moves", -1, "fleet mode: fail if any session changes X-Backend more than this many times (-1 = off; failover costs one move)")
 		jobScenes   = flag.Int("job-scenes", 0, "fleet mode: also submit a corpus job of this many scenes and wait for its results (0 = off)")
 	)
 	flag.Parse()
 
-	if (*target == "") == !*selfServe {
-		return fmt.Errorf("exactly one of -target or -self-serve is required")
-	}
-	if *gatewayMode && *selfServe {
-		return fmt.Errorf("-gateway needs a -target gateway, not -self-serve")
+	if *target == "" {
+		return fmt.Errorf("-target is required")
 	}
 	telemetry.Enable()
 
-	typ, err := scenario.ParseTypology(*typology)
-	if err != nil {
-		return err
-	}
-	fixtures, err := scenario.Fixtures(typ, *scenes, *seed)
+	fixtures, err := scenario.Fixtures(fixtureTypology, *scenes, fixtureSeed)
 	if err != nil {
 		return err
 	}
@@ -134,63 +129,31 @@ func run() error {
 
 	if *gatewayMode {
 		return runFleet(fleetOpts{
-			base:           *target,
-			fixtures:       fixtures,
-			scoreBodies:    bodies,
-			scoreEndpoint:  endpoint,
-			perReq:         perReq,
-			concurrency:    *concurrency,
-			sessionWorkers: *sessWorkers,
-			requests:       int64(*requests),
-			duration:       *duration,
-			rps:            *rps,
-			timeout:        *timeout,
-			minRate:        *minRate,
-			maxErrRate:     *maxErrRate,
-			maxMoves:       *maxMoves,
-			jobScenes:      *jobScenes,
-			outDir:         *outDir,
-			typology:       typ.String(),
-			scenes:         *scenes,
-			seed:           *seed,
+			base:          *target,
+			fixtures:      fixtures,
+			scoreBodies:   bodies,
+			scoreEndpoint: endpoint,
+			perReq:        perReq,
+			concurrency:   *concurrency,
+			requests:      int64(*requests),
+			duration:      *duration,
+			minRate:       *minRate,
+			maxErrRate:    *maxErrRate,
+			maxMoves:      *maxMoves,
+			jobScenes:     *jobScenes,
+			outDir:        *outDir,
+			scenes:        *scenes,
 		})
 	}
 
-	base := *target
-	if *selfServe {
-		srv, err := server.New(server.Config{RequestTimeout: *timeout})
-		if err != nil {
-			return err
-		}
-		if err := srv.Start("127.0.0.1:0"); err != nil {
-			return err
-		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx)
-		}()
-		base = "http://" + srv.Addr()
-		fmt.Printf("loadgen: self-serving on %s\n", base)
-	}
-
-	url := base + endpoint
+	url := *target + endpoint
 
 	client := &http.Client{
-		Timeout: *timeout,
+		Timeout: clientTimeout,
 		Transport: &http.Transport{
 			MaxIdleConns:        *concurrency * 2,
 			MaxIdleConnsPerHost: *concurrency * 2,
 		},
-	}
-
-	// Pacing: with -rps, a central ticker feeds request slots; workers block
-	// on it so the aggregate rate holds regardless of concurrency.
-	var pace <-chan time.Time
-	if *rps > 0 {
-		t := time.NewTicker(time.Second / time.Duration(*rps))
-		defer t.Stop()
-		pace = t.C
 	}
 
 	deadline := time.Time{}
@@ -201,7 +164,7 @@ func run() error {
 	}
 
 	var next, ok, rejected, errs, scored int64
-	slow := &slowTracker{k: *topSlow}
+	slow := &slowTracker{k: slowestReported}
 	var wg sync.WaitGroup
 	start := time.Now()
 	for c := 0; c < *concurrency; c++ {
@@ -212,9 +175,6 @@ func run() error {
 				i := atomic.AddInt64(&next, 1) - 1
 				if i >= total || (!deadline.IsZero() && time.Now().After(deadline)) {
 					return
-				}
-				if pace != nil {
-					<-pace
 				}
 				reqStart := time.Now()
 				status, tid, err := post(client, url, bodies[i%int64(len(bodies))])
@@ -267,14 +227,12 @@ func run() error {
 		rep.Date = time.Now().Format(time.RFC3339)
 		rep.GoVersion = runtime.Version()
 		rep.GOOS, rep.GOARCH, rep.NumCPU = runtime.GOOS, runtime.GOARCH, runtime.NumCPU()
-		rep.Config.Typology = typ.String()
+		rep.Config.Typology = fixtureTypology.String()
 		rep.Config.Scenes = *scenes
-		rep.Config.Seed = *seed
+		rep.Config.Seed = fixtureSeed
 		rep.Config.Requests = int(ok + rejected + errs)
 		rep.Config.Concurrency = *concurrency
 		rep.Config.Batch = perReq
-		rep.Config.RPS = *rps
-		rep.Config.SelfServe = *selfServe
 		rep.Results.OK = ok
 		rep.Results.Rejected = rejected
 		rep.Results.Errors = errs

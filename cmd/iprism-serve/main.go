@@ -8,8 +8,9 @@
 //	curl -s -X POST localhost:8377/v1/score -d @scene.json
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: the listener closes
-// immediately, every accepted request is answered, then the scoring
-// workers exit and the process exits 0.
+// immediately, every accepted request is answered within a 30 s drain,
+// then the scoring workers exit and the process exits 0. The journal is
+// flushed and closed on every exit path, a failed drain included.
 package main
 
 import (
@@ -26,77 +27,78 @@ import (
 	"repro/internal/telemetry"
 )
 
+// drainBudget bounds the graceful shutdown before connections are
+// force-closed.
+const drainBudget = 30 * time.Second
+
 func main() {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	if err := run(os.Args[1:], stop, drainBudget); err != nil {
+		fmt.Fprintln(os.Stderr, "iprism-serve:", err)
+		os.Exit(1)
+	}
+}
+
+// run serves until stop delivers a signal, then drains within drain. Its
+// error is the first of start-up, drain and journal-close failures.
+func run(args []string, stop <-chan os.Signal, drain time.Duration) (err error) {
+	fs := flag.NewFlagSet("iprism-serve", flag.ExitOnError)
 	var (
-		addr       = flag.String("addr", ":8377", "listen address (use 127.0.0.1:0 for an ephemeral port)")
-		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts using :0)")
-		workers    = flag.Int("workers", 0, "scoring workers / pooled evaluators (0 = GOMAXPROCS)")
-		queue      = flag.Int("queue", 0, "queued jobs beyond in-flight before 429 (0 = 16x workers)")
-		timeout    = flag.Duration("timeout", 2*time.Second, "per-request scoring deadline")
-		sessions   = flag.Int("max-sessions", 0, "max concurrently open sessions (0 = 1024)")
-		journal    = flag.String("journal", "", "append JSONL telemetry events (including per-request wide events) to this file")
-		journalMax = flag.Int64("journal-max-bytes", 64<<20, "rotate the journal to <path>.1 past this size (0 = unbounded)")
-		drain      = flag.Duration("drain", 30*time.Second, "graceful shutdown budget before connections are force-closed")
-		sloAvail   = flag.Float64("slo-availability", 0.999, "availability objective: fraction of requests answered without server error")
-		sloLat     = flag.Float64("slo-latency", 0.99, "latency objective: fraction of requests answered within -slo-latency-target")
-		sloLatTgt  = flag.Duration("slo-latency-target", 250*time.Millisecond, "latency threshold backing the latency SLO")
-		flightSize = flag.Int("flight-recorder-size", 256, "wide events retained in memory for /debug/requests")
-		sseHB      = flag.Duration("sse-heartbeat", 10*time.Second, "idle heartbeat interval on session risk streams")
-		sseHistory = flag.Int("sse-history", 0, "per-session events retained for Last-Event-ID resume (0 = 256)")
+		addr     = fs.String("addr", ":8377", "listen address (use 127.0.0.1:0 for an ephemeral port)")
+		addrFile = fs.String("addr-file", "", "write the bound address to this file once listening (for scripts using :0)")
+		journal  = fs.String("journal", "", "append JSONL telemetry events (including per-request wide events) to this file")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	// The server exposes /metrics and /debug/telemetry itself, so metric
 	// collection is always on for the serve command.
 	telemetry.Enable()
-	if *journal != "" {
-		j, err := telemetry.OpenJournalRotating(*journal, *journalMax)
-		if err != nil {
-			log.Fatalf("iprism-serve: journal: %v", err)
-		}
-		defer j.Close()
-		telemetry.SetJournal(j)
-	}
-
-	s, err := server.New(server.Config{
-		Workers:            *workers,
-		QueueDepth:         *queue,
-		RequestTimeout:     *timeout,
-		MaxSessions:        *sessions,
-		SLOAvailability:    *sloAvail,
-		SLOLatency:         *sloLat,
-		SLOLatencyTarget:   *sloLatTgt,
-		FlightRecorderSize: *flightSize,
-		SSEHeartbeat:       *sseHB,
-		SSEHistory:         *sseHistory,
-	})
+	closeJournal, err := telemetry.Setup("", *journal)
 	if err != nil {
-		log.Fatalf("iprism-serve: %v", err)
+		return err
+	}
+	defer func() {
+		if cerr := closeJournal(); err == nil && cerr != nil {
+			err = fmt.Errorf("journal: %w", cerr)
+		}
+	}()
+
+	s, err := server.New(server.Config{})
+	if err != nil {
+		return err
 	}
 	if err := s.Start(*addr); err != nil {
-		log.Fatalf("iprism-serve: %v", err)
+		return err
 	}
 	log.Printf("iprism-serve: listening on %s", s.Addr())
-	if *addrFile != "" {
-		// Write-then-rename so pollers never read a partial address.
-		tmp := *addrFile + ".tmp"
-		if err := os.WriteFile(tmp, []byte(s.Addr()+"\n"), 0o644); err != nil {
-			log.Fatalf("iprism-serve: addr-file: %v", err)
-		}
-		if err := os.Rename(tmp, *addrFile); err != nil {
-			log.Fatalf("iprism-serve: addr-file: %v", err)
-		}
+	if err := writeAddrFile(*addrFile, s.Addr()); err != nil {
+		return err
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	got := <-sig
+	got := <-stop
 	log.Printf("iprism-serve: %v, draining", got)
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
+	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "iprism-serve: shutdown: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("shutdown: %w", err)
 	}
 	log.Printf("iprism-serve: drained, exiting")
+	return nil
+}
+
+// writeAddrFile writes addr to path (when set) via write-then-rename, so
+// pollers never read a partial address.
+func writeAddrFile(path, addr string) error {
+	if path == "" {
+		return nil
+	}
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, []byte(addr+"\n"), 0o644); err != nil {
+		return fmt.Errorf("addr-file: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("addr-file: %w", err)
+	}
+	return nil
 }

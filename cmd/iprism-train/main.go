@@ -37,19 +37,18 @@ var typologyNames = map[string]scenario.Typology{
 
 func run() error {
 	var (
-		typology   = flag.String("typology", "ghost-cut-in", "one of: "+strings.Join(names(), ", "))
-		n          = flag.Int("n", 60, "suite size used to select the training scenario")
-		episodes   = flag.Int("episodes", 100, "training episodes (paper: 100)")
-		seed       = flag.Int64("seed", 2024, "generation and training seed")
-		out        = flag.String("o", "smc.json", "output path for the trained controller")
-		noSTI      = flag.Bool("no-sti", false, "train the w/o-STI reward ablation")
-		telAddr    = flag.String("telemetry", "", "serve expvar and pprof on this address (e.g. localhost:6060)")
-		journal    = flag.String("journal", "", "write a JSONL telemetry journal (per-episode reward/epsilon/loss) to this path")
-		journalMax = flag.Int64("journal-max-bytes", 64<<20, "rotate the journal to <path>.1 past this size (0 = unbounded)")
-		epWorkers  = flag.Int("episode-workers", 1, "parallel episode workers (1 = historical serial trainer; N>1 is run-to-run deterministic)")
-		ckPath     = flag.String("checkpoint", "", "write atomic training checkpoints to this path")
-		ckEvery    = flag.Int("checkpoint-every", 25, "episodes between checkpoints")
-		resume     = flag.Bool("resume", false, "resume from -checkpoint if it exists (continues the epsilon/episode schedule)")
+		typology  = flag.String("typology", "ghost-cut-in", "one of: "+strings.Join(names(), ", "))
+		n         = flag.Int("n", 60, "suite size used to select the training scenario")
+		episodes  = flag.Int("episodes", 100, "training episodes (paper: 100)")
+		seed      = flag.Int64("seed", 2024, "generation and training seed")
+		out       = flag.String("o", "smc.json", "output path for the trained controller")
+		noSTI     = flag.Bool("no-sti", false, "train the w/o-STI reward ablation")
+		telAddr   = flag.String("telemetry", "", "serve expvar and pprof on this address (e.g. localhost:6060)")
+		journal   = flag.String("journal", "", "write a JSONL telemetry journal (per-episode reward/epsilon/loss) to this path")
+		epWorkers = flag.Int("episode-workers", 1, "parallel episode workers (1 = historical serial trainer; N>1 is run-to-run deterministic)")
+		ckPath    = flag.String("checkpoint", "", "write atomic training checkpoints to this path")
+		ckEvery   = flag.Int("checkpoint-every", 25, "episodes between checkpoints")
+		resume    = flag.Bool("resume", false, "resume from -checkpoint if it exists (continues the epsilon/episode schedule)")
 	)
 	flag.Parse()
 
@@ -57,7 +56,7 @@ func run() error {
 	if !ok {
 		return fmt.Errorf("unknown typology %q (want one of %s)", *typology, strings.Join(names(), ", "))
 	}
-	telCleanup, err := telemetry.SetupRotating(*telAddr, *journal, *journalMax)
+	telCleanup, err := telemetry.Setup(*telAddr, *journal)
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,7 @@ import (
 // live health verdict, and its per-backend telemetry. Health transitions
 // are driven by the prober goroutine (periodic /healthz) and by passive
 // evidence from proxying (connection errors count as probe failures, so a
-// SIGKILL'd backend is ejected within FailThreshold requests instead of
+// SIGKILL'd backend is ejected within failThreshold requests instead of
 // waiting out a probe period).
 type backend struct {
 	idx  int
@@ -23,8 +23,8 @@ type backend struct {
 
 	healthy atomic.Bool
 	// consecFail counts consecutive failures (probe or passive); reaching
-	// FailThreshold ejects. consecOK counts consecutive probe successes
-	// while ejected; reaching ReadmitThreshold re-admits.
+	// failThreshold ejects. consecOK counts consecutive probe successes
+	// while ejected; reaching readmitThreshold re-admits.
 	consecFail atomic.Int64
 	consecOK   atomic.Int64
 	inflight   atomic.Int64
@@ -86,8 +86,8 @@ func (b *backend) noteProbeSuccess(readmit int) bool {
 
 // probe runs the health-check loop for one backend until quit closes.
 // Healthy backends are probed every ProbeInterval; ejected ones back off
-// exponentially up to ProbeBackoffMax so a dead backend is not hammered,
-// then are re-admitted after ReadmitThreshold consecutive good probes.
+// exponentially up to 8×ProbeInterval so a dead backend is not hammered,
+// then are re-admitted after readmitThreshold consecutive good probes.
 func (g *Gateway) probe(b *backend) {
 	defer g.wg.Done()
 	interval := g.cfg.ProbeInterval
@@ -102,17 +102,17 @@ func (g *Gateway) probe(b *backend) {
 		ok := g.probeOnce(b)
 		wasHealthy := b.healthy.Load()
 		if ok {
-			if b.noteProbeSuccess(g.cfg.ReadmitThreshold) {
+			if b.noteProbeSuccess(readmitThreshold) {
 				g.logf("gateway: backend %s re-admitted", b.addr)
 			}
 			interval = g.cfg.ProbeInterval
 		} else {
-			if b.noteFailure(g.cfg.FailThreshold) {
+			if b.noteFailure(g.cfg.failThreshold) {
 				g.logf("gateway: backend %s ejected (probe)", b.addr)
 			}
 			if !wasHealthy {
 				// Still down: back off.
-				interval = min(interval*2, g.cfg.ProbeBackoffMax)
+				interval = min(interval*2, 8*g.cfg.ProbeInterval)
 			} else {
 				interval = g.cfg.ProbeInterval
 			}
@@ -123,7 +123,7 @@ func (g *Gateway) probe(b *backend) {
 }
 
 func (g *Gateway) probeOnce(b *backend) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), min(g.cfg.ProbeInterval, probeTimeoutMax))
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/healthz", nil)
 	if err != nil {

@@ -61,72 +61,62 @@ var (
 	telStreams      = telemetry.NewGauge("gateway.sse.proxied_streams")
 )
 
-// Config tunes the gateway. Backends is required; everything else has
-// serviceable defaults.
+// Config tunes the gateway. Backends is required; the zero value of every
+// other field is the production setting. The unexported fields are test
+// hooks, each resolving to the value noted when zero.
 type Config struct {
 	// Backends are the scoring backends as host:port (a leading http://
 	// is accepted and stripped). Order matters only for the stable
 	// per-backend metric indices.
 	Backends []string
-	// VirtualNodes per backend on the session ring. 0 resolves to 128.
-	VirtualNodes int
 	// ProbeInterval between health probes per healthy backend. 0 = 1s.
+	// The per-probe timeout is min(ProbeInterval, 500ms), and an ejected
+	// backend's probe backoff is capped at 8×ProbeInterval.
 	ProbeInterval time.Duration
-	// ProbeTimeout per probe. 0 resolves to min(ProbeInterval, 500ms).
-	ProbeTimeout time.Duration
-	// ProbeBackoffMax caps the exponential probe backoff while a backend
-	// stays down. 0 resolves to 8×ProbeInterval.
-	ProbeBackoffMax time.Duration
-	// FailThreshold is how many consecutive failures (probe or passive
-	// connection error) eject a backend. 0 resolves to 2.
-	FailThreshold int
-	// ReadmitThreshold is how many consecutive good probes re-admit an
-	// ejected backend. 0 resolves to 2.
-	ReadmitThreshold int
-
-	// MaxAttempts bounds tries per idempotent request (first + retries on
-	// distinct backends). 0 resolves to 3.
-	MaxAttempts int
-	// RetryBudget caps retries+hedges as a fraction of proxied requests
-	// (plus a fixed burst of 16), so a fleet-wide brownout cannot amplify
-	// traffic. 0 resolves to 0.10.
-	RetryBudget float64
-	// Hedge enables tail-latency hedging for idempotent scoring requests:
-	// after a delay derived from the observed proxy p95, the request is
-	// duplicated to a second backend and the first answer wins.
-	// HedgeOff disables it (field inverted so the zero Config hedges).
-	HedgeOff bool
-	// HedgeMinDelay floors the hedge delay so a cold latency tracker
-	// doesn't hedge instantly. 0 resolves to 20ms.
-	HedgeMinDelay time.Duration
-	// RequestTimeout bounds one proxied scoring request end to end
-	// (including retries and hedges). 0 resolves to 10s.
-	RequestTimeout time.Duration
-	// MaxBodyBytes caps request bodies (score, observe). Job submissions
-	// are capped separately by MaxJobBytes. 0 resolves to 1 MiB.
-	MaxBodyBytes int64
-
-	// JobWorkers bounds concurrent in-flight scene scorings across all
-	// jobs, so a bulk corpus cannot starve interactive traffic. 0 = 4.
-	JobWorkers int
-	// MaxJobScenes bounds one corpus. 0 resolves to 100000.
-	MaxJobScenes int
-	// MaxJobs bounds retained jobs (running + done); completed jobs are
-	// evicted oldest-first past the cap. 0 resolves to 64.
-	MaxJobs int
-	// MaxJobBytes caps a corpus submission body. 0 resolves to 64 MiB.
-	MaxJobBytes int64
-	// JobRetryAfterCap bounds how long the scheduler honours a backend's
-	// Retry-After before re-polling the fleet. 0 resolves to 5s.
-	JobRetryAfterCap time.Duration
-
-	// FlightRecorderSize is how many proxy wide events /debug/requests
-	// retains. 0 resolves to 256.
-	FlightRecorderSize int
 	// Logf, when set, receives operational log lines (ejections,
 	// re-admissions, job lifecycle). Nil is silent.
 	Logf func(format string, args ...any)
+
+	// failThreshold is how many consecutive failures (probe or passive
+	// connection error) eject a backend. 0 resolves to 2.
+	failThreshold int
+	// hedgeOff disables tail-latency hedging of idempotent scoring
+	// requests (inverted so the zero Config hedges).
+	hedgeOff bool
+	// hedgeMinDelay floors the hedge delay so a cold latency tracker
+	// doesn't hedge instantly. 0 resolves to 20ms.
+	hedgeMinDelay time.Duration
+	// jobWorkers bounds concurrent in-flight scene scorings across all
+	// jobs, so a bulk corpus cannot starve interactive traffic. 0 = 4.
+	jobWorkers int
+	// maxJobScenes bounds one corpus. 0 resolves to 100000.
+	maxJobScenes int
+	// jobRetryAfterCap bounds how long the scheduler honours a backend's
+	// Retry-After before re-polling the fleet. 0 resolves to 5s.
+	jobRetryAfterCap time.Duration
 }
+
+// Fixed fleet policy.
+const (
+	virtualNodes     = 128 // per backend on the session ring
+	readmitThreshold = 2   // consecutive good probes that re-admit an ejected backend
+	// maxAttempts bounds tries per idempotent request (first + retries on
+	// distinct backends).
+	maxAttempts = 3
+	// retryBudget caps retries+hedges as a fraction of proxied requests
+	// (plus a fixed burst of 16), so a fleet-wide brownout cannot amplify
+	// traffic.
+	retryBudget = 0.10
+	// requestTimeout bounds one proxied scoring request end to end,
+	// retries and hedges included.
+	requestTimeout = 10 * time.Second
+	// maxJobs bounds retained jobs (running + done); completed jobs are
+	// evicted oldest-first past the cap.
+	maxJobs            = 64
+	maxJobBytes        = 64 << 20 // corpus submission body cap
+	flightRecorderSize = 256      // proxy wide events /debug/requests retains
+	probeTimeoutMax    = 500 * time.Millisecond
+)
 
 func (c Config) withDefaults() (Config, error) {
 	if len(c.Backends) == 0 {
@@ -148,56 +138,23 @@ func (c Config) withDefaults() (Config, error) {
 		cleaned[i] = a
 	}
 	c.Backends = cleaned
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 128
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = min(c.ProbeInterval, 500*time.Millisecond)
+	if c.failThreshold <= 0 {
+		c.failThreshold = 2
 	}
-	if c.ProbeBackoffMax <= 0 {
-		c.ProbeBackoffMax = 8 * c.ProbeInterval
+	if c.hedgeMinDelay <= 0 {
+		c.hedgeMinDelay = 20 * time.Millisecond
 	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 2
+	if c.jobWorkers <= 0 {
+		c.jobWorkers = 4
 	}
-	if c.ReadmitThreshold <= 0 {
-		c.ReadmitThreshold = 2
+	if c.maxJobScenes <= 0 {
+		c.maxJobScenes = 100000
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 0.10
-	}
-	if c.HedgeMinDelay <= 0 {
-		c.HedgeMinDelay = 20 * time.Millisecond
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 10 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.JobWorkers <= 0 {
-		c.JobWorkers = 4
-	}
-	if c.MaxJobScenes <= 0 {
-		c.MaxJobScenes = 100000
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 64
-	}
-	if c.MaxJobBytes <= 0 {
-		c.MaxJobBytes = 64 << 20
-	}
-	if c.JobRetryAfterCap <= 0 {
-		c.JobRetryAfterCap = 5 * time.Second
-	}
-	if c.FlightRecorderSize <= 0 {
-		c.FlightRecorderSize = 256
+	if c.jobRetryAfterCap <= 0 {
+		c.jobRetryAfterCap = 5 * time.Second
 	}
 	return c, nil
 }
@@ -214,7 +171,7 @@ type Gateway struct {
 	probeClient  *http.Client
 
 	// Retry/hedge token budget: spent must stay under
-	// RetryBudget×requests + burst.
+	// retryBudget×requests + burst.
 	budgetSpent atomic.Int64
 	budgetReqs  atomic.Int64
 
@@ -246,7 +203,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:  cfg,
-		ring: newRing(cfg.Backends, cfg.VirtualNodes),
+		ring: newRing(cfg.Backends, virtualNodes),
 		lat:  newLatencyRing(128),
 		quit: make(chan struct{}),
 	}
@@ -258,15 +215,15 @@ func New(cfg Config) (*Gateway, error) {
 	g.proxyClient = &http.Client{Transport: transport}
 	g.streamClient = &http.Client{Transport: &http.Transport{
 		MaxIdleConnsPerHost:   4,
-		ResponseHeaderTimeout: cfg.RequestTimeout,
+		ResponseHeaderTimeout: requestTimeout,
 	}}
 	g.probeClient = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 2}}
 	for i, addr := range cfg.Backends {
 		g.backends = append(g.backends, newBackend(i, addr))
 	}
-	g.jobs.init(cfg.MaxJobs)
-	g.jobSem = make(chan struct{}, cfg.JobWorkers)
-	g.flight = trace.NewFlightRecorder(cfg.FlightRecorderSize)
+	g.jobs.init(maxJobs)
+	g.jobSem = make(chan struct{}, cfg.jobWorkers)
+	g.flight = trace.NewFlightRecorder(flightRecorderSize)
 	telRingGauge.Set(float64(len(g.ring.points)))
 	g.updateHealthGauge()
 	g.routes()
@@ -392,7 +349,7 @@ func (g *Gateway) spread() []*backend {
 // retryAllowed spends one token from the retry/hedge budget if available.
 func (g *Gateway) retryAllowed() bool {
 	const burst = 16
-	allowed := int64(g.cfg.RetryBudget*float64(g.budgetReqs.Load())) + burst
+	allowed := int64(retryBudget*float64(g.budgetReqs.Load())) + burst
 	if g.budgetSpent.Load() >= allowed {
 		return false
 	}
@@ -450,10 +407,10 @@ func (l *latencyRing) p95() float64 {
 // timeout so the hedge has time to answer.
 func (g *Gateway) hedgeDelay() time.Duration {
 	d := time.Duration(g.lat.p95() * float64(time.Second))
-	if d < g.cfg.HedgeMinDelay {
-		d = g.cfg.HedgeMinDelay
+	if d < g.cfg.hedgeMinDelay {
+		d = g.cfg.hedgeMinDelay
 	}
-	if m := g.cfg.RequestTimeout / 2; d > m {
+	if m := requestTimeout / 2; d > m {
 		d = m
 	}
 	return d

@@ -168,8 +168,8 @@ func TestFailoverEjectionAndReadmission(t *testing.T) {
 	g := newTestGateway(t, Config{
 		Backends:      []string{f1.addr(), f2.addr()},
 		ProbeInterval: 20 * time.Millisecond,
-		FailThreshold: 1,
-		HedgeOff:      true,
+		failThreshold: 1,
+		hedgeOff:      true,
 	})
 
 	// Kill f1 at the TCP level: requests to it fail with conn errors.
@@ -244,7 +244,7 @@ func TestHedgingCutsTailLatency(t *testing.T) {
 	g := newTestGateway(t, Config{
 		Backends:      []string{slow.addr(), fast.addr()},
 		ProbeInterval: time.Second,
-		HedgeMinDelay: 10 * time.Millisecond,
+		hedgeMinDelay: 10 * time.Millisecond,
 	})
 	wins := telHedgeWins.Value()
 	for i := 0; i < 6; i++ {
@@ -274,7 +274,7 @@ func Test429PassesThroughUnretried(t *testing.T) {
 	g := newTestGateway(t, Config{
 		Backends:      []string{busy.addr(), idle.addr()},
 		ProbeInterval: time.Second,
-		HedgeOff:      true,
+		hedgeOff:      true,
 	})
 	hits := busy.hits.Load() + idle.hits.Load()
 	w := doGateway(t, g, http.MethodPost, "/v1/score", []byte("{}"))
@@ -297,7 +297,7 @@ func testFleet(t *testing.T, n int, cfg Config) (*Gateway, []*server.Server) {
 	var addrs []string
 	var servers []*server.Server
 	for i := 0; i < n; i++ {
-		s, err := server.New(server.Config{Workers: 1})
+		s, err := server.New(server.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +335,7 @@ func fleetScene(at float64) []byte {
 // Sessions created through the gateway stick to one backend, and the
 // gateway reports its routing decision via X-Backend.
 func TestSessionAffinity(t *testing.T) {
-	g, _ := testFleet(t, 3, Config{ProbeInterval: time.Second, HedgeOff: true})
+	g, _ := testFleet(t, 3, Config{ProbeInterval: time.Second, hedgeOff: true})
 	w := doGateway(t, g, http.MethodPost, "/v1/sessions", []byte("{}"))
 	if w.Code != http.StatusCreated {
 		t.Fatalf("create: status %d, body %s", w.Code, w.Body.String())
@@ -370,7 +370,7 @@ func TestSessionAffinity(t *testing.T) {
 // next observe ejects the corpse, resurrects the session ID on the new
 // owner, and succeeds — the episode continues with history reset.
 func TestSessionFailoverResurrection(t *testing.T) {
-	g, servers := testFleet(t, 2, Config{ProbeInterval: time.Hour, FailThreshold: 1, HedgeOff: true})
+	g, servers := testFleet(t, 2, Config{ProbeInterval: time.Hour, failThreshold: 1, hedgeOff: true})
 	w := doGateway(t, g, http.MethodPost, "/v1/sessions", []byte("{}"))
 	if w.Code != http.StatusCreated {
 		t.Fatalf("create: status %d", w.Code)
@@ -410,7 +410,7 @@ func TestSessionFailoverResurrection(t *testing.T) {
 // The SSE proxy relays live events and honours Last-Event-ID resume
 // through the gateway.
 func TestStreamProxyWithResume(t *testing.T) {
-	g, _ := testFleet(t, 2, Config{ProbeInterval: time.Second, HedgeOff: true})
+	g, _ := testFleet(t, 2, Config{ProbeInterval: time.Second, hedgeOff: true})
 	if err := g.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -496,9 +496,9 @@ func TestJobLifecycleUnderBackpressure(t *testing.T) {
 	g := newTestGateway(t, Config{
 		Backends:         []string{f1.addr(), f2.addr()},
 		ProbeInterval:    time.Second,
-		HedgeOff:         true,
-		JobWorkers:       2,
-		JobRetryAfterCap: 30 * time.Millisecond, // keep the test fast
+		hedgeOff:         true,
+		jobWorkers:       2,
+		jobRetryAfterCap: 30 * time.Millisecond, // keep the test fast
 	})
 
 	sc := scene.Scene{
@@ -573,7 +573,7 @@ func TestJobResultsWhileRunning(t *testing.T) {
 		}
 		fmt.Fprintln(w, `{"version":"iprism.score/v1","combined_sti":0.5,"most_threatening":-1}`)
 	})
-	g := newTestGateway(t, Config{Backends: []string{f.addr()}, ProbeInterval: time.Second, HedgeOff: true, JobWorkers: 1})
+	g := newTestGateway(t, Config{Backends: []string{f.addr()}, ProbeInterval: time.Second, hedgeOff: true, jobWorkers: 1})
 
 	sc := scene.Scene{
 		Version: scene.Version,
@@ -613,7 +613,7 @@ func TestJobResultsWhileRunning(t *testing.T) {
 // Malformed and oversized corpora are rejected before any scheduling.
 func TestJobSubmitRejections(t *testing.T) {
 	f := newFakeBackend(t)
-	g := newTestGateway(t, Config{Backends: []string{f.addr()}, ProbeInterval: time.Second, MaxJobScenes: 1})
+	g := newTestGateway(t, Config{Backends: []string{f.addr()}, ProbeInterval: time.Second, maxJobScenes: 1})
 	for name, body := range map[string]string{
 		"not json":    "{",
 		"bad version": `{"version":"iprism.scene/v1","scenes":[]}`,

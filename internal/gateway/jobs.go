@@ -107,14 +107,14 @@ func (t *jobTable) get(id string) (*job, bool) {
 
 // handleJobSubmit accepts a corpus (iprism.job/v1), answers 202 with the
 // job handle immediately, and scores the scenes in the background across
-// the healthy fleet under the JobWorkers concurrency bound.
+// the healthy fleet under the jobWorkers concurrency bound.
 func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxJobBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxJobBytes))
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: fmt.Sprintf("read body: %v", err)})
 		return
 	}
-	req, err := scene.DecodeJobRequest(body, g.cfg.MaxJobScenes)
+	req, err := scene.DecodeJobRequest(body, g.cfg.maxJobScenes)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: err.Error()})
 		return
@@ -161,7 +161,7 @@ func (g *Gateway) handleJobResults(w http.ResponseWriter, r *http.Request) {
 }
 
 // runJob drives one corpus: scenes fan out over the healthy fleet, at most
-// JobWorkers in flight across ALL jobs (the semaphore is gateway-global),
+// jobWorkers in flight across ALL jobs (the semaphore is gateway-global),
 // so a bulk corpus cannot crowd out interactive scoring traffic.
 func (g *Gateway) runJob(j *job, scenes []scene.Scene) {
 	defer g.wg.Done()
@@ -213,7 +213,7 @@ func (g *Gateway) finishJob(j *job) {
 // Retry-After (capped) and tries again — this is where the job tier's
 // "respect backpressure" contract lives. Connection errors and 5xx rotate
 // to the next healthy backend with bounded attempts. Job retries ride
-// outside the interactive retry budget; the JobWorkers semaphore is
+// outside the interactive retry budget; the jobWorkers semaphore is
 // already the stricter bound.
 func (g *Gateway) scoreJobScene(j *job, idx int, sc scene.Scene) {
 	res := scene.JobSceneResult{Index: idx, MostThreatening: -1}
@@ -243,13 +243,13 @@ func (g *Gateway) scoreJobScene(j *job, idx int, sc scene.Scene) {
 			return
 		default:
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), g.cfg.RequestTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
 		cands := g.spread()
 		resp, err := g.attempt(ctx, cands[0], http.MethodPost, "/v1/score", body, hdr)
 		if err != nil {
 			cancel()
 			hardFails++
-			if hardFails >= 2*g.cfg.MaxAttempts {
+			if hardFails >= 2*maxAttempts {
 				res.Error = fmt.Sprintf("scene unscorable after %d attempts: %v", hardFails, err)
 				return
 			}
@@ -273,7 +273,7 @@ func (g *Gateway) scoreJobScene(j *job, idx int, sc scene.Scene) {
 			return
 		case http.StatusTooManyRequests:
 			// Honour the backend's own estimate of when capacity returns.
-			ra := retryAfter(resp.Header.Get("Retry-After"), g.cfg.JobRetryAfterCap)
+			ra := retryAfter(resp.Header.Get("Retry-After"), g.cfg.jobRetryAfterCap)
 			drain(resp)
 			resp.Body.Close()
 			cancel()
@@ -301,7 +301,7 @@ func (g *Gateway) scoreJobScene(j *job, idx int, sc scene.Scene) {
 				return
 			}
 			hardFails++
-			if hardFails >= 2*g.cfg.MaxAttempts {
+			if hardFails >= 2*maxAttempts {
 				res.Error = fmt.Sprintf("backend error (%d): %s", resp.StatusCode, e.Error)
 				return
 			}

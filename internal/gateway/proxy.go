@@ -27,7 +27,7 @@ func newID(prefix string) string {
 // attempt proxies one request body to one backend and reports passive
 // health evidence: a connection error (not caller cancellation) counts
 // toward ejection exactly like a failed probe, so a SIGKILL'd backend is
-// ejected by its own failing traffic within FailThreshold requests instead
+// ejected by its own failing traffic within failThreshold requests instead
 // of waiting out a probe period.
 func (g *Gateway) attempt(ctx context.Context, b *backend, method, pathAndQuery string, body []byte, hdr http.Header) (*http.Response, error) {
 	var rd io.Reader
@@ -50,7 +50,7 @@ func (g *Gateway) attempt(ctx context.Context, b *backend, method, pathAndQuery 
 	if err != nil {
 		b.telErrors.Inc()
 		if ctx.Err() == nil {
-			if b.noteFailure(g.cfg.FailThreshold) {
+			if b.noteFailure(g.cfg.failThreshold) {
 				g.logf("gateway: backend %s ejected (request error: %v)", b.addr, err)
 			}
 			g.updateHealthGauge()
@@ -92,10 +92,10 @@ type armResult struct {
 // body. Exhausted candidates or budget yield a nil response.
 func (g *Gateway) proxyIdempotent(r *http.Request, body []byte, cands []*backend) (*http.Response, *backend, error) {
 	g.budgetReqs.Add(1)
-	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), requestTimeout)
 	defer cancel()
 
-	maxArms := min(g.cfg.MaxAttempts, len(cands))
+	maxArms := min(maxAttempts, len(cands))
 	results := make(chan armResult, maxArms)
 	cancels := make([]context.CancelFunc, 0, maxArms)
 	next, inFlight := 0, 0
@@ -121,7 +121,7 @@ func (g *Gateway) proxyIdempotent(r *http.Request, body []byte, cands []*backend
 	// duplicating onto a degraded fleet makes tail latency worse, not
 	// better.
 	var hedgeC <-chan time.Time
-	if !g.cfg.HedgeOff && next < maxArms && g.healthyCount() >= 2 {
+	if !g.cfg.hedgeOff && next < maxArms && g.healthyCount() >= 2 {
 		t := time.NewTimer(g.hedgeDelay())
 		defer t.Stop()
 		hedgeC = t.C
@@ -204,8 +204,8 @@ func (g *Gateway) badGateway(w http.ResponseWriter, r *http.Request, err error) 
 }
 
 // readBody slurps a bounded request body, answering 400/413 itself.
-func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, scene.MaxBodyBytes))
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: fmt.Sprintf("read body: %v", err)})
 		return nil, false
@@ -224,7 +224,7 @@ func (g *Gateway) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) proxyScore(w http.ResponseWriter, r *http.Request) {
-	body, ok := g.readBody(w, r, g.cfg.MaxBodyBytes)
+	body, ok := g.readBody(w, r)
 	if !ok {
 		return
 	}
@@ -247,7 +247,7 @@ func (g *Gateway) proxyScore(w http.ResponseWriter, r *http.Request) {
 // it on the ring owner of that name, so every later request for the ID
 // routes to the same backend with no gateway-side session table.
 func (g *Gateway) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	body, ok := g.readBody(w, r, g.cfg.MaxBodyBytes)
+	body, ok := g.readBody(w, r)
 	if !ok {
 		return
 	}
@@ -290,17 +290,17 @@ func (g *Gateway) handleSessionProxy(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Method == http.MethodPost {
 		var ok bool
-		if body, ok = g.readBody(w, r, g.cfg.MaxBodyBytes); !ok {
+		if body, ok = g.readBody(w, r); !ok {
 			return
 		}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), requestTimeout)
 	defer cancel()
 	g.budgetReqs.Add(1)
 	cands := g.healthyAfter(id)
 	resurrected := false
 	var lastErr error
-	for i := 0; i < len(cands) && i < g.cfg.MaxAttempts; i++ {
+	for i := 0; i < len(cands) && i < maxAttempts; i++ {
 		b := cands[i]
 		resp, err := g.attempt(ctx, b, r.Method, r.URL.RequestURI(), body, r.Header)
 		if err != nil {
@@ -387,7 +387,7 @@ func (g *Gateway) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 
 	cands := g.healthyAfter(id)
 	resurrected := false
-	for i := 0; i < len(cands) && i < g.cfg.MaxAttempts; i++ {
+	for i := 0; i < len(cands) && i < maxAttempts; i++ {
 		b := cands[i]
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+r.URL.RequestURI(), nil)
 		if err != nil {
@@ -403,7 +403,7 @@ func (g *Gateway) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			b.telErrors.Inc()
 			if ctx.Err() == nil {
-				if b.noteFailure(g.cfg.FailThreshold) {
+				if b.noteFailure(g.cfg.failThreshold) {
 					g.logf("gateway: backend %s ejected (stream error: %v)", b.addr, err)
 				}
 				g.updateHealthGauge()

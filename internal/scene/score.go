@@ -15,6 +15,11 @@ package scene
 // codec's Version.
 const ScoreVersion = "iprism.score/v1"
 
+// MaxBodyBytes caps every scoring and session request body, at the
+// scoring service and at the gateway alike; a larger body answers 400.
+// Corpus-job submissions carry their own, larger cap in the gateway.
+const MaxBodyBytes = 1 << 20
+
 // ScoreResponse is the JSON answer to one scored scene.
 type ScoreResponse struct {
 	Version  string  `json:"version"`

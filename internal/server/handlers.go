@@ -61,7 +61,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	explain := r.URL.Query().Get("explain") == "1"
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.requestTimeout)
 	defer cancel()
 	resp, status := s.scoreScene(ctx, sc, explain)
 	s.writeJSON(w, status, resp)
@@ -72,7 +72,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 // the response is 200 unless every scene was rejected for saturation, in
 // which case it degrades to a plain 429 so clients back off.
 func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, scene.MaxBodyBytes))
 	if err != nil {
 		telRejectedBad.Inc()
 		s.writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: fmt.Sprintf("read body: %v", err)})
@@ -96,7 +96,7 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.requestTimeout)
 	defer cancel()
 	// Fan the scenes out over the pool as independent jobs and gather.
 	resp := scene.BatchResponse{Version: scene.ScoreVersion, Results: make([]scene.ScoreResponse, len(req.Scenes))}
@@ -138,7 +138,7 @@ func (s *Server) scoreScene(ctx context.Context, sc scene.Scene, explain bool) (
 		telRejectedBad.Inc()
 		return scene.ScoreResponse{Version: scene.ScoreVersion, Error: err.Error()}, http.StatusBadRequest
 	}
-	res, prov, err := s.score(ctx, m, ego, actors, completeTrajs(s.cfg.Reach, actors, trajs, hasTrajs))
+	res, prov, err := s.score(ctx, m, ego, actors, completeTrajs(s.reach, actors, trajs, hasTrajs))
 	switch {
 	case errors.Is(err, errSaturated):
 		telRejectedFull.Inc()
@@ -196,7 +196,7 @@ func wireProvenance(ctx context.Context, prov sti.Provenance) *scene.Provenance 
 // readScene decodes and validates the request body as one scene, answering
 // 400/413 itself when it fails.
 func (s *Server) readScene(w http.ResponseWriter, r *http.Request) (scene.Scene, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, scene.MaxBodyBytes))
 	if err != nil {
 		telRejectedBad.Inc()
 		s.writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: fmt.Sprintf("read body: %v", err)})

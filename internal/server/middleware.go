@@ -27,9 +27,9 @@ func (s *Server) traced(route string, wide bool, h http.HandlerFunc) http.Handle
 		}
 		// Availability counts deliberate backpressure (429) as good — the
 		// service answered as designed; only 5xx burns that budget. Latency
-		// is judged against the configured target.
+		// is judged against sloLatencyTarget.
 		s.sloAvailability.Record(ev.Status < http.StatusInternalServerError)
-		s.sloLatency.Record(d <= s.cfg.SLOLatencyTarget)
+		s.sloLatency.Record(d <= sloLatencyTarget)
 		s.flight.Add(ev)
 		telemetry.Emit("wide_event", ev.Fields())
 	}
@@ -61,7 +61,7 @@ func (s *Server) retryAfterSeconds() int {
 	if avg <= 0 {
 		avg = 50 * time.Millisecond
 	}
-	workers := s.cfg.Workers
+	workers := s.cfg.workers
 	backlog := (len(s.jobs) + workers - 1) / workers
 	secs := int(math.Ceil((time.Duration(backlog) * avg).Seconds()))
 	if secs < 1 {

@@ -61,92 +61,55 @@ var (
 	telWarmBytes     = telemetry.NewGauge("server.warm.bytes")
 )
 
-// Config tunes the scoring service. The zero value serves with the paper's
-// reach-tube configuration and conservative capacity defaults.
+// Config holds the scoring service's test hooks. The zero value is the
+// production configuration: the paper's reach-tube configuration and the
+// capacity values each hook resolves to when zero, as noted per field.
 type Config struct {
-	// Reach is the reach-tube configuration every evaluator in the pool
-	// uses. The zero value means reach.DefaultConfig().
-	Reach reach.Config
-	// Workers is the number of scoring workers (and pooled evaluators).
+	// workers is the number of scoring workers (and pooled evaluators).
 	// 0 resolves to runtime.GOMAXPROCS(0).
-	Workers int
-	// QueueDepth bounds the jobs waiting for a worker beyond those being
-	// scored; enqueues past it answer 429. 0 resolves to 16×Workers.
-	QueueDepth int
-	// RequestTimeout bounds queue wait plus scoring per request; exceeding
+	workers int
+	// queueDepth bounds the jobs waiting for a worker beyond those being
+	// scored; enqueues past it answer 429. 0 resolves to 16×workers.
+	queueDepth int
+	// requestTimeout bounds queue wait plus scoring per request; exceeding
 	// it answers 504. 0 resolves to 2s.
-	RequestTimeout time.Duration
-	// MaxSessions caps concurrently open sessions. 0 resolves to 1024.
-	MaxSessions int
-	// MaxBodyBytes caps request body size. 0 resolves to 1 MiB.
-	MaxBodyBytes int64
-
-	// SLOAvailability is the availability objective (good = the request was
-	// answered without a 5xx; deliberate 429 backpressure counts good).
-	// 0 resolves to 0.999.
-	SLOAvailability float64
-	// SLOLatency is the latency objective: the fraction of requests that
-	// must finish within SLOLatencyTarget. 0 resolves to 0.99.
-	SLOLatency float64
-	// SLOLatencyTarget is the per-request latency goal the latency SLO
-	// judges against. 0 resolves to 250ms.
-	SLOLatencyTarget time.Duration
-	// FlightRecorderSize is how many recent wide events /debug/requests
-	// retains in memory. 0 resolves to 256.
-	FlightRecorderSize int
-
-	// SSEHeartbeat is the idle-comment interval on session risk streams
-	// (GET /v1/sessions/{id}/stream), keeping proxies from timing out a
-	// quiet stream. 0 resolves to 10s.
-	SSEHeartbeat time.Duration
-	// SSEHistory is how many per-tick risk events each session retains for
+	requestTimeout time.Duration
+	// maxSessions caps concurrently open sessions. 0 resolves to 1024.
+	maxSessions int
+	// sseHistory is how many per-tick risk events each session retains for
 	// Last-Event-ID resume. 0 resolves to 256.
-	SSEHistory int
-	// SSEBuffer is the per-subscriber event buffer; a client that falls
-	// this many events behind is disconnected (slow-consumer protection).
-	// 0 resolves to 64.
-	SSEBuffer int
+	sseHistory int
 }
 
+// Fixed service policy: the SLO objectives (availability counts a
+// deliberate 429 as good), the /debug/requests ring, the idle heartbeat
+// on session risk streams (keeps proxies from timing out a quiet stream),
+// and the per-subscriber event buffer past which a slow stream consumer
+// is disconnected.
+const (
+	sloAvailability    = 0.999
+	sloLatency         = 0.99
+	sloLatencyTarget   = 250 * time.Millisecond
+	flightRecorderSize = 256
+	sseHeartbeat       = 10 * time.Second
+	sseBuffer          = 64
+)
+
 func (c Config) withDefaults() Config {
-	if c.Reach == (reach.Config{}) {
-		c.Reach = reach.DefaultConfig()
+	if c.workers <= 0 {
+		c.workers = runtime.GOMAXPROCS(0)
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
+	if c.queueDepth <= 0 {
+		c.queueDepth = 16 * c.workers
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 16 * c.Workers
+	if c.requestTimeout <= 0 {
+		c.requestTimeout = 2 * time.Second
 	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 2 * time.Second
+	if c.maxSessions <= 0 {
+		c.maxSessions = 1024
 	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 1024
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.SLOAvailability <= 0 || c.SLOAvailability >= 1 {
-		c.SLOAvailability = 0.999
-	}
-	if c.SLOLatency <= 0 || c.SLOLatency >= 1 {
-		c.SLOLatency = 0.99
-	}
-	if c.SLOLatencyTarget <= 0 {
-		c.SLOLatencyTarget = 250 * time.Millisecond
-	}
-	if c.FlightRecorderSize <= 0 {
-		c.FlightRecorderSize = 256
-	}
-	if c.SSEHeartbeat <= 0 {
-		c.SSEHeartbeat = 10 * time.Second
-	}
-	if c.SSEHistory <= 0 {
-		c.SSEHistory = 256
-	}
-	if c.SSEBuffer <= 0 {
-		c.SSEBuffer = 64
+	if c.sseHistory <= 0 {
+		c.sseHistory = 256
 	}
 	return c
 }
@@ -163,10 +126,11 @@ type job struct {
 
 // Server is a running (or startable) scoring service.
 type Server struct {
-	cfg  Config
-	pool []*sti.Evaluator
-	jobs chan *job
-	quit chan struct{}
+	cfg   Config
+	reach reach.Config
+	pool  []*sti.Evaluator
+	jobs  chan *job
+	quit  chan struct{}
 	// closing is closed at the start of Shutdown, before the HTTP drain:
 	// long-lived SSE streams must end for http.Shutdown to return, so they
 	// watch this channel rather than quit (which closes after the drain).
@@ -200,38 +164,36 @@ type Server struct {
 // in-process embedding).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Reach.Validate(); err != nil {
-		return nil, fmt.Errorf("server: reach config: %w", err)
-	}
 	s := &Server{
 		cfg:     cfg,
-		pool:    make([]*sti.Evaluator, cfg.Workers),
-		jobs:    make(chan *job, cfg.QueueDepth),
+		reach:   reach.DefaultConfig(),
+		pool:    make([]*sti.Evaluator, cfg.workers),
+		jobs:    make(chan *job, cfg.queueDepth),
 		quit:    make(chan struct{}),
 		closing: make(chan struct{}),
 	}
 	for i := range s.pool {
-		ev, err := sti.NewEvaluator(cfg.Reach)
+		ev, err := sti.NewEvaluator(s.reach)
 		if err != nil {
 			return nil, fmt.Errorf("server: evaluator %d: %w", i, err)
 		}
 		s.pool[i] = ev
 	}
 	s.warmPool.New = func() any { return sti.NewWarmState() }
-	s.sessions.init(cfg.MaxSessions)
-	s.flight = trace.NewFlightRecorder(cfg.FlightRecorderSize)
+	s.sessions.init(cfg.maxSessions)
+	s.flight = trace.NewFlightRecorder(flightRecorderSize)
 	s.sloAvailability = telemetry.MustNewSLOTracker(telemetry.SLOConfig{
-		Name: "availability", Objective: cfg.SLOAvailability,
+		Name: "availability", Objective: sloAvailability,
 	})
 	s.sloLatency = telemetry.MustNewSLOTracker(telemetry.SLOConfig{
-		Name: "latency", Objective: cfg.SLOLatency,
+		Name: "latency", Objective: sloLatency,
 	})
 	// The burn-rate gauges ride the same default registry /metrics serves;
 	// collectors refresh them at scrape time so they decay without traffic.
 	s.sloAvailability.Register(telemetry.Default())
 	s.sloLatency.Register(telemetry.Default())
 	s.routes()
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 0; i < cfg.workers; i++ {
 		s.wg.Add(1)
 		go s.worker(s.pool[i])
 	}
@@ -393,7 +355,7 @@ func (s *Server) score(ctx context.Context, m roadmap.Map, ego vehicle.State, ac
 		tt := trajs
 		if tt == nil {
 			sp := rec.StartSpan("server.predict")
-			tt = actor.PredictAll(actors, s.cfg.Reach.NumSlices(), s.cfg.Reach.SliceDt)
+			tt = actor.PredictAll(actors, s.reach.NumSlices(), s.reach.SliceDt)
 			sp.End()
 		}
 		sp := rec.StartSpan("server.evaluate")

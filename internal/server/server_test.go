@@ -74,7 +74,7 @@ func gate(t *testing.T, s *Server) (release func()) {
 	t.Helper()
 	ch := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 0; i < s.cfg.Workers; i++ {
+	for i := 0; i < s.cfg.workers; i++ {
 		wg.Add(1)
 		j, err := s.submit(context.Background(), func(*sti.Evaluator) {
 			wg.Done()
@@ -91,7 +91,7 @@ func gate(t *testing.T, s *Server) (release func()) {
 }
 
 func TestScoreHappyPath(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{workers: 2})
 	resp, body := postJSON(t, ts.URL+"/v1/score", sceneBody(t))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
@@ -123,7 +123,7 @@ func TestScoreHappyPath(t *testing.T) {
 // computes from the same scene: decode, materialise, queue and encode add
 // nothing to the scores.
 func TestScoreSharedExpansionIdentical(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{workers: 2})
 	ev := sti.MustNewEvaluator(reach.DefaultConfig())
 
 	// A denser variant with real blockers besides the two-actor base scene.
@@ -168,7 +168,7 @@ func TestScoreSharedExpansionIdentical(t *testing.T) {
 }
 
 func TestScoreMalformedJSON(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{workers: 1})
 	const road = `"road":{"kind":"straight","straight":{"lanes":3,"lane_width":3.5,"x_min":-100,"x_max":1000}}`
 	const actor = `{"id":1,"kind":"vehicle","state":{"x":30,"y":5.25,"speed":6}}`
 	cases := []struct{ name, body, field string }{
@@ -200,7 +200,7 @@ func TestScoreMalformedJSON(t *testing.T) {
 }
 
 func TestScoreSaturationBackpressure(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, RequestTimeout: 5 * time.Second})
+	s, ts := newTestServer(t, Config{workers: 1, queueDepth: 1, requestTimeout: 5 * time.Second})
 	release := gate(t, s)
 	defer release()
 	// The single queue slot is free; one in-flight request takes it...
@@ -220,7 +220,7 @@ func TestScoreSaturationBackpressure(t *testing.T) {
 }
 
 func TestScoreTimeout(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, RequestTimeout: 30 * time.Millisecond})
+	s, ts := newTestServer(t, Config{workers: 1, queueDepth: 4, requestTimeout: 30 * time.Millisecond})
 	release := gate(t, s)
 	defer release()
 	// Queued behind the gate, the request exceeds its deadline: 504.
@@ -231,7 +231,7 @@ func TestScoreTimeout(t *testing.T) {
 }
 
 func TestBatchScoring(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{workers: 2})
 	req := scene.BatchRequest{Scenes: []scene.Scene{testScene(), testScene(), testScene()}}
 	raw, _ := json.Marshal(req)
 	resp, body := postJSON(t, ts.URL+"/v1/score/batch", raw)
@@ -261,7 +261,7 @@ func TestBatchScoring(t *testing.T) {
 }
 
 func TestSessionLifecycle(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{workers: 2})
 	resp, body := postJSON(t, ts.URL+"/v1/sessions", nil)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create status = %d, body %s", resp.StatusCode, body)
@@ -332,7 +332,7 @@ func TestSessionLifecycle(t *testing.T) {
 }
 
 func TestSessionLimit(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, MaxSessions: 2})
+	_, ts := newTestServer(t, Config{workers: 1, maxSessions: 2})
 	for i := 0; i < 2; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/sessions", nil)
 		if resp.StatusCode != http.StatusCreated {
@@ -349,7 +349,7 @@ func TestSessionLimit(t *testing.T) {
 // a request already accepted (queued behind a busy pool) when Shutdown
 // begins must still be answered 200, not dropped.
 func TestGracefulShutdownCompletesInFlight(t *testing.T) {
-	s, err := New(Config{Workers: 1, QueueDepth: 4, RequestTimeout: 10 * time.Second})
+	s, err := New(Config{workers: 1, queueDepth: 4, requestTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestGracefulShutdownCompletesInFlight(t *testing.T) {
 func TestConcurrentScoring(t *testing.T) {
 	telemetry.Enable()
 	t.Cleanup(telemetry.Disable)
-	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, RequestTimeout: 10 * time.Second})
+	_, ts := newTestServer(t, Config{workers: 2, queueDepth: 8, requestTimeout: 10 * time.Second})
 	body := sceneBody(t)
 	const clients, perClient = 8, 5
 	var wg sync.WaitGroup
@@ -473,7 +473,7 @@ func TestConcurrentScoring(t *testing.T) {
 }
 
 func TestHealthz(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{workers: 1})
 	r, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -489,7 +489,7 @@ func TestHealthz(t *testing.T) {
 // batches, an exactly-divisible queue does not round up an extra batch),
 // priced at the EWMA per-scene time, clamped to [1, 30] seconds.
 func TestRetryAfterSeconds(t *testing.T) {
-	s, _ := newTestServer(t, Config{Workers: 4, QueueDepth: 16})
+	s, _ := newTestServer(t, Config{workers: 4, queueDepth: 16})
 	release := gate(t, s) // park every worker so pushed jobs stay queued
 	defer release()
 

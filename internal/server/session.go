@@ -170,7 +170,7 @@ func (sess *session) noteWarm() int64 {
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req scene.SessionCreateRequest
 	// An empty body opens a default session; a malformed one is a 400.
-	if err := decodeJSONBody(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		telRejectedBad.Inc()
 		s.writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: err.Error()})
 		return
@@ -193,7 +193,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	mon := monitor.NewWithEvaluator(s.pool[0])
 	warm := s.warmPool.Get().(*sti.WarmState)
 	mon.SetWarmState(warm)
-	sess, err := s.sessions.create(mon, req.ID, s.cfg.SSEHistory, warm, s.putWarm)
+	sess, err := s.sessions.create(mon, req.ID, s.cfg.sseHistory, warm, s.putWarm)
 	if err != nil {
 		s.putWarm(warm)
 	}
@@ -247,7 +247,7 @@ func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: err.Error()})
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.requestTimeout)
 	defer cancel()
 	rec := trace.FromContext(ctx)
 	enq := time.Now()
@@ -258,7 +258,7 @@ func (s *Server) handleSessionObserve(w http.ResponseWriter, r *http.Request) {
 		t := telScoreSecs.Start()
 		start := time.Now()
 		sp := rec.StartSpan("server.observe")
-		sample, prov = sess.mon.Observe(ctx, m, ego, vehicle.DefaultParams(), actors, completeTrajs(s.cfg.Reach, actors, trajs, hasTrajs), sc.Time)
+		sample, prov = sess.mon.Observe(ctx, m, ego, vehicle.DefaultParams(), actors, completeTrajs(s.reach, actors, trajs, hasTrajs), sc.Time)
 		sp.End()
 		t.Stop()
 		s.noteScore(time.Since(start))
@@ -352,8 +352,8 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 
 // decodeJSONBody decodes an optional JSON body into v; an empty body
 // leaves v at its zero value.
-func decodeJSONBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) error {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, scene.MaxBodyBytes))
 	if err != nil {
 		return fmt.Errorf("read body: %w", err)
 	}

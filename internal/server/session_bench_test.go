@@ -22,7 +22,7 @@ import (
 //
 //	GOMAXPROCS=1 go test -bench SessionObserve -run - ./internal/server
 func BenchmarkSessionObserve(b *testing.B) {
-	s, err := New(Config{Workers: 1})
+	s, err := New(Config{workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

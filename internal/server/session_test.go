@@ -43,7 +43,7 @@ func TestSessionObserveRejectsNonMonotonicTime(t *testing.T) {
 		{"recovers-after-reject", []float64{1.0, 0.5, 1.5}, []int{200, 400, 200}},
 		{"negative-start-ok", []float64{-2, -1}, []int{200, 200}},
 	}
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{workers: 1})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			id := createSession(t, ts.URL, scene.SessionCreateRequest{})
@@ -65,7 +65,7 @@ func TestSessionObserveRejectsNonMonotonicTime(t *testing.T) {
 // verdicts. Even ticks ask for ?explain=1, which must show the warm start
 // engaging; odd ticks must carry no provenance.
 func TestSessionTickMatchesStatelessScore(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{workers: 1})
 	traces := []struct {
 		name  string
 		trace func() (roadmap.Map, []scenario.SessionTick)
@@ -137,7 +137,7 @@ func TestSessionTickMatchesStatelessScore(t *testing.T) {
 // state across sessions: the recycled WarmState scores the new session's
 // first tick cold.
 func TestSessionWarmStateRecycledCold(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{workers: 1})
 	id := createSession(t, ts.URL, scene.SessionCreateRequest{})
 	for i := 0; i < 3; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/sessions/"+id+"/observe", observeBody(t, float64(i)*0.1))
@@ -202,7 +202,7 @@ func metricValue(t *testing.T, base, name string) float64 {
 // earlier value when that session is deleted and its state pooled.
 func TestSessionWarmBytesGauge(t *testing.T) {
 	telemetry.Enable()
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{workers: 1})
 	const gauge = "iprism_server_warm_bytes"
 	observe := func(id string) {
 		t.Helper()
@@ -244,7 +244,7 @@ func TestSessionWarmBytesGauge(t *testing.T) {
 // while the family of the path serve does take is there.
 func TestServeOmitsCombinedSeconds(t *testing.T) {
 	telemetry.Enable()
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{workers: 1})
 	batch, err := json.Marshal(scene.BatchRequest{Scenes: []scene.Scene{testScene(), testScene()}})
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +282,7 @@ func TestServeOmitsCombinedSeconds(t *testing.T) {
 // observe path must apply the stream's documented -1 "no in-path actor"
 // encoding before writing.
 func TestSessionObserveNonFiniteMetricsWire(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{workers: 1})
 	id := createSession(t, ts.URL, scene.SessionCreateRequest{})
 	sc := testScene()
 	sc.Actors = []scene.Actor{

@@ -23,12 +23,12 @@ import (
 //     in-path actor", since JSON has no Inf);
 //   - a client reconnecting with `Last-Event-ID: <seq>` (or
 //     ?last_event_id=<seq>) is replayed every retained event after seq —
-//     the per-session history ring holds Config.SSEHistory events, and a
+//     the per-session history ring holds Config.sseHistory events, and a
 //     cursor that has fallen off the ring resumes from the oldest
 //     retained event after a `: resume gap` comment;
 //   - an idle stream carries `: hb` comment heartbeats every
-//     Config.SSEHeartbeat so intermediaries don't time it out;
-//   - each subscriber has a bounded event buffer (Config.SSEBuffer); a
+//     sseHeartbeat so intermediaries don't time it out;
+//   - each subscriber has a bounded event buffer (sseBuffer); a
 //     consumer that falls that far behind is disconnected (the scoring
 //     path never blocks on a slow stream reader);
 //   - the stream ends when the session is deleted or the server drains.
@@ -174,7 +174,7 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, scene.ErrorResponse{Error: err.Error()})
 		return
 	}
-	sub, replay, gapped, live := sess.subscribe(after, s.cfg.SSEBuffer)
+	sub, replay, gapped, live := sess.subscribe(after, sseBuffer)
 	if !live {
 		s.writeJSON(w, http.StatusNotFound, scene.ErrorResponse{Error: "session closed"})
 		return
@@ -204,7 +204,7 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 
 	rec := trace.FromContext(r.Context())
 	defer func() { rec.Annotate("sse_events_sent", sent) }()
-	hb := time.NewTicker(s.cfg.SSEHeartbeat)
+	hb := time.NewTicker(sseHeartbeat)
 	defer hb.Stop()
 	for {
 		select {

@@ -138,7 +138,7 @@ func observeAt(t *testing.T, base, id string, at float64) scene.SessionObserveRe
 // per observation, with monotonically increasing IDs matching the observe
 // responses' seq.
 func TestSessionStreamLiveEvents(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{workers: 1})
 	id := createSession(t, ts.URL, scene.SessionCreateRequest{})
 	resp, r := openStream(t, ts.URL+"/v1/sessions/"+id+"/stream", "")
 	defer resp.Body.Close()
@@ -172,7 +172,7 @@ func TestSessionStreamLiveEvents(t *testing.T) {
 // TestSessionStreamResume: a client reconnecting with Last-Event-ID gets
 // exactly the events it missed.
 func TestSessionStreamResume(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{workers: 1})
 	id := createSession(t, ts.URL, scene.SessionCreateRequest{})
 	for i := 0; i < 4; i++ {
 		observeAt(t, ts.URL, id, float64(i))
@@ -202,7 +202,7 @@ func TestSessionStreamResume(t *testing.T) {
 // TestSessionStreamHistoryGap: a cursor older than the resume ring
 // replays from the oldest retained event instead of failing.
 func TestSessionStreamHistoryGap(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, SSEHistory: 2})
+	_, ts := newTestServer(t, Config{workers: 1, sseHistory: 2})
 	id := createSession(t, ts.URL, scene.SessionCreateRequest{})
 	for i := 0; i < 5; i++ {
 		observeAt(t, ts.URL, id, float64(i))
@@ -254,7 +254,7 @@ func TestSlowSubscriberKicked(t *testing.T) {
 // TestSessionStreamEndsOnDelete: deleting the session terminates its
 // streams promptly.
 func TestSessionStreamEndsOnDelete(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{workers: 1})
 	id := createSession(t, ts.URL, scene.SessionCreateRequest{})
 	resp, r := openStream(t, ts.URL+"/v1/sessions/"+id+"/stream", "")
 	defer resp.Body.Close()
@@ -279,7 +279,7 @@ func TestSessionStreamEndsOnDelete(t *testing.T) {
 // TestSessionCreateWithID pins client-assigned session IDs: round-trip,
 // conflict on reuse, and charset validation.
 func TestSessionCreateWithID(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{workers: 1})
 	id := createSession(t, ts.URL, scene.SessionCreateRequest{ID: "gw-abc_1.2"})
 	if id != "gw-abc_1.2" {
 		t.Fatalf("created id = %q, want the requested one", id)
@@ -304,7 +304,7 @@ func TestSessionCreateWithID(t *testing.T) {
 func TestBatchSizeObservedNotCap(t *testing.T) {
 	telemetry.Enable()
 	telBatchSize.Reset()
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{workers: 1})
 	for i := 1; i <= 3; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/score", sceneBody(t))
 		if resp.StatusCode != http.StatusOK {
@@ -337,7 +337,7 @@ func TestBatchSizeObservedNotCap(t *testing.T) {
 // expires while the pool worker is mid-evaluation must not race on the
 // result variables (run under -race) and must return zero values.
 func TestScoreTimeoutRace(t *testing.T) {
-	s, err := New(Config{Workers: 1, RequestTimeout: time.Millisecond})
+	s, err := New(Config{workers: 1, requestTimeout: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func postTraced(t *testing.T, url, traceID string, body []byte) (*http.Response,
 }
 
 func TestTraceHeaderRoundTrip(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{workers: 2})
 
 	// A caller-supplied trace ID is honoured verbatim.
 	callerID := trace.NewID().String()
@@ -64,7 +64,7 @@ func TestTraceHeaderRoundTrip(t *testing.T) {
 }
 
 func TestErrorPathsCarryTraceHeaders(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	s, ts := newTestServer(t, Config{workers: 1, queueDepth: 1})
 
 	// 400: malformed body.
 	resp, _ := postTraced(t, ts.URL+"/v1/score", "", []byte("{not json"))
@@ -79,7 +79,7 @@ func TestErrorPathsCarryTraceHeaders(t *testing.T) {
 	// from live state, and trace headers must still be present.
 	release := gate(t, s)
 	defer release()
-	for i := 0; i < s.cfg.QueueDepth; i++ {
+	for i := 0; i < s.cfg.queueDepth; i++ {
 		if _, err := s.submit(context.Background(), func(*sti.Evaluator) {}); err != nil {
 			t.Fatalf("queue filler rejected: %v", err)
 		}
@@ -98,7 +98,7 @@ func TestErrorPathsCarryTraceHeaders(t *testing.T) {
 }
 
 func TestExplainProvenance(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{workers: 2})
 
 	callerID := trace.NewID().String()
 	resp, body := postTraced(t, ts.URL+"/v1/score?explain=1", callerID, sceneBody(t))
@@ -150,7 +150,7 @@ func TestExplainProvenance(t *testing.T) {
 }
 
 func TestDebugRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{workers: 2})
 
 	callerID := trace.NewID().String()
 	if resp, body := postTraced(t, ts.URL+"/v1/score", callerID, sceneBody(t)); resp.StatusCode != http.StatusOK {
@@ -212,7 +212,7 @@ func TestDebugRequests(t *testing.T) {
 }
 
 func TestDebugSLO(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{workers: 2})
 	postTraced(t, ts.URL+"/v1/score", "", sceneBody(t))
 	postTraced(t, ts.URL+"/v1/score", "", []byte("{bad"))
 
@@ -259,7 +259,7 @@ func TestWideEventJournal(t *testing.T) {
 	telemetry.SetJournal(jnl)
 	t.Cleanup(func() { telemetry.SetJournal(nil) })
 
-	_, ts := newTestServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{workers: 2})
 	callerID := trace.NewID().String()
 	if resp, body := postTraced(t, ts.URL+"/v1/score", callerID, sceneBody(t)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("score status = %d, body %s", resp.StatusCode, body)

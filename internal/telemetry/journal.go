@@ -28,8 +28,8 @@ type Journal struct {
 	closer io.Closer
 	err    error
 
-	// Size-capped rotation (OpenJournalRotating): when appending would push
-	// the current file past maxBytes it is renamed to path+".1" (replacing
+	// Size-capped rotation (OpenJournal): when appending would push the
+	// current file past maxBytes it is renamed to path+".1" (replacing
 	// any previous rotation) and a fresh file is started, bounding a
 	// long-running iprism-serve's disk use at ~2x the cap.
 	path     string
@@ -44,18 +44,21 @@ func NewJournal(w io.Writer) *Journal {
 	return &Journal{w: w}
 }
 
-// OpenJournal creates (truncating) a journal file at path with no size cap.
-// Close flushes and closes the file.
+// journalMaxBytes is the size at which a journal file rotates, for every
+// command that writes one.
+const journalMaxBytes = 64 << 20
+
+// OpenJournal creates (truncating) a journal file at path that rotates to
+// path+".1" whenever appending would push it past journalMaxBytes. At most
+// two files exist at any time: the live journal and the previous
+// generation, so disk use stays bounded on long-running services. Close
+// flushes and closes the file.
 func OpenJournal(path string) (*Journal, error) {
-	return OpenJournalRotating(path, 0)
+	return openJournal(path, journalMaxBytes)
 }
 
-// OpenJournalRotating creates (truncating) a journal file at path that
-// rotates to path+".1" whenever appending would exceed maxBytes (0
-// disables rotation). At most two files exist at any time: the live
-// journal and the previous generation, so disk use stays bounded on
-// long-running services.
-func OpenJournalRotating(path string, maxBytes int64) (*Journal, error) {
+// openJournal is OpenJournal with the rotation size as a parameter.
+func openJournal(path string, maxBytes int64) (*Journal, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: open journal: %w", err)

@@ -10,7 +10,7 @@ import (
 func TestJournalRotation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "journal.jsonl")
-	j, err := OpenJournalRotating(path, 2048)
+	j, err := openJournal(path, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestJournalRotationOversizedEvent(t *testing.T) {
 	// bounds steady-state growth; it must not deadlock or drop).
 	dir := t.TempDir()
 	path := filepath.Join(dir, "journal.jsonl")
-	j, err := OpenJournalRotating(path, 64)
+	j, err := openJournal(path, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,18 +7,12 @@ import (
 
 // Setup wires the observability command-line options shared by the iprism
 // commands: a non-empty addr serves expvar+pprof there, a non-empty
-// journalPath opens a JSONL journal and installs it as the process-wide
-// event sink, and either being set enables metric collection. The returned
-// cleanup stops the server, then flushes and detaches the journal; it is
-// safe to call when both options were empty.
+// journalPath opens a JSONL journal (OpenJournal, so it rotates at
+// journalMaxBytes) and installs it as the process-wide event sink, and
+// either being set enables metric collection. The returned cleanup stops
+// the server, then flushes and detaches the journal; it is safe to call
+// when both options were empty.
 func Setup(addr, journalPath string) (func() error, error) {
-	return SetupRotating(addr, journalPath, 0)
-}
-
-// SetupRotating is Setup with a journal size cap: the journal rotates to
-// <path>.1 when it would exceed journalMaxBytes (0 = unbounded), so
-// long-running commands cannot fill the disk.
-func SetupRotating(addr, journalPath string, journalMaxBytes int64) (func() error, error) {
 	var (
 		srv *Server
 		jnl *Journal
@@ -32,7 +26,7 @@ func SetupRotating(addr, journalPath string, journalMaxBytes int64) (func() erro
 		fmt.Fprintf(os.Stderr, "telemetry: serving expvar and pprof on http://%s/debug/vars\n", srv.Addr)
 	}
 	if journalPath != "" {
-		if jnl, err = OpenJournalRotating(journalPath, journalMaxBytes); err != nil {
+		if jnl, err = OpenJournal(journalPath); err != nil {
 			if srv != nil {
 				srv.Close()
 			}

@@ -6,9 +6,10 @@ import (
 
 // Serving facade: the online risk-scoring service from internal/server.
 type (
-	// RiskServerConfig tunes the scoring service (pool size, queue depth,
-	// request deadlines, micro-batching). The zero value serves with the
-	// paper's reach configuration and conservative capacity defaults.
+	// RiskServerConfig configures the scoring service. It has no settable
+	// fields: the zero value serves with the paper's reach configuration,
+	// one scoring worker per GOMAXPROCS and the service's fixed capacity
+	// policy (DESIGN.md §7).
 	RiskServerConfig = server.Config
 	// RiskServer is a running (or startable) scoring service.
 	RiskServer = server.Server

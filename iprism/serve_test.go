@@ -12,7 +12,7 @@ import (
 )
 
 func TestServeRiskScoresOverHTTP(t *testing.T) {
-	s, err := iprism.ServeRisk("127.0.0.1:0", iprism.RiskServerConfig{Workers: 1})
+	s, err := iprism.ServeRisk("127.0.0.1:0", iprism.RiskServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

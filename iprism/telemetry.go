@@ -34,7 +34,8 @@ func TelemetrySnapshotNow() TelemetrySnapshot { return telemetry.Default().Snaps
 func ServeTelemetry(addr string) (*TelemetryServer, error) { return telemetry.Serve(addr) }
 
 // OpenTelemetryJournal creates a JSONL journal at path and installs it as
-// the process-wide event sink (SMC training episodes, suite progress).
+// the process-wide event sink (SMC training episodes, suite progress). The
+// file rotates to path+".1" at 64 MiB, like every journal the commands write.
 // Close the returned journal to flush it; closing does not detach it —
 // pass nil to SetTelemetryJournal for that.
 func OpenTelemetryJournal(path string) (*TelemetryJournal, error) {

@@ -23,6 +23,11 @@ fi
 if go list -deps ./cmd/iprism-serve | grep -x 'repro/internal/sim'; then
   echo "verify: iprism-serve links internal/sim" >&2; exit 1
 fi
+# The load client measures a server over HTTP and must not link the engine
+# it measures (it has no in-process server mode).
+if go list -deps ./cmd/iprism-loadgen | grep -E '^repro/internal/(server|sti|reach|monitor|metrics)$'; then
+  echo "verify: iprism-loadgen links the engine packages listed above" >&2; exit 1
+fi
 # One scoring call per package: sti.Evaluator.Score/Combined and
 # reach.Compute/ComputeCounterfactuals. The older entry points survive only
 # as deprecated shims for perfbench/, so nothing else may call them (their
