@@ -56,8 +56,6 @@ func run() error {
 		return renderJournal(*journal, *smooth, *out)
 	}
 
-	cfg := reach.DefaultConfig()
-	cfg.RecordPoints = true
 	eval, err := sti.NewEvaluator(reach.DefaultConfig())
 	if err != nil {
 		return err
@@ -75,45 +73,61 @@ func run() error {
 		if !ok {
 			return fmt.Errorf("unknown typology %q", *typology)
 		}
-		scns := scenario.GenerateValid(ty, *id+1, *seed)
-		if *id >= len(scns) {
-			return fmt.Errorf("instance %d unavailable (only %d valid)", *id, len(scns))
-		}
-		scn := scns[*id]
-		w, err := scn.Build()
-		if err != nil {
+		if scene, err = scenarioFrame(ty, *id, *step, *seed); err != nil {
 			return err
-		}
-		driver := agent.NewLBC(agent.DefaultLBCConfig())
-		driver.Reset()
-		for i := 0; i < *step; i++ {
-			obs := w.Observe()
-			if ev := w.Advance(driver.Act(obs)); ev.EgoCollision {
-				fmt.Fprintf(os.Stderr, "note: collision at step %d; rendering that frame\n", i)
-				break
-			}
-		}
-		obs := w.Observe()
-		scene = render.Scene{
-			Map: w.Map, Ego: obs.Ego, Actors: obs.Actors,
-			Title: fmt.Sprintf("%s #%d @ t=%.1fs", ty, scn.ID, obs.Time),
 		}
 	}
 
-	// One CVTR prediction serves the STI colouring and the frame's
-	// reach-tube.
-	trajs := actor.PredictAll(scene.Actors, cfg.NumSlices(), cfg.SliceDt)
-	scene.Risk, _ = eval.Score(context.Background(), sti.Query{Map: scene.Map, Ego: scene.Ego, Actors: scene.Actors, Trajs: trajs}, nil)
-	obs := reach.BuildObstacles(scene.Actors, trajs, cfg)
-	tube := reach.Compute(scene.Map, obs, scene.Ego, cfg, nil)
-	scene.Tube = &tube
-
+	annotate(&scene, eval)
 	svg := render.SVG(scene, render.Options{Window: 70})
 	if err := os.WriteFile(*out, []byte(svg), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s (%d bytes)\n", *out, len(svg))
 	return nil
+}
+
+// scenarioFrame simulates instance id of a generated typology for step
+// steps (stopping at a collision) under the typology's baseline driver:
+// the ring pilot on the roundabout, LBC on the straight-road typologies.
+func scenarioFrame(ty scenario.Typology, id, step int, seed int64) (render.Scene, error) {
+	scns := scenario.GenerateValid(ty, id+1, seed)
+	if id >= len(scns) {
+		return render.Scene{}, fmt.Errorf("instance %d unavailable (only %d valid)", id, len(scns))
+	}
+	scn := scns[id]
+	w, err := scn.Build()
+	if err != nil {
+		return render.Scene{}, err
+	}
+	var driver sim.Driver = agent.NewLBC(agent.DefaultLBCConfig())
+	if ty == scenario.RoundaboutCutIn {
+		driver = agent.NewRingPilot(agent.DefaultRingPilotConfig())
+	}
+	driver.Reset()
+	for i := 0; i < step; i++ {
+		obs := w.Observe()
+		if ev := w.Advance(driver.Act(obs)); ev.EgoCollision {
+			fmt.Fprintf(os.Stderr, "note: collision at step %d; rendering that frame\n", i)
+			break
+		}
+	}
+	obs := w.Observe()
+	return render.Scene{
+		Map: w.Map, Ego: obs.Ego, Actors: obs.Actors,
+		Title: fmt.Sprintf("%s #%d @ t=%.1fs", ty, scn.ID, obs.Time),
+	}, nil
+}
+
+// annotate scores the scene and records the ego's reach-tube: one CVTR
+// prediction serves the STI colouring and the tube.
+func annotate(scene *render.Scene, eval *sti.Evaluator) {
+	cfg := reach.DefaultConfig()
+	cfg.RecordPoints = true
+	trajs := actor.PredictAll(scene.Actors, cfg.NumSlices(), cfg.SliceDt)
+	scene.Risk, _ = eval.Score(context.Background(), sti.Query{Map: scene.Map, Ego: scene.Ego, Actors: scene.Actors, Trajs: trajs}, nil)
+	tube := reach.Compute(scene.Map, reach.BuildObstacles(scene.Actors, trajs, cfg), scene.Ego, cfg, nil)
+	scene.Tube = &tube
 }
 
 // renderJournal plots per-episode training curves from a telemetry JSONL
@@ -144,5 +158,3 @@ func findCase(name string) (dataset.CaseStudy, error) {
 	}
 	return dataset.CaseStudy{}, fmt.Errorf("unknown case %q (want pedestrian|oversized|cluttered|pulling)", name)
 }
-
-var _ sim.Driver = (*agent.LBC)(nil)

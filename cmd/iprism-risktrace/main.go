@@ -1,27 +1,24 @@
-// Command iprism-risktrace dumps the Fig. 4 risk-characterisation series
-// (mean±SD of STI/PKL/TTC over time, split safe vs accident) and, with
-// -mitigated, the Fig. 5 STI comparison (LBC vs LBC+iPrism on ghost
-// cut-in) as CSV on stdout.
-//
-// With -trace <journal.jsonl> it instead replays the wide events captured
-// by a serving journal, rendering one span waterfall per request so a
-// TraceID taken from an X-Trace-Id header, a /metrics exemplar, or a
-// loadgen "slowest requests" report can be inspected offline:
+// Command iprism-risktrace replays the wide events captured by a serving
+// journal, rendering one span waterfall per request so a TraceID taken
+// from an X-Trace-Id header, a /metrics exemplar, or a loadgen "slowest
+// requests" report can be inspected offline:
 //
 //	iprism-risktrace -trace serve-journal.jsonl -trace-id 4bf9…
+//	iprism-risktrace -trace serve-journal.jsonl -slowest 5
+//
+// The paper's Fig. 4/5 series are written by iprism-report (fig4.csv and
+// fig5.csv in its output directory).
 package main
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 
-	"repro/internal/experiments"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
@@ -35,101 +32,23 @@ func main() {
 
 func run() error {
 	var (
-		n         = flag.Int("n", 40, "scenario instances per typology")
-		seed      = flag.Int64("seed", 2024, "suite generation seed")
-		mitigated = flag.Bool("mitigated", false, "emit Fig. 5 (train an SMC and compare STI traces)")
-		episodes  = flag.Int("episodes", 60, "SMC training episodes for -mitigated")
-		telAddr   = flag.String("telemetry", "", "serve expvar and pprof on this address (e.g. localhost:6060)")
-		journal   = flag.String("journal", "", "write a JSONL telemetry journal to this path")
-		traceFile = flag.String("trace", "", "replay the wide events of this serving journal instead of running experiments")
-		traceID   = flag.String("trace-id", "", "with -trace: only requests carrying this trace ID")
-		slowest   = flag.Int("slowest", 0, "with -trace: only the N slowest requests")
+		traceFile = flag.String("trace", "", "replay the wide events of this serving journal (required)")
+		traceID   = flag.String("trace-id", "", "only requests carrying this trace ID")
+		slowest   = flag.Int("slowest", 0, "only the N slowest requests")
 	)
 	flag.Parse()
 
-	if *traceFile != "" {
-		return replayTrace(*traceFile, *traceID, *slowest)
+	if *traceFile == "" {
+		return fmt.Errorf("-trace is required (the Fig. 4/5 series come from iprism-report)")
 	}
-
-	telCleanup, err := telemetry.Setup(*telAddr, *journal)
-	if err != nil {
-		return err
-	}
-	defer telCleanup()
-
-	opt := experiments.DefaultOptions()
-	opt.ScenariosPerTypology = *n
-	opt.Seed = *seed
-	opt.TrainEpisodes = *episodes
-
-	suites, err := experiments.BuildSuites(opt)
-	if err != nil {
-		return err
-	}
-	w := csv.NewWriter(os.Stdout)
-	defer w.Flush()
-
-	if *mitigated {
-		ctrl, err := experiments.TrainGhostCutInSMC(suites, opt)
-		if err != nil {
-			return err
-		}
-		f5, err := experiments.Fig5(suites, ctrl, opt, 0)
-		if err != nil {
-			return err
-		}
-		if err := w.Write([]string{"t", "sti_lbc_mean", "sti_lbc_sd", "sti_iprism_mean", "sti_iprism_sd"}); err != nil {
-			return err
-		}
-		n := f5.LBC.Len()
-		if f5.IPrism.Len() > n {
-			n = f5.IPrism.Len()
-		}
-		for i := 0; i < n; i++ {
-			row := []string{f(float64(i) * f5.Dt)}
-			row = append(row, seriesAt(f5.LBC.Mean, i), seriesAt(f5.LBC.SD, i))
-			row = append(row, seriesAt(f5.IPrism.Mean, i), seriesAt(f5.IPrism.SD, i))
-			if err := w.Write(row); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	series, err := experiments.Fig4(suites, opt)
-	if err != nil {
-		return err
-	}
-	if err := w.Write([]string{"typology", "metric", "population", "t", "mean", "sd", "n"}); err != nil {
-		return err
-	}
-	for _, s := range series {
-		for name, pop := range map[string]struct {
-			mean, sd []float64
-			n        []int
-		}{
-			"safe":     {s.Safe.Mean, s.Safe.SD, s.Safe.N},
-			"accident": {s.Accident.Mean, s.Accident.SD, s.Accident.N},
-		} {
-			for i := range pop.mean {
-				if err := w.Write([]string{
-					s.Typology.String(), s.Metric, name,
-					f(float64(i) * s.Dt), f(pop.mean[i]), f(pop.sd[i]),
-					strconv.Itoa(pop.n[i]),
-				}); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
+	return replayTrace(os.Stdout, *traceFile, *traceID, *slowest)
 }
 
 // replayTrace renders the wide events of a serving journal as span
 // waterfalls: one block per request with its identity, outcome, risk
 // annotations, and the server → evaluator → reach span chain laid out on a
 // shared time axis.
-func replayTrace(path, wantID string, slowest int) error {
+func replayTrace(out io.Writer, path, wantID string, slowest int) error {
 	events, err := telemetry.ReadJournalFile(path)
 	if err != nil {
 		return err
@@ -166,13 +85,13 @@ func replayTrace(path, wantID string, slowest int) error {
 		}
 	}
 	for _, w := range wides {
-		printWaterfall(w)
+		printWaterfall(out, w)
 	}
 	return nil
 }
 
-func printWaterfall(w trace.WideEvent) {
-	fmt.Printf("trace %s  request %s  %s  status %d  %.3fms\n",
+func printWaterfall(out io.Writer, w trace.WideEvent) {
+	fmt.Fprintf(out, "trace %s  request %s  %s  status %d  %.3fms\n",
 		w.TraceID, w.RequestID, w.Route, w.Status, w.Seconds*1e3)
 	if len(w.Attrs) > 0 {
 		keys := make([]string, 0, len(w.Attrs))
@@ -184,7 +103,7 @@ func printWaterfall(w trace.WideEvent) {
 		for i, k := range keys {
 			parts[i] = fmt.Sprintf("%s=%v", k, w.Attrs[k])
 		}
-		fmt.Printf("  %s\n", strings.Join(parts, "  "))
+		fmt.Fprintf(out, "  %s\n", strings.Join(parts, "  "))
 	}
 	spans := append([]trace.Span(nil), w.Spans...)
 	sort.SliceStable(spans, func(i, j int) bool { return spans[i].StartUS < spans[j].StartUS })
@@ -210,16 +129,7 @@ func printWaterfall(w trace.WideEvent) {
 				bar[i] = '#'
 			}
 		}
-		fmt.Printf("  %-28s %9dus +%8dus |%s|\n", sp.Name, sp.StartUS, sp.DurUS, bar[:])
+		fmt.Fprintf(out, "  %-28s %9dus +%8dus |%s|\n", sp.Name, sp.StartUS, sp.DurUS, bar[:])
 	}
-	fmt.Println()
-}
-
-func f(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
-
-func seriesAt(xs []float64, i int) string {
-	if i >= len(xs) {
-		return ""
-	}
-	return f(xs[i])
+	fmt.Fprintln(out)
 }

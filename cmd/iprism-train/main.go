@@ -14,7 +14,6 @@ import (
 	"syscall"
 
 	"repro/internal/agent"
-	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/smc"
@@ -22,7 +21,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "iprism-train:", err)
 		os.Exit(1)
 	}
@@ -35,22 +34,25 @@ var typologyNames = map[string]scenario.Typology{
 	"rear-end":      scenario.RearEnd,
 }
 
-func run() error {
+// run trains and saves a controller. Its error is the first of the
+// training's and the journal close's failures.
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet("iprism-train", flag.ExitOnError)
 	var (
-		typology  = flag.String("typology", "ghost-cut-in", "one of: "+strings.Join(names(), ", "))
-		n         = flag.Int("n", 60, "suite size used to select the training scenario")
-		episodes  = flag.Int("episodes", 100, "training episodes (paper: 100)")
-		seed      = flag.Int64("seed", 2024, "generation and training seed")
-		out       = flag.String("o", "smc.json", "output path for the trained controller")
-		noSTI     = flag.Bool("no-sti", false, "train the w/o-STI reward ablation")
-		telAddr   = flag.String("telemetry", "", "serve expvar and pprof on this address (e.g. localhost:6060)")
-		journal   = flag.String("journal", "", "write a JSONL telemetry journal (per-episode reward/epsilon/loss) to this path")
-		epWorkers = flag.Int("episode-workers", 1, "parallel episode workers (1 = historical serial trainer; N>1 is run-to-run deterministic)")
-		ckPath    = flag.String("checkpoint", "", "write atomic training checkpoints to this path")
-		ckEvery   = flag.Int("checkpoint-every", 25, "episodes between checkpoints")
-		resume    = flag.Bool("resume", false, "resume from -checkpoint if it exists (continues the epsilon/episode schedule)")
+		typology  = fs.String("typology", "ghost-cut-in", "one of: "+strings.Join(names(), ", "))
+		n         = fs.Int("n", 60, "suite size used to select the training scenario")
+		episodes  = fs.Int("episodes", 100, "training episodes (paper: 100)")
+		seed      = fs.Int64("seed", 2024, "generation and training seed")
+		out       = fs.String("o", "smc.json", "output path for the trained controller")
+		noSTI     = fs.Bool("no-sti", false, "train the w/o-STI reward ablation")
+		telAddr   = fs.String("telemetry", "", "serve expvar and pprof on this address (e.g. localhost:6060)")
+		journal   = fs.String("journal", "", "write a JSONL telemetry journal (per-episode reward/epsilon/loss) to this path")
+		epWorkers = fs.Int("episode-workers", 1, "parallel episode workers (1 = historical serial trainer; N>1 is run-to-run deterministic)")
+		ckPath    = fs.String("checkpoint", "", "write atomic training checkpoints to this path")
+		ckEvery   = fs.Int("checkpoint-every", 25, "episodes between checkpoints")
+		resume    = fs.Bool("resume", false, "resume from -checkpoint if it exists (continues the epsilon/episode schedule)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	ty, ok := typologyNames[*typology]
 	if !ok {
@@ -60,12 +62,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer telCleanup()
-
-	opt := experiments.DefaultOptions()
-	opt.ScenariosPerTypology = *n
-	opt.Seed = *seed
-	opt.TrainEpisodes = *episodes
+	defer func() {
+		if cerr := telCleanup(); err == nil && cerr != nil {
+			err = fmt.Errorf("telemetry: %w", cerr)
+		}
+	}()
 
 	fmt.Printf("selecting the training scenario from %d %s instances...\n", *n, ty)
 	scns := scenario.GenerateValid(ty, *n, *seed)

@@ -4,10 +4,14 @@ import (
 	"fmt"
 
 	"repro/internal/agent"
+	"repro/internal/geom"
+	"repro/internal/reach"
+	"repro/internal/roadmap"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/smc"
 	"repro/internal/sti"
+	"repro/internal/vehicle"
 )
 
 // ActionSetResult is one row of the action-space ablation.
@@ -73,4 +77,44 @@ func ActionAblationOn(suites []Suite, ty scenario.Typology, opt Options) ([]Acti
 		sets[i].CAPct = r.CAPct
 	}
 	return sets, nil
+}
+
+// ReachVariant is one control-sampling level of the footnote-5 ablation.
+type ReachVariant struct {
+	Name   string
+	Config reach.Config
+}
+
+// ReachVariants derives the ablation's sampling levels from base: the
+// paper's boundary-control enumeration (optimisation 2) and dense uniform
+// sampling at 25 and 100 controls.
+func ReachVariants(base reach.Config) []ReachVariant {
+	out := []ReachVariant{{Name: "boundary-only", Config: base}}
+	for _, n := range []int{25, 100} {
+		cfg := base
+		cfg.BoundaryOnly = false
+		cfg.Samples = n
+		out = append(out, ReachVariant{Name: fmt.Sprintf("sampled-%d", n), Config: cfg})
+	}
+	return out
+}
+
+// ReachAblationRow is the empty-road tube volume at one sampling level.
+type ReachAblationRow struct {
+	Name   string
+	Volume float64 // m²
+}
+
+// ReachAblation computes the footnote-5 ablation: the paper claims
+// boundary enumeration changes the escape-route volume only marginally
+// against dense sampling. The scene is an ego at 10 m/s on an empty
+// two-lane road, the fixture BenchmarkReachAblation times.
+func ReachAblation(opt Options) []ReachAblationRow {
+	road := roadmap.MustStraightRoad(2, 3.5, -100, 1000)
+	ego := vehicle.State{Pos: geom.V(0, 1.75), Speed: 10}
+	var out []ReachAblationRow
+	for _, v := range ReachVariants(opt.Reach) {
+		out = append(out, ReachAblationRow{Name: v.Name, Volume: reach.Compute(road, nil, ego, v.Config, nil).Volume})
+	}
+	return out
 }

@@ -41,6 +41,9 @@ func Fig4(suites []Suite, opt Options) ([]Fig4Series, error) {
 	}
 	var out []Fig4Series
 	for _, suite := range suites {
+		if len(suite.Scenarios) == 0 {
+			continue // a validity filter can leave a small suite empty
+		}
 		safe := map[string][][]float64{}
 		accident := map[string][][]float64{}
 		for i := range suite.Scenarios {
@@ -105,8 +108,8 @@ type Fig5Result struct {
 func Fig5(suites []Suite, ctrl *smc.SMC, opt Options, sample int) (Fig5Result, error) {
 	var res Fig5Result
 	suite, ok := findSuite(suites, scenario.GhostCutIn)
-	if !ok {
-		return res, fmt.Errorf("experiments: missing ghost cut-in suite")
+	if !ok || len(suite.Scenarios) == 0 {
+		return res, fmt.Errorf("experiments: missing or empty ghost cut-in suite")
 	}
 	if err := opt.Validate(); err != nil {
 		return res, err

@@ -87,3 +87,37 @@ func TestRoundaboutNeedsController(t *testing.T) {
 		t.Error("nil controller accepted")
 	}
 }
+
+// At one instance per typology the front-accident validity filter can
+// leave a suite empty: Fig. 4 skips it and Fig. 5 refuses an empty ghost
+// cut-in suite instead of indexing its first scenario.
+func TestFiguresOnEmptySuites(t *testing.T) {
+	if testing.Short() {
+		t.Skip("suite integration")
+	}
+	opt := tinyOptions()
+	opt.ScenariosPerTypology = 1
+	suites, err := BuildSuites(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonEmpty := 0
+	for _, s := range suites {
+		if len(s.Scenarios) > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty == len(suites) {
+		t.Fatal("no suite is empty at one instance per typology; the test no longer covers the empty case")
+	}
+	series, err := Fig4(suites, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) != 4*nonEmpty {
+		t.Errorf("Fig4 series = %d, want 4 metrics for each of %d non-empty suites", len(series), nonEmpty)
+	}
+	if _, err := Fig5([]Suite{{Typology: scenario.GhostCutIn}}, nil, opt, 0); err == nil {
+		t.Error("Fig5 accepted an empty ghost cut-in suite")
+	}
+}
