@@ -1,19 +1,22 @@
 // Command iprism-train trains a Safety-hazard Mitigation Controller for one
 // scenario typology (selecting the highest-average-STI accident scenario of
-// a generated suite, as in §IV-B1) and saves the trained controller as
-// JSON for later deployment.
+// a generated suite, as in §IV-B1, by the rule iprism-report's Table III
+// uses) and saves the trained controller as JSON for later deployment.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
+	"sort"
 	"strings"
 	"syscall"
 
 	"repro/internal/agent"
+	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/smc"
@@ -21,7 +24,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "iprism-train:", err)
 		os.Exit(1)
 	}
@@ -34,9 +37,9 @@ var typologyNames = map[string]scenario.Typology{
 	"rear-end":      scenario.RearEnd,
 }
 
-// run trains and saves a controller. Its error is the first of the
-// training's and the journal close's failures.
-func run(args []string) (err error) {
+// run trains and saves a controller, printing its progress to stdout. Its
+// error is the first of the training's and the journal close's failures.
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("iprism-train", flag.ExitOnError)
 	var (
 		typology  = fs.String("typology", "ghost-cut-in", "one of: "+strings.Join(names(), ", "))
@@ -68,28 +71,27 @@ func run(args []string) (err error) {
 		}
 	}()
 
-	fmt.Printf("selecting the training scenario from %d %s instances...\n", *n, ty)
-	scns := scenario.GenerateValid(ty, *n, *seed)
-	lbc := func() sim.Driver { return agent.NewLBC(agent.DefaultLBCConfig()) }
-
-	// Find crash scenarios under the baseline and pick the first (the
-	// experiments package does full STI-based selection; the CLI favours a
-	// quick crash scan plus STI ranking of the top candidates).
-	var crashes []scenario.Scenario
-	for _, s := range scns {
-		w, err := s.Build()
-		if err != nil {
-			return err
-		}
-		if out := sim.Run(w, lbc(), nil, sim.RunConfig{MaxSteps: s.MaxSteps}); out.Collision {
-			crashes = append(crashes, s)
-		}
+	fmt.Fprintf(stdout, "selecting the training scenario from %d %s instances...\n", *n, ty)
+	opt := experiments.DefaultOptions()
+	suite, err := experiments.NewSuite(ty, scenario.GenerateValid(ty, *n, *seed), opt.Workers)
+	if err != nil {
+		return err
 	}
+	crashes := suite.Accidents()
 	if len(crashes) == 0 {
 		return fmt.Errorf("no baseline accidents in %d instances; increase -n", *n)
 	}
-	fmt.Printf("baseline crashed in %d/%d instances; training on scenario #%d for %d episodes...\n",
-		len(crashes), len(scns), crashes[0].ID, *episodes)
+	ev, err := experiments.Trace([]experiments.Suite{suite}, opt)
+	if err != nil {
+		return err
+	}
+	idx, err := ev.TrainingScenario(ty)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "baseline crashed in %d/%d instances; training on scenario #%d for %d episodes...\n",
+		len(crashes), len(suite.Scenarios), suite.Scenarios[idx].ID, *episodes)
+	lbc := func() sim.Driver { return agent.NewLBC(agent.DefaultLBCConfig()) }
 
 	cfg := smc.DefaultConfig()
 	cfg.UseSTI = !*noSTI
@@ -113,35 +115,36 @@ func run(args []string) (err error) {
 	if *resume && *ckPath == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
-	ctrl, stats, err := smc.TrainContext(ctx, crashes[:1], lbc, cfg, *episodes, trainOpts)
+	ctrl, stats, err := smc.TrainContext(ctx, suite.Scenarios[idx:idx+1], lbc, cfg, *episodes, trainOpts)
 	if err != nil {
 		return err
 	}
 	if stats.StartEpisode > 0 {
-		fmt.Printf("resumed from episode %d\n", stats.StartEpisode)
+		fmt.Fprintf(stdout, "resumed from episode %d\n", stats.StartEpisode)
 	}
 	if stats.Interrupted {
-		fmt.Printf("interrupted after %d episodes", stats.Episodes)
+		fmt.Fprintf(stdout, "interrupted after %d episodes", stats.Episodes)
 		if *ckPath != "" {
-			fmt.Printf("; checkpoint saved to %s — rerun with -resume to continue", *ckPath)
+			fmt.Fprintf(stdout, "; checkpoint saved to %s — rerun with -resume to continue", *ckPath)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	} else {
-		fmt.Printf("trained: %d episodes, %d training collisions, final epsilon %.2f\n",
+		fmt.Fprintf(stdout, "trained: %d episodes, %d training collisions, final epsilon %.2f\n",
 			stats.Episodes, stats.Collisions, stats.FinalEpsilon)
 	}
 
 	if err := ctrl.Save(*out); err != nil {
 		return err
 	}
-	fmt.Printf("saved controller to %s\n", *out)
+	fmt.Fprintf(stdout, "saved controller to %s\n", *out)
 	if stats.Interrupted {
 		return nil
 	}
 
 	// Quick self-evaluation on the crash set.
 	saved := 0
-	for _, s := range crashes {
+	for _, i := range crashes {
+		s := suite.Scenarios[i]
 		w, err := s.Build()
 		if err != nil {
 			return err
@@ -150,7 +153,7 @@ func run(args []string) (err error) {
 			saved++
 		}
 	}
-	fmt.Printf("mitigation check: %d/%d previously fatal scenarios now collision-free\n", saved, len(crashes))
+	fmt.Fprintf(stdout, "mitigation check: %d/%d previously fatal scenarios now collision-free\n", saved, len(crashes))
 	return nil
 }
 
@@ -159,5 +162,6 @@ func names() []string {
 	for n := range typologyNames {
 		out = append(out, n)
 	}
+	sort.Strings(out)
 	return out
 }

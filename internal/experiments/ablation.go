@@ -10,7 +10,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/smc"
-	"repro/internal/sti"
 	"repro/internal/vehicle"
 )
 
@@ -26,48 +25,38 @@ type ActionSetResult struct {
 // ActionAblation studies the SMC's action space on the rear-end typology —
 // the paper's §V-C argument: braking alone cannot mitigate a threat from
 // behind, acceleration can, and the lane-change extension (§VII) adds a
-// further escape dimension.
-func ActionAblation(suites []Suite, opt Options) ([]ActionSetResult, error) {
-	return ActionAblationOn(suites, scenario.RearEnd, opt)
-}
-
-// ActionAblationOn runs the action-space ablation on an arbitrary typology.
-func ActionAblationOn(suites []Suite, ty scenario.Typology, opt Options) ([]ActionSetResult, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	rear, ok := findSuite(suites, ty)
+// further escape dimension. The brake+accelerate row is Table III's
+// rear-end extension; the other rows train on the same scenario with the
+// same seed, so the only difference between rows is the action set.
+func ActionAblation(ev *Evidence, t3 TableIIIResult) ([]ActionSetResult, error) {
+	rear, ok := findSuite(ev.Suites, scenario.RearEnd)
 	if !ok {
-		return nil, fmt.Errorf("experiments: missing %v suite", ty)
+		return nil, fmt.Errorf("experiments: missing rear-end suite")
 	}
-	eval, err := sti.NewEvaluator(opt.Reach)
-	if err != nil {
-		return nil, err
-	}
-	trainIdx, err := selectTrainingScenario(rear, opt, eval)
-	if err != nil {
-		return nil, err
+	trainIdx, ok := t3.TrainScenarioID[scenario.RearEnd]
+	if !ok {
+		return nil, fmt.Errorf("experiments: rear-end has no trained SMC")
 	}
 	lbc := func() sim.Driver { return agent.NewLBC(agent.DefaultLBCConfig()) }
-	tas := rear.Accidents()
-
 	sets := []ActionSetResult{
 		{Name: "brake only", Actions: []smc.Action{smc.NoOp, smc.Brake}},
-		{Name: "brake+accelerate", Actions: []smc.Action{smc.NoOp, smc.Brake, smc.Accelerate}},
+		{Name: "brake+accelerate", Actions: smc.DefaultConfig().Actions,
+			TAS: t3.RearEnd.TAS, CA: t3.RearEnd.CA, CAPct: t3.RearEnd.CAPct},
 		{Name: "brake+accel+lane-change", Actions: []smc.Action{
 			smc.NoOp, smc.Brake, smc.Accelerate, smc.LaneLeft, smc.LaneRight,
 		}},
 	}
 	for i := range sets {
-		// The same training seed as the Table III rear-end SMC, so the only
-		// difference between rows is the action set.
-		cfg := opt.smcConfig(true, opt.Seed+7)
+		if i == 1 {
+			continue // Table III's rear-end result
+		}
+		cfg := ev.opt.smcConfig(true, ev.opt.Seed+7)
 		cfg.Actions = sets[i].Actions
-		ctrl, _, err := smc.Train([]scenario.Scenario{rear.Scenarios[trainIdx]}, lbc, cfg, opt.TrainEpisodes)
+		ctrl, _, err := smc.Train([]scenario.Scenario{rear.Scenarios[trainIdx]}, lbc, cfg, ev.opt.TrainEpisodes)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: train %q: %w", sets[i].Name, err)
 		}
-		r, err := evaluateAgent(rear.Scenarios, tas, opt, lbc,
+		r, err := evaluateAgent(rear.Scenarios, rear.Accidents(), ev.opt, lbc,
 			func() (sim.Mitigator, error) { return ctrl.CloneForRun(), nil })
 		if err != nil {
 			return nil, err

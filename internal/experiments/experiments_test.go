@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/scenario"
+	"repro/internal/sti"
 )
 
 // tinyOptions keeps the integration tests minutes-scale while preserving
@@ -54,6 +55,16 @@ func buildTinySuites(t *testing.T) ([]Suite, Options) {
 	return suites, opt
 }
 
+// mustTrace runs the trace pass over suites.
+func mustTrace(t *testing.T, suites []Suite, opt Options) *Evidence {
+	t.Helper()
+	ev, err := Trace(suites, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev
+}
+
 func TestBuildSuitesAndTableI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite integration")
@@ -92,10 +103,7 @@ func TestTableIILTFMAShape(t *testing.T) {
 		t.Skip("LTFMA integration")
 	}
 	suites, opt := buildTinySuites(t)
-	res, err := TableII(suites, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := TableII(mustTrace(t, suites, opt))
 	if len(res.Typologies) == 0 {
 		t.Fatal("no typologies with accidents")
 	}
@@ -133,10 +141,7 @@ func TestFig4SeriesShape(t *testing.T) {
 		t.Skip("trace integration")
 	}
 	suites, opt := buildTinySuites(t)
-	series, err := Fig4(suites[:1], opt) // ghost cut-in only, for speed
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := Fig4(mustTrace(t, suites[:1], opt)) // ghost cut-in only, for speed
 	if len(series) != 4 {
 		t.Fatalf("series = %d, want 4 metrics (STI, PKL, TTC, CIPA)", len(series))
 	}
@@ -184,10 +189,11 @@ func TestFig6LongTail(t *testing.T) {
 }
 
 func TestFig7Cases(t *testing.T) {
-	res, err := Fig7(DefaultOptions())
+	eval, err := sti.NewEvaluator(DefaultOptions().Reach)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := Fig7(eval)
 	if len(res) != 4 {
 		t.Fatalf("cases = %d", len(res))
 	}
@@ -214,7 +220,8 @@ func TestMitigationPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	t3, err := TableIII(suites, opt)
+	ev := mustTrace(t, suites, opt)
+	t3, err := TableIII(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,12 +263,13 @@ func TestMitigationPipeline(t *testing.T) {
 	}
 
 	// Fig. 5: iPrism's mean STI over ghost cut-in must end lower than the
-	// bare baseline's (the mitigation flattens the risk curve).
-	ctrl, err := TrainGhostCutInSMC(suites, opt)
-	if err != nil {
-		t.Fatal(err)
+	// bare baseline's (the mitigation flattens the risk curve). It and the
+	// roundabout reuse Table III's ghost cut-in controller.
+	ctrl := t3.Controllers[scenario.GhostCutIn]
+	if ctrl == nil {
+		t.Fatal("Table III trained no ghost cut-in controller")
 	}
-	f5, err := Fig5(suites, ctrl, opt, 8)
+	f5, err := Fig5(ev, ctrl, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,10 +328,7 @@ func TestSTISeparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seps, err := STISeparation(suites, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seps := STISeparation(mustTrace(t, suites, opt))
 	if len(seps) == 0 {
 		t.Fatal("no typology had both safe and accident populations")
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/dataset"
-	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/smc"
@@ -25,40 +24,28 @@ type Fig4Series struct {
 	Dt float64
 }
 
-// Fig4 computes the risk characterisation traces for every typology and
-// the three plotted metrics.
-func Fig4(suites []Suite, opt Options) ([]Fig4Series, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	eval, err := sti.NewEvaluator(opt.Reach)
-	if err != nil {
-		return nil, err
-	}
-	pklAll, _, err := FitPKLModels(suites, opt)
-	if err != nil {
-		return nil, err
-	}
+// Fig4 aggregates the risk characterisation traces for every typology and
+// the plotted metrics, capping TTC and Dist. CIPA to plottable ranges.
+func Fig4(ev *Evidence) []Fig4Series {
 	var out []Fig4Series
-	for _, suite := range suites {
+	for _, suite := range ev.Suites {
 		if len(suite.Scenarios) == 0 {
 			continue // a validity filter can leave a small suite empty
 		}
 		safe := map[string][][]float64{}
 		accident := map[string][][]float64{}
-		for i := range suite.Scenarios {
-			tw, err := newTraceWorld(suite.Scenarios[i], suite.Outcomes[i].Trace)
-			if err != nil {
-				return nil, err
-			}
-			traces := metricTraces(tw, opt, eval, pklAll)
+		for j, tr := range suite.Traces {
 			dst := safe
-			if suite.Outcomes[i].Collision {
+			if suite.Outcomes[j].Collision {
 				dst = accident
 			}
-			for name, tr := range traces {
-				dst[name] = append(dst[name], tr)
-			}
+			dst["STI"] = append(dst["STI"], tr.STI)
+			dst["PKL"] = append(dst["PKL"], tr.PKLAll)
+			// Cap +Inf for plottable series, as in Fig. 4's axes. The paper
+			// computes Dist. CIPA too but omits its plot for space, noting
+			// the trends are similar to TTC's; the CSV includes it.
+			dst["TTC"] = append(dst["TTC"], capped(tr.TTC, 10))
+			dst["CIPA"] = append(dst["CIPA"], capped(tr.CIPA, 60))
 		}
 		for _, name := range []string{"STI", "PKL", "TTC", "CIPA"} {
 			out = append(out, Fig4Series{
@@ -66,32 +53,21 @@ func Fig4(suites []Suite, opt Options) ([]Fig4Series, error) {
 				Metric:   name,
 				Safe:     stats.Aggregate(safe[name]),
 				Accident: stats.Aggregate(accident[name]),
-				Dt:       suite.Scenarios[0].Dt * float64(opt.MetricStride),
+				Dt:       suite.Scenarios[0].Dt * float64(ev.opt.MetricStride),
 			})
 		}
 	}
-	return out, nil
+	return out
 }
 
-// metricTraces computes the STI/PKL/TTC traces of one episode.
-func metricTraces(tw *traceWorld, opt Options, eval *sti.Evaluator, pkl *metrics.PKLModel) map[string][]float64 {
-	out := map[string][]float64{}
-	for t := 0; t < tw.steps(); t += opt.MetricStride {
-		sc := tw.scene(t, opt.Reach.Horizon)
-		out["STI"] = append(out["STI"], eval.Combined(sti.Query{Map: tw.m, Ego: sc.Ego, Actors: sc.Actors, Trajs: sc.Trajs}))
-		out["PKL"] = append(out["PKL"], pkl.PKLCombined(sc))
-		ttc := metrics.TTC(sc)
-		if ttc > 10 {
-			ttc = 10 // cap +Inf for plottable series, as in Fig. 4's axes
+// capped returns a copy of xs with every value above max set to max.
+func capped(xs []float64, max float64) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		if x > max {
+			x = max
 		}
-		out["TTC"] = append(out["TTC"], ttc)
-		// The paper computes Dist. CIPA too but omits its plot for space,
-		// noting the trends are similar to TTC's; the CSV includes it.
-		cipa := metrics.DistCIPA(sc)
-		if cipa > 60 {
-			cipa = 60
-		}
-		out["CIPA"] = append(out["CIPA"], cipa)
+		out[i] = x
 	}
 	return out
 }
@@ -103,59 +79,36 @@ type Fig5Result struct {
 	Dt     float64
 }
 
-// Fig5 re-runs a sample of ghost cut-in scenarios under the bare baseline
-// and under LBC+iPrism, recording combined STI traces for both.
-func Fig5(suites []Suite, ctrl *smc.SMC, opt Options, sample int) (Fig5Result, error) {
+// Fig5 re-runs a sample of ghost cut-in scenarios under LBC+iPrism and
+// compares their combined STI traces with the recorded baseline's.
+func Fig5(ev *Evidence, ctrl *smc.SMC, sample int) (Fig5Result, error) {
 	var res Fig5Result
-	suite, ok := findSuite(suites, scenario.GhostCutIn)
+	suite, ok := findSuite(ev.Suites, scenario.GhostCutIn)
 	if !ok || len(suite.Scenarios) == 0 {
 		return res, fmt.Errorf("experiments: missing or empty ghost cut-in suite")
-	}
-	if err := opt.Validate(); err != nil {
-		return res, err
-	}
-	eval, err := sti.NewEvaluator(opt.Reach)
-	if err != nil {
-		return res, err
 	}
 	if sample <= 0 || sample > len(suite.Scenarios) {
 		sample = len(suite.Scenarios)
 	}
 	var lbcTraces, iprismTraces [][]float64
-	for i := 0; i < sample; i++ {
-		scn := suite.Scenarios[i]
-		// Baseline traces come from the recorded suite run.
-		tw, err := newTraceWorld(scn, suite.Outcomes[i].Trace)
-		if err != nil {
-			return res, err
-		}
-		lbcTraces = append(lbcTraces, stiTrace(tw, opt, eval))
-
-		// Mitigated run.
+	for i, scn := range suite.Scenarios[:sample] {
+		lbcTraces = append(lbcTraces, suite.Traces[i].STI)
 		w, err := scn.Build()
 		if err != nil {
 			return res, err
 		}
 		out := sim.Run(w, agent.NewLBC(agent.DefaultLBCConfig()), ctrl.CloneForRun(),
 			sim.RunConfig{MaxSteps: scn.MaxSteps, RecordTrace: true})
-		tw2, err := newTraceWorld(scn, out.Trace)
+		tr, err := ev.trace(scn, out.Trace)
 		if err != nil {
 			return res, err
 		}
-		iprismTraces = append(iprismTraces, stiTrace(tw2, opt, eval))
+		iprismTraces = append(iprismTraces, tr.STI)
 	}
 	res.LBC = stats.Aggregate(lbcTraces)
 	res.IPrism = stats.Aggregate(iprismTraces)
-	res.Dt = suite.Scenarios[0].Dt * float64(opt.MetricStride)
+	res.Dt = suite.Scenarios[0].Dt * float64(ev.opt.MetricStride)
 	return res, nil
-}
-
-func stiTrace(tw *traceWorld, opt Options, eval *sti.Evaluator) []float64 {
-	var out []float64
-	for t := 0; t < tw.steps(); t += opt.MetricStride {
-		out = append(out, eval.Combined(sti.Query{Map: tw.m, Ego: tw.ego(t), Actors: tw.actors(t), Trajs: tw.futures(t)}))
-	}
-	return out
 }
 
 // Fig6Result is the dataset STI characterisation (percentile rows).
@@ -175,6 +128,9 @@ func Fig6(corpus dataset.CorpusConfig, opt Options) (Fig6Result, error) {
 	if err != nil {
 		return res, err
 	}
+	// The corpus gets its own evaluator: the empty-tube cache keys on the
+	// ego's pose alone, and the corpus road has three lanes where the
+	// scenario suites' road has two.
 	eval, err := sti.NewEvaluator(opt.Reach)
 	if err != nil {
 		return res, err
@@ -196,12 +152,9 @@ type Fig7Case struct {
 	KeySTI   float64
 }
 
-// Fig7 evaluates the four §V-D case studies.
-func Fig7(opt Options) ([]Fig7Case, error) {
-	eval, err := sti.NewEvaluator(opt.Reach)
-	if err != nil {
-		return nil, err
-	}
+// Fig7 evaluates the four §V-D case studies, which lie on the scenario
+// suites' road, so they can share the trace pass's evaluator.
+func Fig7(eval *sti.Evaluator) []Fig7Case {
 	var out []Fig7Case
 	for _, c := range dataset.CaseStudies() {
 		res := c.Evaluate(eval)
@@ -213,7 +166,7 @@ func Fig7(opt Options) ([]Fig7Case, error) {
 			KeySTI:   res.PerActor[c.KeyActor],
 		})
 	}
-	return out, nil
+	return out
 }
 
 // SeparationResult quantifies the paper's §V-B takeaway (a): combined STI
@@ -233,25 +186,14 @@ type SeparationResult struct {
 }
 
 // STISeparation computes, per typology with both safe and accident
-// populations, the statistical separation of peak combined STI.
-func STISeparation(suites []Suite, opt Options) ([]SeparationResult, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	eval, err := sti.NewEvaluator(opt.Reach)
-	if err != nil {
-		return nil, err
-	}
+// populations, the statistical separation of per-episode mean combined STI.
+func STISeparation(ev *Evidence) []SeparationResult {
 	var out []SeparationResult
-	for _, suite := range suites {
+	for _, suite := range ev.Suites {
 		res := SeparationResult{Typology: suite.Typology}
-		for i := range suite.Scenarios {
-			tw, err := newTraceWorld(suite.Scenarios[i], suite.Outcomes[i].Trace)
-			if err != nil {
-				return nil, err
-			}
-			meanSTI := stats.Mean(stiTrace(tw, opt, eval))
-			if suite.Outcomes[i].Collision {
+		for j, tr := range suite.Traces {
+			meanSTI := stats.Mean(tr.STI)
+			if suite.Outcomes[j].Collision {
 				res.AccidentPeaks = append(res.AccidentPeaks, meanSTI)
 			} else {
 				res.SafePeaks = append(res.SafePeaks, meanSTI)
@@ -264,5 +206,5 @@ func STISeparation(suites []Suite, opt Options) ([]SeparationResult, error) {
 		res.CohenD = stats.CohenD(res.AccidentPeaks, res.SafePeaks)
 		out = append(out, res)
 	}
-	return out, nil
+	return out
 }

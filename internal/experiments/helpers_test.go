@@ -75,7 +75,7 @@ func TestDemonstratedChoiceMapping(t *testing.T) {
 }
 
 func TestSeverityMissingSuite(t *testing.T) {
-	if _, err := Severity(nil, scenario.RearEnd, nil, tinyOptions()); err == nil {
+	if _, err := Severity(&Evidence{}, TableIIIResult{}); err == nil {
 		t.Error("missing suite accepted")
 	}
 }
@@ -110,14 +110,12 @@ func TestFiguresOnEmptySuites(t *testing.T) {
 	if nonEmpty == len(suites) {
 		t.Fatal("no suite is empty at one instance per typology; the test no longer covers the empty case")
 	}
-	series, err := Fig4(suites, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := Fig4(mustTrace(t, suites, opt))
 	if len(series) != 4*nonEmpty {
 		t.Errorf("Fig4 series = %d, want 4 metrics for each of %d non-empty suites", len(series), nonEmpty)
 	}
-	if _, err := Fig5([]Suite{{Typology: scenario.GhostCutIn}}, nil, opt, 0); err == nil {
+	empty := &Evidence{Suites: []Suite{{Typology: scenario.GhostCutIn}}, opt: opt}
+	if _, err := Fig5(empty, nil, 0); err == nil {
 		t.Error("Fig5 accepted an empty ghost cut-in suite")
 	}
 }

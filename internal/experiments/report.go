@@ -104,18 +104,18 @@ func report(out io.Writer, opt Options, clock func() time.Time) (artefacts, erro
 			r.Typology, r.Instances, strings.Join(r.Hyperparameters, ", "), r.Accidents, paperT1[r.Typology])
 	}
 
-	fmt.Fprintf(w, "\n## Fig. 4 — risk characterisation (final-step accident-population mean)\n\n")
-	art.fig4, err = Fig4(suites, opt)
+	// Every section below reads this one pass over the recorded episodes.
+	ev, err := Trace(suites, opt)
 	if err != nil {
 		return art, err
 	}
+
+	fmt.Fprintf(w, "\n## Fig. 4 — risk characterisation (final-step accident-population mean)\n\n")
+	art.fig4 = Fig4(ev)
 	writeFig4Finals(w, suites, art.fig4)
 
 	fmt.Fprintf(w, "\n## Table II — LTFMA (seconds)\n\n")
-	t2, err := TableII(suites, opt)
-	if err != nil {
-		return art, err
-	}
+	t2 := TableII(ev)
 	fmt.Fprintf(w, "| Metric |")
 	for _, ty := range t2.Typologies {
 		fmt.Fprintf(w, " %s |", ty)
@@ -137,7 +137,7 @@ func report(out io.Writer, opt Options, clock func() time.Time) (artefacts, erro
 	}
 
 	fmt.Fprintf(w, "\n## Tables III & IV — mitigation efficacy and timing\n\n")
-	t3, err := TableIII(suites, opt)
+	t3, err := TableIII(ev)
 	if err != nil {
 		return art, err
 	}
@@ -150,31 +150,52 @@ func report(out io.Writer, opt Options, clock func() time.Time) (artefacts, erro
 		fmt.Fprintf(w, "---|")
 	}
 	fmt.Fprintf(w, "\n")
-	for _, name := range []string{AgentLBCiPrism, AgentLBCNoSTI, AgentLBCACA, AgentRIPiPrism} {
+	for _, name := range agentNames {
 		fmt.Fprintf(w, "| %s |", name)
-		for _, r := range t3.Rows[name] {
+		for i, r := range t3.Rows[name] {
+			if t3.Controllers[t3.Typologies[i]] == nil {
+				fmt.Fprintf(w, " — |")
+				continue
+			}
 			fmt.Fprintf(w, " %.0f / %.1f (%d/%d) |", r.CAPct, r.TCRPct, r.CA, r.TAS)
 		}
 		fmt.Fprintf(w, "\n")
 	}
-	fmt.Fprintf(w, "\nRear-end extension (acceleration): CA %d/%d = %.0f%% (paper 37%%)\n\n",
-		t3.RearEnd.CA, t3.RearEnd.TAS, t3.RearEnd.CAPct)
-	fmt.Fprintf(w, "| Typology | iPrism first action (s) | ACA first action (s) | Lead time (s) |\n|---|---|---|---|\n")
+	sep := "\n" // a blank line ends the table before the first skip line
+	for _, ty := range t3.Typologies {
+		if t3.Controllers[ty] == nil {
+			fmt.Fprint(w, sep)
+			sep = ""
+			writeSkipped(w, ty)
+		}
+	}
+	if t3.Controllers[scenario.RearEnd] == nil {
+		fmt.Fprintf(w, "\nRear-end extension (acceleration): — (paper 37%%)\n")
+		writeSkipped(w, scenario.RearEnd)
+	} else {
+		fmt.Fprintf(w, "\nRear-end extension (acceleration): CA %d/%d = %.0f%% (paper 37%%)\n",
+			t3.RearEnd.CA, t3.RearEnd.TAS, t3.RearEnd.CAPct)
+	}
+	fmt.Fprintf(w, "\n| Typology | iPrism first action (s) | ACA first action (s) | Lead time (s) |\n|---|---|---|---|\n")
 	for _, row := range TableIV(t3) {
+		if t3.Controllers[row.Typology] == nil {
+			fmt.Fprintf(w, "| %s | — | — | — |\n", row.Typology)
+			continue
+		}
 		fmt.Fprintf(w, "| %s | %.2f | %.2f | %.2f |\n", row.Typology, row.IPrism, row.ACA, row.LeadTime)
 	}
 
 	fmt.Fprintf(w, "\n## Fig. 5 — ghost cut-in STI with and without iPrism\n\n")
-	ctrl, err := TrainGhostCutInSMC(suites, opt)
-	if err != nil {
-		return art, err
+	ghost := t3.Controllers[scenario.GhostCutIn]
+	if ghost == nil {
+		writeSkipped(w, scenario.GhostCutIn)
+	} else {
+		if art.fig5, err = Fig5(ev, ghost, 12); err != nil {
+			return art, err
+		}
+		fmt.Fprintf(w, "STI peak: LBC %.2f vs LBC+iPrism %.2f (paper: iPrism consistently lower)\n",
+			seriesPeak(art.fig5.LBC.Mean), seriesPeak(art.fig5.IPrism.Mean))
 	}
-	art.fig5, err = Fig5(suites, ctrl, opt, 12)
-	if err != nil {
-		return art, err
-	}
-	fmt.Fprintf(w, "STI peak: LBC %.2f vs LBC+iPrism %.2f (paper: iPrism consistently lower)\n",
-		seriesPeak(art.fig5.LBC.Mean), seriesPeak(art.fig5.IPrism.Mean))
 
 	fmt.Fprintf(w, "\n## Fig. 6 — real-world-corpus STI distribution\n\n")
 	f6, err := Fig6(dataset.DefaultCorpusConfig(), opt)
@@ -187,53 +208,57 @@ func report(out io.Writer, opt Options, clock func() time.Time) (artefacts, erro
 	fmt.Fprintf(w, "\nActor STI exactly zero: %.0f%% of %d samples (paper: ~90%%).\n", f6.ActorZeroFraction*100, f6.Samples)
 
 	fmt.Fprintf(w, "\n## Fig. 7 — case studies\n\n")
-	f7, err := Fig7(opt)
-	if err != nil {
-		return art, err
-	}
 	fmt.Fprintf(w, "| Case | Key-actor STI | Combined | Per-actor STI |\n|---|---|---|---|\n")
-	for _, c := range f7 {
+	for _, c := range Fig7(ev.eval) {
 		fmt.Fprintf(w, "| %s | %.2f | %.2f | %s |\n", c.Name, c.KeySTI, c.Combined, formatSTIs(c.PerActor))
 	}
 
 	fmt.Fprintf(w, "\n## Roundabout generalisation\n\n")
-	rb, err := Roundabout(ctrl, opt)
-	if err != nil {
-		return art, err
+	if ghost == nil {
+		writeSkipped(w, scenario.GhostCutIn)
+	} else {
+		rb, err := Roundabout(ghost, opt)
+		if err != nil {
+			return art, err
+		}
+		fmt.Fprintf(w, "Ring pilot: %d/%d collisions; with transferred iPrism: %d/%d (%.1f%% of pilot accidents mitigated; paper: 18.6%%).\n",
+			rb.RIPCollisions, rb.Instances, rb.IPrismCollisions, rb.Instances, rb.Mitigated*100)
 	}
-	fmt.Fprintf(w, "Ring pilot: %d/%d collisions; with transferred iPrism: %d/%d (%.1f%% of pilot accidents mitigated; paper: 18.6%%).\n",
-		rb.RIPCollisions, rb.Instances, rb.IPrismCollisions, rb.Instances, rb.Mitigated*100)
 
 	fmt.Fprintf(w, "\n## STI separation — safe vs accident (§V-B (a))\n\n")
-	seps, err := STISeparation(suites, opt)
-	if err != nil {
-		return art, err
-	}
 	fmt.Fprintf(w, "Per-episode mean combined STI; typologies without two of each population are omitted.\n\n")
 	fmt.Fprintf(w, "| Typology | Accident n | Safe n | Welch t | df | Cohen's d |\n|---|---|---|---|---|---|\n")
-	for _, s := range seps {
+	for _, s := range STISeparation(ev) {
 		fmt.Fprintf(w, "| %s | %d | %d | %.2f | %.0f | %.2f |\n",
 			s.Typology, len(s.AccidentPeaks), len(s.SafePeaks), s.WelchT, s.DF, s.CohenD)
 	}
 
 	fmt.Fprintf(w, "\n## Action-space ablation — rear-end (paper: braking useless, accel saves 37%%)\n\n")
-	sets, err := ActionAblation(suites, opt)
-	if err != nil {
-		return art, err
-	}
-	fmt.Fprintf(w, "| Action set | CA | TAS | CA%% |\n|---|---|---|---|\n")
-	for _, s := range sets {
-		fmt.Fprintf(w, "| %s | %d | %d | %.0f |\n", s.Name, s.CA, s.TAS, s.CAPct)
+	if t3.Controllers[scenario.RearEnd] == nil {
+		writeSkipped(w, scenario.RearEnd)
+	} else {
+		sets, err := ActionAblation(ev, t3)
+		if err != nil {
+			return art, err
+		}
+		fmt.Fprintf(w, "| Action set | CA | TAS | CA%% |\n|---|---|---|---|\n")
+		for _, s := range sets {
+			fmt.Fprintf(w, "| %s | %d | %d | %.0f |\n", s.Name, s.CA, s.TAS, s.CAPct)
+		}
 	}
 
 	fmt.Fprintf(w, "\n## Impact severity — rear-end\n\n")
-	sev, err := Severity(suites, scenario.RearEnd, nil, opt)
-	if err != nil {
-		return art, err
+	if t3.Controllers[scenario.RearEnd] == nil {
+		writeSkipped(w, scenario.RearEnd)
+	} else {
+		sev, err := Severity(ev, t3)
+		if err != nil {
+			return art, err
+		}
+		fmt.Fprintf(w, "| Agent | Collisions | Mean impact (m/s) | p90 impact (m/s) |\n|---|---|---|---|\n")
+		fmt.Fprintf(w, "| LBC | %d | %.1f | %.1f |\n", sev.BaselineCollisions, sev.BaselineMeanImpact, sev.BaselineP90Impact)
+		fmt.Fprintf(w, "| LBC+iPrism | %d | %.1f | %.1f |\n", sev.MitigatedCollisions, sev.MitigatedMeanImpact, sev.MitigatedP90Impact)
 	}
-	fmt.Fprintf(w, "| Agent | Collisions | Mean impact (m/s) | p90 impact (m/s) |\n|---|---|---|---|\n")
-	fmt.Fprintf(w, "| LBC | %d | %.1f | %.1f |\n", sev.BaselineCollisions, sev.BaselineMeanImpact, sev.BaselineP90Impact)
-	fmt.Fprintf(w, "| LBC+iPrism | %d | %.1f | %.1f |\n", sev.MitigatedCollisions, sev.MitigatedMeanImpact, sev.MitigatedP90Impact)
 
 	fmt.Fprintf(w, "\n## Hyperparameter sensitivity — correlation with the crash outcome (§IV-B1)\n\n")
 	fmt.Fprintf(w, "| Typology | Hyperparameter correlations, strongest first |\n|---|---|\n")
@@ -261,6 +286,12 @@ func report(out io.Writer, opt Options, clock func() time.Time) (artefacts, erro
 
 	fmt.Fprintf(w, "\n---\nTotal wall-clock: %s\n", clock().Sub(started).Round(time.Second))
 	return art, w.Flush()
+}
+
+// writeSkipped is the line a section prints in place of a result that
+// needs ty's trained controller when ty had no baseline accident.
+func writeSkipped(w io.Writer, ty scenario.Typology) {
+	fmt.Fprintf(w, "Skipped %s: no baseline accident to train its SMC on.\n", ty)
 }
 
 // writeFig4Finals tabulates, per typology and plotted metric, the

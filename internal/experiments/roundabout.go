@@ -7,7 +7,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/smc"
-	"repro/internal/sti"
 )
 
 // RoundaboutResult is the §V-C generalisation study: the RIP-analogue ring
@@ -73,26 +72,4 @@ func contains(xs []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// TrainGhostCutInSMC is a convenience used by Fig. 5, the roundabout study
-// and the cmd tools: trains an SMC on the ghost cut-in typology's selected
-// training scenario.
-func TrainGhostCutInSMC(suites []Suite, opt Options) (*smc.SMC, error) {
-	suite, ok := findSuite(suites, scenario.GhostCutIn)
-	if !ok {
-		return nil, fmt.Errorf("experiments: missing ghost cut-in suite")
-	}
-	eval, err := sti.NewEvaluator(opt.Reach)
-	if err != nil {
-		return nil, err
-	}
-	idx, err := selectTrainingScenario(suite, opt, eval)
-	if err != nil {
-		return nil, err
-	}
-	lbc := func() sim.Driver { return agent.NewLBC(agent.DefaultLBCConfig()) }
-	ctrl, _, err := smc.Train([]scenario.Scenario{suite.Scenarios[idx]}, lbc,
-		opt.smcConfig(true, opt.Seed), opt.TrainEpisodes)
-	return ctrl, err
 }

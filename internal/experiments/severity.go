@@ -8,7 +8,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/smc"
 	"repro/internal/stats"
-	"repro/internal/sti"
 )
 
 // SeverityResult compares collision severity (relative impact speed) with
@@ -27,16 +26,17 @@ type SeverityResult struct {
 	MitigatedP90Impact  float64
 }
 
-// Severity trains (or reuses) an SMC for the typology and measures impact
-// speeds with and without it.
-func Severity(suites []Suite, ty scenario.Typology, ctrl *smc.SMC, opt Options) (SeverityResult, error) {
-	res := SeverityResult{Typology: ty}
-	suite, ok := findSuite(suites, ty)
+// Severity trains an SMC with the run's own seed on the rear-end scenario
+// Table III trained on, and measures impact speeds with and without it.
+func Severity(ev *Evidence, t3 TableIIIResult) (SeverityResult, error) {
+	res := SeverityResult{Typology: scenario.RearEnd}
+	suite, ok := findSuite(ev.Suites, scenario.RearEnd)
 	if !ok {
-		return res, fmt.Errorf("experiments: missing %v suite", ty)
+		return res, fmt.Errorf("experiments: missing rear-end suite")
 	}
-	if err := opt.Validate(); err != nil {
-		return res, err
+	idx, ok := t3.TrainScenarioID[scenario.RearEnd]
+	if !ok {
+		return res, fmt.Errorf("experiments: rear-end has no training scenario")
 	}
 	lbc := func() sim.Driver { return agent.NewLBC(agent.DefaultLBCConfig()) }
 
@@ -50,20 +50,11 @@ func Severity(suites []Suite, ty scenario.Typology, ctrl *smc.SMC, opt Options) 
 	res.BaselineMeanImpact = stats.Mean(base)
 	res.BaselineP90Impact = stats.Percentile(base, 90)
 
-	if ctrl == nil {
-		eval, err := sti.NewEvaluator(opt.Reach)
-		if err != nil {
-			return res, err
-		}
-		idx, err := selectTrainingScenario(suite, opt, eval)
-		if err != nil {
-			return res, err
-		}
-		ctrl, _, err = smc.Train([]scenario.Scenario{suite.Scenarios[idx]}, lbc,
-			opt.smcConfig(true, opt.Seed), opt.TrainEpisodes)
-		if err != nil {
-			return res, err
-		}
+	opt := ev.opt
+	ctrl, _, err := smc.Train([]scenario.Scenario{suite.Scenarios[idx]}, lbc,
+		opt.smcConfig(true, opt.Seed), opt.TrainEpisodes)
+	if err != nil {
+		return res, err
 	}
 	outcomes, err := runSuite(suite.Scenarios, opt.Workers, lbc,
 		func() (sim.Mitigator, error) { return ctrl.CloneForRun(), nil }, false)

@@ -25,6 +25,8 @@ type Suite struct {
 	Typology  scenario.Typology
 	Scenarios []scenario.Scenario
 	Outcomes  []sim.Outcome
+	// Traces[i] are the risk traces of episode i, filled by Trace.
+	Traces []EpisodeTrace
 }
 
 // Accidents returns the indices of scenarios in which the baseline agent
@@ -50,31 +52,34 @@ func BuildSuites(opt Options) ([]Suite, error) {
 	suites := make([]Suite, len(scenario.Typologies))
 	for i, ty := range scenario.Typologies {
 		sp := telemetry.StartSpan("experiments.build_suite")
-		scns := scenario.GenerateValid(ty, opt.ScenariosPerTypology, opt.Seed+int64(i))
-		outcomes, err := runSuite(scns, opt.Workers, func() sim.Driver {
-			return agent.NewLBC(agent.DefaultLBCConfig())
-		}, nil, true)
+		suite, err := NewSuite(ty, scenario.GenerateValid(ty, opt.ScenariosPerTypology, opt.Seed+int64(i)), opt.Workers)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %v suite: %w", ty, err)
+			return nil, err
 		}
-		suites[i] = Suite{Typology: ty, Scenarios: scns, Outcomes: outcomes}
+		suites[i] = suite
 		elapsed := sp.End()
 		if telemetry.JournalActive() {
-			accidents := 0
-			for _, o := range outcomes {
-				if o.Collision {
-					accidents++
-				}
-			}
 			telemetry.Emit("experiments.suite", map[string]any{
 				"typology":  ty.String(),
-				"scenarios": len(scns),
-				"accidents": accidents,
+				"scenarios": len(suite.Scenarios),
+				"accidents": len(suite.Accidents()),
 				"seconds":   elapsed.Seconds(),
 			})
 		}
 	}
 	return suites, nil
+}
+
+// NewSuite runs the LBC baseline over scns on a pool of workers, recording
+// every episode's trace.
+func NewSuite(ty scenario.Typology, scns []scenario.Scenario, workers int) (Suite, error) {
+	outcomes, err := runSuite(scns, workers, func() sim.Driver {
+		return agent.NewLBC(agent.DefaultLBCConfig())
+	}, nil, true)
+	if err != nil {
+		return Suite{}, fmt.Errorf("experiments: %v suite: %w", ty, err)
+	}
+	return Suite{Typology: ty, Scenarios: scns, Outcomes: outcomes}, nil
 }
 
 // runSuite executes every scenario with a fresh driver (and optionally a

@@ -6,7 +6,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/stats"
-	"repro/internal/sti"
 )
 
 // MeanSD is a "mean (sd)" table cell.
@@ -34,25 +33,12 @@ type TableIIResult struct {
 // TableII computes the LTFMA comparison (§V-A) over the baseline suites:
 // for every accident scenario, each metric's risk trace is binarised and
 // the consecutive risky time immediately before the accident is averaged.
-func TableII(suites []Suite, opt Options) (TableIIResult, error) {
+func TableII(ev *Evidence) TableIIResult {
 	res := TableIIResult{
 		LTFMA:   make(map[string][]MeanSD, len(MetricNames)),
 		Average: make(map[string]float64, len(MetricNames)),
 	}
-	if err := opt.Validate(); err != nil {
-		return res, err
-	}
-	pklAll, pklHoldout, err := FitPKLModels(suites, opt)
-	if err != nil {
-		return res, err
-	}
-	eval, err := sti.NewEvaluator(opt.Reach)
-	if err != nil {
-		return res, err
-	}
-	th := metrics.DefaultThresholds()
-
-	for _, suite := range suites {
+	for _, suite := range ev.Suites {
 		accidents := suite.Accidents()
 		if len(accidents) == 0 {
 			continue // front accident: nothing to lead-time
@@ -60,15 +46,8 @@ func TableII(suites []Suite, opt Options) (TableIIResult, error) {
 		res.Typologies = append(res.Typologies, suite.Typology)
 		perMetric := map[string][]float64{}
 		for _, idx := range accidents {
-			tw, err := newTraceWorld(suite.Scenarios[idx], suite.Outcomes[idx].Trace)
-			if err != nil {
-				return res, err
-			}
-			lt, err := leadTimes(tw, suite.Outcomes[idx].CollisionStep, opt, eval, pklAll, pklHoldout, th)
-			if err != nil {
-				return res, err
-			}
-			for name, v := range lt {
+			dt := suite.Scenarios[idx].Dt * float64(ev.opt.MetricStride)
+			for name, v := range leadTimes(suite.Traces[idx], suite.Outcomes[idx].CollisionStep, ev.opt.MetricStride, dt) {
 				perMetric[name] = append(perMetric[name], v)
 			}
 		}
@@ -84,42 +63,32 @@ func TableII(suites []Suite, opt Options) (TableIIResult, error) {
 		}
 		res.Average[name] = stats.Mean(means)
 	}
-	return res, nil
+	return res
 }
 
-// leadTimes computes every metric's LTFMA for one accident trace.
-func leadTimes(tw *traceWorld, collisionStep int, opt Options, eval *sti.Evaluator, pklAll, pklHoldout *metrics.PKLModel, th metrics.Thresholds) (map[string]float64, error) {
-	stride := opt.MetricStride
-	horizon := opt.Reach.Horizon
-	var riskTTC, riskCIPA, riskPKLAll, riskPKLHold, riskSTI []bool
+// leadTimes computes every metric's LTFMA for one accident trace sampled
+// every stride steps, dt seconds apart.
+func leadTimes(tr EpisodeTrace, collisionStep, stride int, dt float64) map[string]float64 {
 	// The lead-time window ends at the last instant strictly before the
 	// collision: at the contact step itself the ego is already colliding
 	// and "warning" is meaningless.
-	last := collisionStep - 1
-	if last >= tw.steps() {
-		last = tw.steps() - 1
+	last := max(collisionStep-1, 0)
+	n := min(last/stride+1, len(tr.STI))
+	th := metrics.DefaultThresholds()
+	lt := func(values []float64, risky func(float64) bool) float64 {
+		risk := make([]bool, n)
+		for k := range risk {
+			risk[k] = risky(values[k])
+		}
+		return metrics.LTFMA(risk, n-1, dt)
 	}
-	if last < 0 {
-		last = 0
-	}
-	for t := 0; t <= last; t += stride {
-		sc := tw.scene(t, horizon)
-		riskTTC = append(riskTTC, th.TTCRisk(metrics.TTC(sc)))
-		riskCIPA = append(riskCIPA, th.DistCIPARisk(metrics.DistCIPA(sc)))
-		riskPKLAll = append(riskPKLAll, th.PKLRisk(pklAll.PKLCombined(sc)))
-		riskPKLHold = append(riskPKLHold, th.PKLRisk(pklHoldout.PKLCombined(sc)))
-		stiVal := eval.Combined(sti.Query{Map: tw.m, Ego: sc.Ego, Actors: sc.Actors, Trajs: sc.Trajs})
-		riskSTI = append(riskSTI, th.STIRisk(stiVal))
-	}
-	dt := tw.dt * float64(stride)
-	lastIdx := len(riskTTC) - 1
 	return map[string]float64{
-		"TTC":         metrics.LTFMA(riskTTC, lastIdx, dt),
-		"Dist. CIPA":  metrics.LTFMA(riskCIPA, lastIdx, dt),
-		"PKL-All":     metrics.LTFMA(riskPKLAll, lastIdx, dt),
-		"PKL-Holdout": metrics.LTFMA(riskPKLHold, lastIdx, dt),
-		"STI":         metrics.LTFMA(riskSTI, lastIdx, dt),
-	}, nil
+		"TTC":         lt(tr.TTC, th.TTCRisk),
+		"Dist. CIPA":  lt(tr.CIPA, th.DistCIPARisk),
+		"PKL-All":     lt(tr.PKLAll, th.PKLRisk),
+		"PKL-Holdout": lt(tr.PKLHoldout, th.PKLRisk),
+		"STI":         lt(tr.STI, th.STIRisk),
+	}
 }
 
 // FitPKLModels fits the PKL cost model on baseline driving demonstrations:

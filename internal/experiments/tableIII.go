@@ -8,7 +8,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/smc"
 	"repro/internal/stats"
-	"repro/internal/sti"
 )
 
 // Agent row labels of Table III.
@@ -34,6 +33,8 @@ type AgentTypologyResult struct {
 
 // TableIIIResult holds the full mitigation comparison.
 type TableIIIResult struct {
+	// Typologies are the columns. A typology without a baseline accident
+	// has no trained controller, and its cells are zero.
 	Typologies []scenario.Typology
 	// Rows[agent][i] is the agent's result on Typologies[i].
 	Rows map[string][]AgentTypologyResult
@@ -42,53 +43,70 @@ type TableIIIResult struct {
 	RearEnd AgentTypologyResult
 	// TrainScenarioID[typology] records which instance trained the SMC.
 	TrainScenarioID map[scenario.Typology]int
+	// Controllers[typology] is the LBC+iPrism SMC trained on it (for the
+	// rear-end typology, the acceleration extension's SMC). Later
+	// sections reuse these instead of training their own.
+	Controllers map[scenario.Typology]*smc.SMC
 }
+
+// agentNames are the Table III rows in paper order.
+var agentNames = []string{AgentLBCiPrism, AgentLBCNoSTI, AgentLBCACA, AgentRIPiPrism}
 
 // mitigationTypologies are the Table III columns.
 var mitigationTypologies = []scenario.Typology{
 	scenario.GhostCutIn, scenario.LeadCutIn, scenario.LeadSlowdown,
 }
 
-// TableIII trains the SMCs and runs the full §V-C comparison.
-func TableIII(suites []Suite, opt Options) (TableIIIResult, error) {
+// TableIII trains the SMCs and runs the full §V-C comparison. A typology
+// without a baseline accident has nothing to train on and is skipped.
+func TableIII(ev *Evidence) (TableIIIResult, error) {
 	res := TableIIIResult{
 		Rows:            make(map[string][]AgentTypologyResult),
 		TrainScenarioID: make(map[scenario.Typology]int),
+		Controllers:     make(map[scenario.Typology]*smc.SMC),
 	}
-	if err := opt.Validate(); err != nil {
-		return res, err
-	}
-	eval, err := sti.NewEvaluator(opt.Reach)
-	if err != nil {
-		return res, err
-	}
+	opt := ev.opt
 	lbc := func() sim.Driver { return agent.NewLBC(agent.DefaultLBCConfig()) }
 	rip := func() sim.Driver { return agent.NewRIP(agent.DefaultRIPConfig()) }
+	// train selects suite's training scenario and trains its SMC with seed.
+	train := func(suite Suite, seed int64) (*smc.SMC, error) {
+		idx, err := ev.TrainingScenario(suite.Typology)
+		if err != nil {
+			return nil, err
+		}
+		ctrl, _, err := smc.Train([]scenario.Scenario{suite.Scenarios[idx]}, lbc, opt.smcConfig(true, seed), opt.TrainEpisodes)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: train %v SMC: %w", suite.Typology, err)
+		}
+		res.TrainScenarioID[suite.Typology] = idx
+		res.Controllers[suite.Typology] = ctrl
+		return ctrl, nil
+	}
 
 	for _, ty := range mitigationTypologies {
-		suite, ok := findSuite(suites, ty)
+		suite, ok := findSuite(ev.Suites, ty)
 		if !ok {
 			return res, fmt.Errorf("experiments: missing %v suite", ty)
 		}
-		trainIdx, err := selectTrainingScenario(suite, opt, eval)
+		res.Typologies = append(res.Typologies, ty)
+		// LBC-based rows share the LBC TAS set.
+		tas := suite.Accidents()
+		if len(tas) == 0 {
+			for _, name := range agentNames {
+				res.Rows[name] = append(res.Rows[name], AgentTypologyResult{Typology: ty})
+			}
+			continue
+		}
+		withSTI, err := train(suite, opt.Seed)
 		if err != nil {
 			return res, err
 		}
-		res.Typologies = append(res.Typologies, ty)
-		res.TrainScenarioID[ty] = trainIdx
-		trainScn := []scenario.Scenario{suite.Scenarios[trainIdx]}
-
-		withSTI, _, err := smc.Train(trainScn, lbc, opt.smcConfig(true, opt.Seed), opt.TrainEpisodes)
-		if err != nil {
-			return res, fmt.Errorf("experiments: train %v SMC: %w", ty, err)
-		}
+		trainScn := []scenario.Scenario{suite.Scenarios[res.TrainScenarioID[ty]]}
 		withoutSTI, _, err := smc.Train(trainScn, lbc, opt.smcConfig(false, opt.Seed), opt.TrainEpisodes)
 		if err != nil {
 			return res, fmt.Errorf("experiments: train %v ablation SMC: %w", ty, err)
 		}
 
-		// LBC-based rows share the LBC TAS set.
-		tas := suite.Accidents()
 		for name, mit := range map[string]func() (sim.Mitigator, error){
 			AgentLBCiPrism: func() (sim.Mitigator, error) { return withSTI.CloneForRun(), nil },
 			AgentLBCNoSTI:  func() (sim.Mitigator, error) { return withoutSTI.CloneForRun(), nil },
@@ -126,17 +144,15 @@ func TableIII(suites []Suite, opt Options) (TableIIIResult, error) {
 	// Rear-end extension: braking alone cannot fix it; the SMC's
 	// acceleration action can (§V-C "Extension to other mitigation
 	// actions").
-	rear, ok := findSuite(suites, scenario.RearEnd)
+	rear, ok := findSuite(ev.Suites, scenario.RearEnd)
 	if !ok {
 		return res, fmt.Errorf("experiments: missing rear-end suite")
 	}
-	trainIdx, err := selectTrainingScenario(rear, opt, eval)
-	if err != nil {
-		return res, err
+	res.RearEnd.Typology = scenario.RearEnd
+	if len(rear.Accidents()) == 0 {
+		return res, nil
 	}
-	res.TrainScenarioID[scenario.RearEnd] = trainIdx
-	rearSMC, _, err := smc.Train([]scenario.Scenario{rear.Scenarios[trainIdx]}, lbc,
-		opt.smcConfig(true, opt.Seed+7), opt.TrainEpisodes)
+	rearSMC, err := train(rear, opt.Seed+7)
 	if err != nil {
 		return res, err
 	}
@@ -179,34 +195,6 @@ func evaluateAgent(scns []scenario.Scenario, tas []int, opt Options, makeDriver 
 		r.TCRPct = float64(collisions) / float64(len(scns)) * 100
 	}
 	return r, nil
-}
-
-// selectTrainingScenario picks, among the suite's accident scenarios, the
-// one with the highest average combined STI before the accident (§IV-B1).
-func selectTrainingScenario(suite Suite, opt Options, eval *sti.Evaluator) (int, error) {
-	accidents := suite.Accidents()
-	if len(accidents) == 0 {
-		return 0, fmt.Errorf("experiments: %v has no accident scenarios to train on", suite.Typology)
-	}
-	best, bestAvg := accidents[0], -1.0
-	for _, idx := range accidents {
-		tw, err := newTraceWorld(suite.Scenarios[idx], suite.Outcomes[idx].Trace)
-		if err != nil {
-			return 0, err
-		}
-		var vals []float64
-		last := suite.Outcomes[idx].CollisionStep
-		if last >= tw.steps() {
-			last = tw.steps() - 1
-		}
-		for t := 0; t <= last; t += opt.MetricStride * 3 {
-			vals = append(vals, eval.Combined(sti.Query{Map: tw.m, Ego: tw.ego(t), Actors: tw.actors(t), Trajs: tw.futures(t)}))
-		}
-		if avg := stats.Mean(vals); avg > bestAvg {
-			best, bestAvg = idx, avg
-		}
-	}
-	return best, nil
 }
 
 func findSuite(suites []Suite, ty scenario.Typology) (Suite, bool) {

@@ -39,8 +39,9 @@ if [ -n "$shim_calls" ]; then
   echo "verify: deprecated scoring shims called outside perfbench/:" >&2; echo "$shim_calls" >&2; exit 1
 fi
 
-# The race detector is ~10x; internal/experiments alone runs ~20 min on a
-# 1-CPU container, past go test's default 10 min per-package timeout.
+# The race detector is ~10x; `go test -race ./internal/experiments` alone
+# took 614-659 s on a shared 2-vCPU host (3 runs), past go test's default
+# 10 min per-package timeout.
 go test -race -timeout 45m ./...
 
 # Differential suite: single-world reach.expand (reach.Compute: every |T^∅|,
@@ -265,5 +266,12 @@ wait "$train_pid" \
 cmp "$smoke_dir/smc_a.json" "$smoke_dir/smc_b.json" \
   || { echo "verify: resumed training diverged from the uninterrupted run" >&2; exit 1; }
 echo "verify: training interrupt/resume smoke passed (controllers bitwise-equal)"
+
+# Report smoke: the real evidence generator at small n, where some
+# typologies have no baseline accident and their sections print a skip line
+# in place of a result. It must exit 0 and write a report.
+go run ./cmd/iprism-report -n 4 -episodes 1 -o - > "$smoke_dir/report.md"
+[ -s "$smoke_dir/report.md" ] || { echo "verify: iprism-report -n 4 wrote an empty report" >&2; exit 1; }
+echo "verify: small-n report smoke passed"
 
 go run ./cmd/iprism-benchdiff -dir .
